@@ -11,9 +11,13 @@ evaluates filters and probability kernels as array operations:
   catalog bound rectangles as an ``(N, L, 4)`` array.
 
 Snapshots are immutable views of the object list they were built from; the
-databases in :mod:`repro.core.engine` build them lazily on first use and
-rebuild them when their epoch counter says the object list has mutated since
-(live inserts/deletes/moves), so a snapshot can never be served stale.
+databases in :mod:`repro.core.database` build them lazily on first use.
+Their ``insert`` / ``delete`` / ``move`` mutators derive the next snapshot
+from the current one (:meth:`ColumnarPoints.appended` / ``removed`` /
+``replaced`` and the :class:`ColumnarUncertain` twins: array copies with one
+row patched, never a write into the old snapshot), and any other change to
+the object list leaves the epoch stamp behind so the snapshot is rebuilt in
+full on next use — a snapshot can never be served stale.
 
 Array layouts follow :meth:`repro.geometry.rect.Rect.as_tuple`:
 ``(xmin, ymin, xmax, ymax)`` columns for every bounds array.
@@ -58,6 +62,20 @@ def bounds_overlap_window_mask(bounds: np.ndarray, window: Rect) -> np.ndarray:
         & (bounds[:, 1] <= window.ymax)
         & (window.ymin <= bounds[:, 3])
     )
+
+
+def _swap_removed(objects: tuple, row: int) -> tuple:
+    edited = list(objects)
+    last = edited.pop()
+    if row < len(edited):
+        edited[row] = last
+    return tuple(edited)
+
+
+def _replaced(objects: tuple, row: int, obj) -> tuple:
+    edited = list(objects)
+    edited[row] = obj
+    return tuple(edited)
 
 
 class ColumnarPoints:
@@ -110,6 +128,34 @@ class ColumnarPoints:
     def __len__(self) -> int:
         return len(self.objects)
 
+    # The three derivations mirror the database's list edits row for row
+    # (append, swap-remove, overwrite) and never write into this snapshot.
+    def appended(self, obj: PointObject) -> "ColumnarPoints":
+        """The snapshot after ``obj`` was appended to the object list."""
+        location = obj.location
+        return ColumnarPoints.from_arrays(
+            self.objects + (obj,),
+            np.append(self.oids, np.int64(obj.oid)),
+            np.concatenate([self.xy, [(location.x, location.y)]]),
+        )
+
+    def removed(self, row: int) -> "ColumnarPoints":
+        """The snapshot after ``row`` was swap-removed (last row fills the hole)."""
+        last = len(self.objects) - 1
+        oids = self.oids[:last].copy()
+        xy = self.xy[:last].copy()
+        if row != last:
+            oids[row] = self.oids[last]
+            xy[row] = self.xy[last]
+        return ColumnarPoints.from_arrays(_swap_removed(self.objects, row), oids, xy)
+
+    def replaced(self, row: int, obj: PointObject) -> "ColumnarPoints":
+        """The snapshot after ``row`` was overwritten by ``obj`` (same oid: a move)."""
+        location = obj.location
+        xy = self.xy.copy()
+        xy[row] = (location.x, location.y)
+        return ColumnarPoints.from_arrays(_replaced(self.objects, row, obj), self.oids, xy)
+
     def window_rows(self, window: Rect) -> np.ndarray:
         """Rows of the points inside the closed ``window`` (ascending order).
 
@@ -119,6 +165,11 @@ class ColumnarPoints:
         if window.is_empty or not self.objects:
             return np.empty(0, dtype=np.intp)
         return np.flatnonzero(points_in_window_mask(self.xy, window))
+
+
+def _fill_catalog_row(table: np.ndarray, row: int, catalog) -> None:
+    for li, (_, rect) in enumerate(catalog.level_rects()):
+        table[row, li] = rect.as_tuple()
 
 
 class ColumnarUncertain:
@@ -204,8 +255,7 @@ class ColumnarUncertain:
             catalog = obj.catalog
             if catalog is None or catalog.levels != levels:
                 return None, None
-            for li, (_, rect) in enumerate(catalog.level_rects()):
-                table[row, li] = rect.as_tuple()
+            _fill_catalog_row(table, row, catalog)
         table.setflags(write=False)
         level_array = np.asarray(levels, dtype=float)
         level_array.setflags(write=False)
@@ -213,6 +263,90 @@ class ColumnarUncertain:
 
     def __len__(self) -> int:
         return len(self.objects)
+
+    # Row-for-row mirrors of the database's list edits, as on ColumnarPoints.
+    # They return ``None`` where only a full rebuild can tell what the
+    # catalog arrays become: no shared catalog levels to begin with, an
+    # incoming object off those levels, or a collection drained to nothing.
+    def _accepts(self, obj: UncertainObject) -> bool:
+        return (
+            self.catalog_levels is not None
+            and obj.catalog is not None
+            and obj.catalog.levels == tuple(self.catalog_levels)
+        )
+
+    def _derived(
+        self,
+        objects: tuple,
+        oids: np.ndarray,
+        bounds: np.ndarray,
+        catalog_bounds: np.ndarray,
+        row_of_oid: dict[int, int],
+    ) -> "ColumnarUncertain":
+        snapshot = object.__new__(ColumnarUncertain)
+        snapshot.objects = objects
+        for array in (oids, bounds, catalog_bounds):
+            array.setflags(write=False)
+        snapshot.oids = oids
+        snapshot.bounds = bounds
+        snapshot.catalog_levels = self.catalog_levels
+        snapshot.catalog_bounds = catalog_bounds
+        snapshot._row_of_oid = row_of_oid
+        return snapshot
+
+    def appended(self, obj: UncertainObject) -> "ColumnarUncertain | None":
+        """The snapshot after ``obj`` was appended to the object list."""
+        if not self._accepts(obj):
+            return None
+        n = len(self.objects)
+        catalog_bounds = np.concatenate(
+            [self.catalog_bounds, np.empty((1,) + self.catalog_bounds.shape[1:])]
+        )
+        _fill_catalog_row(catalog_bounds, n, obj.catalog)
+        row_of_oid = dict(self._row_of_oid)
+        row_of_oid[obj.oid] = n
+        return self._derived(
+            self.objects + (obj,),
+            np.append(self.oids, np.int64(obj.oid)),
+            np.concatenate([self.bounds, [obj.region.as_tuple()]]),
+            catalog_bounds,
+            row_of_oid,
+        )
+
+    def removed(self, row: int) -> "ColumnarUncertain | None":
+        """The snapshot after ``row`` was swap-removed (last row fills the hole)."""
+        last = len(self.objects) - 1
+        if self.catalog_levels is None or last == 0:
+            return None
+        oids = self.oids[:last].copy()
+        bounds = self.bounds[:last].copy()
+        catalog_bounds = self.catalog_bounds[:last].copy()
+        row_of_oid = dict(self._row_of_oid)
+        del row_of_oid[int(self.oids[row])]
+        if row != last:
+            oids[row] = self.oids[last]
+            bounds[row] = self.bounds[last]
+            catalog_bounds[row] = self.catalog_bounds[last]
+            row_of_oid[int(self.oids[last])] = row
+        return self._derived(
+            _swap_removed(self.objects, row), oids, bounds, catalog_bounds, row_of_oid
+        )
+
+    def replaced(self, row: int, obj: UncertainObject) -> "ColumnarUncertain | None":
+        """The snapshot after ``row`` was overwritten by ``obj`` (same oid: a move)."""
+        if not self._accepts(obj):
+            return None
+        bounds = self.bounds.copy()
+        bounds[row] = obj.region.as_tuple()
+        catalog_bounds = self.catalog_bounds.copy()
+        _fill_catalog_row(catalog_bounds, row, obj.catalog)
+        return self._derived(
+            _replaced(self.objects, row, obj),
+            self.oids,
+            bounds,
+            catalog_bounds,
+            self._row_of_oid,
+        )
 
     def rows_for(self, candidates: Sequence[UncertainObject]) -> np.ndarray:
         """Snapshot rows of ``candidates`` (by object id), in candidate order.

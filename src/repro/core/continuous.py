@@ -13,21 +13,17 @@ subscription surface:
   :class:`~repro.core.updates.MutationObservable` hook;
 * after each applied ``UpdateOp``/``UpdateBatch`` it decides, per
   subscription, whether the mutations *can* have changed the answer —
-  never re-evaluating the whole registry:
-
-  - **sharded databases**: a subscription's answer is a pure function of
-    the shards its query routes to and their contents, so the registry
-    compares the :meth:`~repro.core.sharding.ShardedDatabase.epoch_scope`
-    token of the currently routed shards against the token recorded at the
-    last evaluation.  Equal tokens ⇒ provably identical answer (the same
-    invariant the parallel engine's result-cache key rests on) ⇒ skip.
-  - **single databases**: a mutation whose touched region misses the
-    subscription's candidate window — the Minkowski sum from
-    :func:`~repro.core.plan.relevance_window`, via
-    :meth:`~repro.core.pipeline.QueryPipeline.affected_by` — provably
-    cannot change a range answer (Lemma 1: objects outside the window have
-    zero qualification probability) ⇒ skip.  Nearest-neighbour answers
-    have no complete finite window and re-evaluate on any point mutation.
+  never re-evaluating the whole registry.  One rule serves single and
+  sharded databases alike: a mutation whose ``before`` and ``after`` MBRs
+  both miss the subscription's candidate window — the Minkowski sum from
+  :func:`~repro.core.plan.relevance_window` — provably cannot change a
+  range answer (Lemma 1: objects outside the window have zero
+  qualification probability) ⇒ skip.  The two rectangles are tested
+  separately, so an object hopping over the window is skipped too.
+  Nearest-neighbour answers have no complete finite window and re-evaluate
+  on any point mutation.  How the data is partitioned plays no part: a
+  sharded answer is bitwise the serial one, so the shards a query routes to
+  only supply the state token its deltas are stamped with.
 
 * affected subscriptions re-evaluate through the ordinary engine machinery
   (the staged :class:`~repro.core.pipeline.QueryPipeline`, or the parallel
@@ -320,9 +316,14 @@ class SubscriptionRegistry:
         self._events = []
         self._rounds += 1
         for subscription in list(self._subscriptions.values()):
-            affected, trigger = self._assess(subscription, events)
-            if not affected:
+            trigger = self._assess(subscription, events)
+            if trigger is None:
+                # The answer provably stands; it now also describes the
+                # newer database state the next delta will be stamped with.
                 self._skipped += 1
+                subscription._scope = self._scope(
+                    subscription.target, subscription.query, subscription.window
+                )
                 continue
             self._reevaluations += 1
             self._refresh(subscription, trigger)
@@ -371,7 +372,11 @@ class SubscriptionRegistry:
         return self._pipeline.run_batch([query], [0])[0].probabilities()
 
     def _scope(self, target: str, query: Query, window: Rect | None) -> Hashable:
-        """The state token the subscription's current answer depends on."""
+        """The state token a subscription's answer was last verified against.
+
+        It stamps emitted deltas (``AnswerDelta.epoch``) and plays no part in
+        deciding what to re-evaluate.
+        """
         database = self._database(target)
         if self._sharded:
             if window is None:
@@ -381,47 +386,29 @@ class SubscriptionRegistry:
             return database.epoch_scope(routed)
         return (target, database.uid, database.epoch)
 
-    def _assess(
-        self, subscription: Subscription, events: list[UpdateEvent]
-    ) -> tuple[bool, UpdateEvent | None]:
-        """Whether buffered ``events`` can have changed a subscription's answer.
+    @staticmethod
+    def _assess(subscription: Subscription, events: list[UpdateEvent]) -> UpdateEvent | None:
+        """The last buffered event that can have changed a subscription's answer.
 
-        Returns ``(affected, trigger)`` where ``trigger`` is the last event
-        that implicates the subscription (best-effort attribution for the
-        emitted deltas' ``op`` field).
+        ``None`` proves the answer unchanged: every event either mutated the
+        other database kind or touched the plane only outside the
+        subscription's window.  The returned event is the *trigger* echoed
+        in the emitted deltas' ``op`` field.
         """
-        if self._sharded:
-            if self._scope(subscription.target, subscription.query, subscription.window) == (
-                subscription._scope
-            ):
-                return False, None
-            trigger = None
-            for event in events:
-                if event.target != subscription.target:
-                    continue
-                if (
-                    subscription.window is None
-                    or event.region is None
-                    or event.region.overlaps(subscription.window)
-                ):
-                    trigger = event
-            return True, trigger if trigger is not None else (events[-1] if events else None)
-        affected = False
+        window = subscription.window
         trigger = None
         for event in events:
-            if event.target != subscription.target:
-                continue
-            if self._pipeline.affected_by(subscription.query, event.region):
-                affected = True
+            if event.target == subscription.target and (
+                window is None or event.touches(window)
+            ):
                 trigger = event
-        return affected, trigger
+        return trigger
 
-    def _refresh(self, subscription: Subscription, trigger: UpdateEvent | None) -> None:
+    def _refresh(self, subscription: Subscription, trigger: UpdateEvent) -> None:
         """Re-evaluate one subscription, diff, and queue ordered deltas."""
         fresh = self._evaluate(subscription.query)
         scope = self._scope(subscription.target, subscription.query, subscription.window)
         retained = subscription._answer
-        op = trigger.op if trigger is not None else None
         deltas: list[AnswerDelta] = []
         for oid in sorted(retained.keys() | fresh.keys()):
             before = retained.get(oid)
@@ -442,7 +429,7 @@ class SubscriptionRegistry:
                     oid=oid,
                     probability=after,
                     previous_probability=before,
-                    op=op,
+                    op=trigger.op,
                     epoch=scope,
                     sequence=self._sequence,
                 )

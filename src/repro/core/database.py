@@ -13,7 +13,9 @@ samplers, and (since the staged pipeline) entries of the shared
 mutation can therefore never be served stale: consumers key their caches on
 :attr:`~_MutableDatabaseMixin.epoch` and rebuild on first use after any
 change, including direct mutation of ``db.objects`` (tracked by
-:class:`_TrackedObjects`).
+:class:`_TrackedObjects`).  The mutators themselves carry the columnar
+snapshot and the oid → position map forward (one patched row, fresh epoch
+stamp) instead of leaving them to be rebuilt.
 """
 
 from __future__ import annotations
@@ -178,16 +180,32 @@ class _MutableDatabaseMixin(MutationObservable):
             raise MissingItemError(f"no object with oid {oid} in this database")
         return position
 
-    # The mutators patch the oid → position map in place (and re-stamp its
-    # epoch) so a stream of updates costs O(index maintenance) per operation
-    # instead of an O(n) map rebuild; out-of-band mutations of ``objects``
-    # leave the epochs diverged and the map rebuilds lazily as before.
+    # The mutators patch the oid → position map in place and derive the next
+    # columnar snapshot from the current one (re-stamping both epochs), so a
+    # stream of updates costs O(index maintenance) plus one array copy per
+    # operation instead of O(n) Python-level rebuilds; out-of-band mutations
+    # of ``objects`` leave the epochs diverged and both rebuild lazily as
+    # before.
+    def _fresh_columnar(self):
+        """The cached snapshot if it describes the current object list."""
+        if self._columnar is not None and self._columnar_epoch == self._epoch:
+            return self._columnar
+        return None
+
+    def _adopt_columnar(self, snapshot) -> None:
+        # ``None`` (no snapshot to derive from, or one that needs the full
+        # rebuild) leaves the lazy path in :meth:`columnar` to do its job.
+        self._columnar = snapshot
+        self._columnar_epoch = self._epoch
+
     def _list_append(self, obj) -> None:
         fresh = self._positions is not None and self._positions_epoch == self._epoch
+        snapshot = self._fresh_columnar()
         self.objects.append(obj)
         if fresh:
             self._positions[obj.oid] = len(self.objects) - 1
             self._positions_epoch = self._epoch
+        self._adopt_columnar(None if snapshot is None else snapshot.appended(obj))
 
     def _list_remove(self, oid: int):
         # Swap-remove: the object list's order carries no meaning (every
@@ -195,6 +213,7 @@ class _MutableDatabaseMixin(MutationObservable):
         # the last element keeps removal O(1).
         position = self._position_of(oid)
         positions = self._positions
+        snapshot = self._fresh_columnar()
         obj = self.objects[position]
         last = self.objects.pop()
         if last is not obj:
@@ -202,13 +221,16 @@ class _MutableDatabaseMixin(MutationObservable):
             positions[last.oid] = position
         del positions[oid]
         self._positions_epoch = self._epoch
+        self._adopt_columnar(None if snapshot is None else snapshot.removed(position))
         return obj
 
     def _list_replace(self, oid: int, new):
         position = self._position_of(oid)
+        snapshot = self._fresh_columnar()
         old = self.objects[position]
         self.objects[position] = new
         self._positions_epoch = self._epoch
+        self._adopt_columnar(None if snapshot is None else snapshot.replaced(position, new))
         return old
 
     def __contains__(self, oid: int) -> bool:
@@ -288,8 +310,9 @@ class PointDatabase(_MutableDatabaseMixin):
     objects: list[PointObject]
     index: Any
     kind: str = "rtree"
-    # Lazily-built columnar snapshot, cached per epoch: rebuilt on first use
-    # after any mutation of the object list, so it can never be served stale.
+    # Columnar snapshot, stamped with the epoch it describes: the mutators
+    # derive its successor, any other change of the object list leaves the
+    # stamp behind and forces a rebuild on first use — never served stale.
     _columnar: ColumnarPoints | None = field(default=None, init=False, repr=False, compare=False)
     _columnar_epoch: int = field(default=-1, init=False, repr=False, compare=False)
     _epoch: int = field(default=0, init=False, repr=False, compare=False)
@@ -302,7 +325,7 @@ class PointDatabase(_MutableDatabaseMixin):
             self.objects = _TrackedObjects(self.objects, self)
 
     def columnar(self) -> ColumnarPoints:
-        """The columnar snapshot of the collection (rebuilt lazily per epoch)."""
+        """The columnar snapshot of the collection (rebuilt when stale or absent)."""
         if self._columnar is None or self._columnar_epoch != self._epoch:
             self._columnar = ColumnarPoints(self.objects)
             self._columnar_epoch = self._epoch
@@ -405,7 +428,7 @@ class UncertainDatabase(_MutableDatabaseMixin):
             self.objects = _TrackedObjects(self.objects, self)
 
     def columnar(self) -> ColumnarUncertain:
-        """The columnar snapshot of the collection (rebuilt lazily per epoch)."""
+        """The columnar snapshot of the collection (rebuilt when stale or absent)."""
         if self._columnar is None or self._columnar_epoch != self._epoch:
             self._columnar = ColumnarUncertain(self.objects)
             self._columnar_epoch = self._epoch

@@ -72,7 +72,6 @@ from repro.core.plan import (
     QueryPlan,
     plan_query,
     query_cache_key,
-    relevance_window,
 )
 from repro.core.pruning import CIUQPruner, PruningStrategy
 from repro.core.queries import (
@@ -84,7 +83,6 @@ from repro.core.queries import (
 )
 from repro.core.statistics import EvaluationStatistics
 from repro.core.updates import UpdateBatch
-from repro.geometry.rect import Rect
 from repro.index.rtree import RTree
 from repro.uncertainty.pdf import UniformPdf
 from repro.uncertainty.region import UncertainObject
@@ -227,24 +225,6 @@ class QueryPipeline:
         """
         target = "nearest" if isinstance(query, NearestNeighborQuery) else query.target
         return (self._scope_key(target), query_cache_key(query), self._config_fingerprint)
-
-    def affected_by(self, query: Query, region: Rect | None) -> bool:
-        """Whether a mutation confined to ``region`` can change ``query``'s answer.
-
-        ``region`` is the bounding rectangle of everything a mutation
-        touched (before and after positions).  Range-query answers only
-        depend on objects intersecting the candidate window from
-        :func:`~repro.core.plan.relevance_window`, so a disjoint region
-        provably cannot change the answer; nearest-neighbour queries have
-        no complete finite window and are always affected.  ``None``
-        (unknown extent) is treated conservatively as affected.  This is
-        the single-database relevance test continuous subscriptions use to
-        re-evaluate only the standing queries a mutation could touch.
-        """
-        if region is None:
-            return True
-        window = relevance_window(query)
-        return window is None or window.overlaps(region)
 
     # ------------------------------------------------------------------ #
     # Batch entry point

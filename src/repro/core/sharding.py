@@ -311,10 +311,9 @@ class ShardedDatabase(MutationObservable):
         non-empty shards by default).  Two equal tokens guarantee the same
         shards held the same members — the invariant the parallel engine's
         result-cache key already relies on — so any answer derived from
-        those shards is still exact.  Continuous subscriptions compare the
-        token of a query's *currently routed* shards against the token
-        recorded at its last evaluation to decide whether a mutation stream
-        can have changed its answer.
+        those shards is still exact.  Continuous subscriptions stamp their
+        answer deltas with the token of the query's *currently routed*
+        shards (what to re-evaluate is decided by the window test alone).
         """
         if shards is None:
             shards = self.non_empty_shards()

@@ -209,6 +209,16 @@ class UpdateEvent:
             return self.before
         return self.before.union_bounds(self.after)
 
+    def touches(self, window: Any) -> bool:
+        """Whether the object lay in ``window`` before or lies in it after.
+
+        The two MBRs are tested one by one: the box spanning a long move
+        also covers ground the object never occupied.
+        """
+        return (self.before is not None and self.before.overlaps(window)) or (
+            self.after is not None and self.after.overlaps(window)
+        )
+
 
 class MutationObservable:
     """Mixin that lets databases report applied mutations to observers.

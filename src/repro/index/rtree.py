@@ -48,6 +48,13 @@ def _bounds_enlargements(group: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return width * height - _bounds_area(group)
 
 
+def _bounds_contain(group: np.ndarray, row: np.ndarray) -> bool:
+    """Whether a group bounds row already covers ``row``."""
+    return bool(
+        group[0] <= row[0] and group[1] <= row[1] and group[2] >= row[2] and group[3] >= row[3]
+    )
+
+
 class _Entry:
     """One slot of a node: an MBR plus either a child node or a stored item."""
 
@@ -183,24 +190,32 @@ class RTree:
         """Insert ``item`` with bounding rectangle ``mbr``."""
         if mbr.is_empty:
             raise SpatialIndexError("cannot index an empty rectangle")
-        entry = _Entry(mbr=mbr, item=item)
-        self._insert_entry(entry, target_leaf=True)
+        self._insert_entry(_Entry(mbr=mbr, item=item), level=0)
         self._size += 1
 
-    def _insert_entry(self, entry: _Entry, *, target_leaf: bool) -> None:
-        path = self._choose_path(entry.mbr, target_leaf=target_leaf)
+    def _insert_entry(self, entry: _Entry, *, level: int) -> None:
+        """Place ``entry`` in a node ``level`` levels above the leaves.
+
+        Level 0 stores items; a higher level re-homes a whole subtree whose
+        leaves then sit at the same depth as everybody else's.
+        """
+        path, links = self._choose_path(entry.mbr, level=level)
         node = path[-1]
         node.entries.append(entry)
         self._on_node_updated(node)
-        self._adjust_path(path)
+        self._adjust_path(path, links, entry.mbr)
 
-    def _choose_path(self, mbr: Rect, *, target_leaf: bool) -> list[_Node]:
-        """Descend by least enlargement, returning the root-to-target path."""
+    def _choose_path(self, mbr: Rect, *, level: int) -> tuple[list[_Node], list[_Entry]]:
+        """Descend by least enlargement to a node at ``level``.
+
+        Returns the root-to-target node path plus, for every step of the
+        descent, the parent entry that was followed (``links[i].child is
+        path[i + 1]``).
+        """
         path = [self._root]
+        links: list[_Entry] = []
         node = self._root
-        while not node.is_leaf:
-            if target_leaf is False and self._node_level(node) == 1:
-                break
+        for _ in range(self.height - 1 - level):
             best: _Entry | None = None
             best_enlargement = math.inf
             best_area = math.inf
@@ -216,19 +231,15 @@ class RTree:
             assert best is not None and best.child is not None
             node = best.child
             path.append(node)
-        return path
+            links.append(best)
+        return path, links
 
-    def _node_level(self, node: _Node) -> int:
-        """Level of ``node`` counted from the leaves (leaves are level 0)."""
-        level = 0
-        current = node
-        while not current.is_leaf:
-            current = current.entries[0].child  # type: ignore[assignment]
-            level += 1
-        return level
+    def _adjust_path(self, path: list[_Node], links: list[_Entry], added: Rect) -> None:
+        """Propagate MBR growth and splits from the insertion node upwards.
 
-    def _adjust_path(self, path: list[_Node]) -> None:
-        """Propagate MBR updates and splits from the insertion node upwards."""
+        A node that merely gained ``added`` grows its parent entry by union;
+        only a split, which redistributes entries, recomputes the two halves.
+        """
         for depth in range(len(path) - 1, -1, -1):
             node = path[depth]
             overflow: _Node | None = None
@@ -239,16 +250,19 @@ class RTree:
                     self._grow_root(node, overflow)
                 return
             parent = path[depth - 1]
-            self._refresh_child_entry(parent, node)
-            if overflow is not None:
+            link = links[depth - 1]
+            if overflow is None:
+                link.mbr = link.mbr.union_bounds(added)
+            else:
+                link.mbr = node.mbr()
                 parent.entries.append(_Entry(mbr=overflow.mbr(), child=overflow))
             self._on_node_updated(parent)
 
-    def _refresh_child_entry(self, parent: _Node, child: _Node) -> None:
+    @staticmethod
+    def _child_entry(parent: _Node, child: _Node) -> _Entry:
         for entry in parent.entries:
             if entry.child is child:
-                entry.mbr = child.mbr()
-                return
+                return entry
         raise EngineStateError("child node not found in parent during adjustment")
 
     def _grow_root(self, old_root: _Node, sibling: _Node) -> None:
@@ -287,38 +301,47 @@ class RTree:
             seed_a, seed_b = self._pick_seeds_quadratic(bounds)
         group_a = [entries[seed_a]]
         group_b = [entries[seed_b]]
-        remaining = [row for row in range(n) if row not in (seed_a, seed_b)]
         mbr_a = bounds[seed_a].copy()
         mbr_b = bounds[seed_b].copy()
+        # Growth of either group to take each row; a column is recomputed
+        # only after its group's rectangle actually grew.  ``unsettled`` is
+        # |grow_a - grow_b| with placed rows pushed below every real value.
+        grow_a = _bounds_enlargements(mbr_a, bounds)
+        grow_b = _bounds_enlargements(mbr_b, bounds)
+        unsettled = np.abs(grow_a - grow_b)
+        placed = np.zeros(n, dtype=bool)
+        placed[[seed_a, seed_b]] = True
+        unsettled[placed] = -1.0
+        remaining = n - 2
 
         while remaining:
             # Force assignment when one group must take all remaining entries
             # to reach the minimum fill.
-            if len(group_a) + len(remaining) == self._min_entries:
-                group_a.extend(entries[row] for row in remaining)
+            if len(group_a) + remaining == self._min_entries:
+                group_a.extend(entries[row] for row in np.flatnonzero(~placed))
                 break
-            if len(group_b) + len(remaining) == self._min_entries:
-                group_b.extend(entries[row] for row in remaining)
+            if len(group_b) + remaining == self._min_entries:
+                group_b.extend(entries[row] for row in np.flatnonzero(~placed))
                 break
-            rows = bounds[remaining]
-            grow_a = _bounds_enlargements(mbr_a, rows)
-            grow_b = _bounds_enlargements(mbr_b, rows)
-            pick = int(np.argmax(np.abs(grow_a - grow_b)))
-            if grow_a[pick] < grow_b[pick]:
+            row = int(np.argmax(unsettled))
+            if grow_a[row] < grow_b[row]:
                 prefer_a = True
-            elif grow_b[pick] < grow_a[pick]:
+            elif grow_b[row] < grow_a[row]:
                 prefer_a = False
             else:
                 prefer_a = _bounds_area(mbr_a) <= _bounds_area(mbr_b)
-            row = remaining.pop(pick)
-            if prefer_a:
-                group_a.append(entries[row])
-                np.minimum(mbr_a[:2], bounds[row, :2], out=mbr_a[:2])
-                np.maximum(mbr_a[2:], bounds[row, 2:], out=mbr_a[2:])
-            else:
-                group_b.append(entries[row])
-                np.minimum(mbr_b[:2], bounds[row, :2], out=mbr_b[:2])
-                np.maximum(mbr_b[2:], bounds[row, 2:], out=mbr_b[2:])
+            placed[row] = True
+            remaining -= 1
+            group, mbr, grow = (group_a, mbr_a, grow_a) if prefer_a else (group_b, mbr_b, grow_b)
+            group.append(entries[row])
+            if _bounds_contain(mbr, bounds[row]):
+                unsettled[row] = -1.0
+                continue
+            np.minimum(mbr[:2], bounds[row, :2], out=mbr[:2])
+            np.maximum(mbr[2:], bounds[row, 2:], out=mbr[2:])
+            grow[:] = _bounds_enlargements(mbr, bounds)
+            np.abs(grow_a - grow_b, out=unsettled)
+            unsettled[placed] = -1.0
 
         node.entries = group_a
         sibling = _Node(is_leaf=node.is_leaf)
@@ -385,34 +408,57 @@ class RTree:
     def delete(self, mbr: Rect, item: Any) -> None:
         """Remove ``item``, located by the bounding rectangle it was stored under.
 
-        Follows Guttman's algorithm: find the leaf holding the entry, remove
-        it, then *condense* the tree — dissolve nodes that fell below the
-        minimum fill, re-insert the leaf items of every dissolved subtree,
-        and collapse a single-child root.  Raises ``KeyError`` when no entry
-        matches ``(mbr, item)``.
+        Guttman's algorithm as published: find the leaf holding the entry,
+        remove it, then *condense* the tree — dissolve nodes that fell below
+        the minimum fill, re-insert each dissolved node's entries at that
+        node's own level (whole subtrees stay intact), and collapse a
+        single-child root.  Raises ``KeyError`` when no entry matches
+        ``(mbr, item)``.
         """
+        path, entry_index = self._locate(mbr, item)
+        self._remove_located(path, entry_index)
+
+    def update(
+        self, old_mbr: Rect, new_mbr: Rect, item: Any, *, replacement: Any = None
+    ) -> None:
+        """Move ``item`` from ``old_mbr`` to ``new_mbr``.
+
+        When ``new_mbr`` still lies inside the MBR recorded for the leaf that
+        holds the item, the leaf entry is overwritten in place — no ancestor
+        rectangle has to change.  Otherwise the move is a delete followed by
+        a re-insert.  ``replacement`` substitutes the stored payload — the
+        moved object is usually a fresh immutable wrapper carrying the same
+        oid.
+        """
+        if new_mbr.is_empty:
+            raise SpatialIndexError("cannot index an empty rectangle")
+        payload = replacement if replacement is not None else item
+        path, entry_index = self._locate(old_mbr, item)
+        leaf = path[-1]
+        if len(path) == 1 or self._child_entry(path[-2], leaf).mbr.contains_rect(new_mbr):
+            entry = leaf.entries[entry_index]
+            entry.mbr = new_mbr
+            entry.item = payload
+            for node in reversed(path):
+                self._on_node_updated(node)
+            return
+        self._remove_located(path, entry_index)
+        self.insert(new_mbr, payload)
+
+    def _locate(self, mbr: Rect, item: Any) -> tuple[list[_Node], int]:
         if mbr.is_empty:
             raise MissingItemError("cannot locate an item under an empty rectangle")
         found = self._find_leaf(self._root, [], mbr, item)
         if found is None:
             raise MissingItemError(f"item with MBR {mbr.as_tuple()} is not stored in this tree")
-        path, entry_index = found
+        return found
+
+    def _remove_located(self, path: list[_Node], entry_index: int) -> None:
         leaf = path[-1]
-        del leaf.entries[entry_index]
+        removed = leaf.entries.pop(entry_index)
         self._on_node_updated(leaf)
         self._size -= 1
-        self._condense(path)
-
-    def update(
-        self, old_mbr: Rect, new_mbr: Rect, item: Any, *, replacement: Any = None
-    ) -> None:
-        """Move ``item`` from ``old_mbr`` to ``new_mbr`` (delete + re-insert).
-
-        ``replacement`` substitutes the stored payload — the moved object is
-        usually a fresh immutable wrapper carrying the same oid.
-        """
-        self.delete(old_mbr, item)
-        self.insert(new_mbr, replacement if replacement is not None else item)
+        self._condense(path, removed.mbr)
 
     def _find_leaf(
         self, node: _Node, path: list[_Node], mbr: Rect, item: Any
@@ -437,45 +483,49 @@ class RTree:
         path.pop()
         return None
 
-    def _condense(self, path: list[_Node]) -> None:
-        """Dissolve underfull nodes along ``path`` and re-insert their items."""
-        orphans: list[_Entry] = []
-        for depth in range(len(path) - 1, 0, -1):
+    def _condense(self, path: list[_Node], gone: Rect | None) -> None:
+        """Dissolve underfull nodes along ``path`` and re-home their entries.
+
+        Each dissolved node's entries go back in at that node's level,
+        highest level first, so an underfull internal node costs at most
+        ``max_entries`` insertions however many items live beneath it.
+
+        ``gone`` is the rectangle that just left the leaf.  A surviving
+        node's covering rectangle can only shrink when what left it reached
+        one of its edges, so it is recomputed only then; once a level keeps
+        its rectangle, no ancestor's can change either.
+        """
+        orphans: list[tuple[int, list[_Entry]]] = []
+        leaf_depth = len(path) - 1
+        for depth in range(leaf_depth, 0, -1):
             node = path[depth]
             parent = path[depth - 1]
             if len(node.entries) < self._min_entries:
-                parent.entries = [
-                    entry for entry in parent.entries if entry.child is not node
-                ]
-                orphans.extend(self._collect_leaf_entries(node))
-            else:
-                self._on_node_updated(node)
-                self._refresh_child_entry(parent, node)
+                link = self._child_entry(parent, node)
+                parent.entries.remove(link)
+                orphans.append((leaf_depth - depth, node.entries))
+                gone = link.mbr
+                continue
+            self._on_node_updated(node)
+            if gone is not None:
+                link = self._child_entry(parent, node)
+                covered = link.mbr
+                if (
+                    gone.xmin > covered.xmin
+                    and gone.ymin > covered.ymin
+                    and gone.xmax < covered.xmax
+                    and gone.ymax < covered.ymax
+                ):
+                    gone = None
+                else:
+                    link.mbr = node.mbr()
+                    gone = covered if link.mbr != covered else None
         self._on_node_updated(path[0])
-        while not self._root.is_leaf:
-            if len(self._root.entries) == 1:
-                self._root = self._root.entries[0].child  # type: ignore[assignment]
-            elif not self._root.entries:
-                self._root = _Node(is_leaf=True)
-                self._on_node_updated(self._root)
-                break
-            else:
-                break
-        for entry in orphans:
-            self._insert_entry(_Entry(mbr=entry.mbr, item=entry.item), target_leaf=True)
-
-    @staticmethod
-    def _collect_leaf_entries(node: _Node) -> list[_Entry]:
-        """All leaf-level entries stored beneath ``node`` (node included)."""
-        collected: list[_Entry] = []
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            if current.is_leaf:
-                collected.extend(current.entries)
-            else:
-                stack.extend(entry.child for entry in current.entries)  # type: ignore[misc]
-        return collected
+        for level, entries in reversed(orphans):
+            for entry in entries:
+                self._insert_entry(entry, level=level)
+        while not self._root.is_leaf and len(self._root.entries) == 1:
+            self._root = self._root.entries[0].child  # type: ignore[assignment]
 
     # ------------------------------------------------------------------ #
     # Bulk loading (Sort-Tile-Recursive)

@@ -16,6 +16,18 @@ reference an epoch somewhere.  It also flags ``functools.lru_cache`` /
 ``functools.cache`` on *methods*: a per-instance cache keyed by ``self``
 both leaks instances and ignores epochs (module-level functions over
 immutable arguments, like the issuer-grid discretisation, are fine).
+
+Since the mutators carry the columnar snapshot forward themselves, there is
+a second shape — *patch and re-stamp*::
+
+    self._columnar = snapshot.replaced(row, obj)
+    self._columnar_epoch = self._epoch
+
+A memo that has an ``*_epoch`` partner and is assigned anywhere outside its
+lazy ``is None`` guard must have that partner assigned in the same function.
+A patched snapshot left with its old stamp is rebuilt for nothing; worse, the
+habit of stamping in one place and patching in another is how a stamped but
+unpatched snapshot comes to serve stale rows.
 """
 
 from __future__ import annotations
@@ -63,6 +75,42 @@ def _memo_guard_attrs(test: ast.expr) -> set[str]:
     return attrs
 
 
+def _self_attrs(target: ast.AST) -> Iterator[str]:
+    """Every ``self.X`` inside an assignment target (tuples unpacked)."""
+    for node in ast.walk(target):
+        attr = self_attribute(node)
+        if attr is not None:
+            yield attr
+
+
+def _memo_assignments(node: ast.AST, guarded: frozenset[str]) -> Iterator[tuple[str, int, bool]]:
+    """``(attr, line, lazily_guarded)`` for each ``self.attr = …`` at or under ``node``.
+
+    ``lazily_guarded`` is true inside the body of an ``if`` that tests
+    ``self.attr is None``.  Nested function bodies are their own scope.
+    """
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+        return
+    if isinstance(node, ast.If):
+        inner = guarded | _memo_guard_attrs(node.test)
+        for stmt in node.body:
+            yield from _memo_assignments(stmt, inner)
+        for stmt in node.orelse:
+            yield from _memo_assignments(stmt, guarded)
+        return
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+        targets = [node.target]
+    else:
+        targets = []
+    for target in targets:
+        for attr in _self_attrs(target):
+            yield attr, node.lineno, attr in guarded
+    for child in ast.iter_child_nodes(node):
+        yield from _memo_assignments(child, guarded)
+
+
 def _decorator_cache_name(decorator: ast.expr) -> str | None:
     target = decorator.func if isinstance(decorator, ast.Call) else decorator
     if isinstance(target, ast.Attribute):
@@ -80,7 +128,8 @@ class EpochGuardedCaches(Rule):
     severity = "error"
     description = (
         "instance memos of derived data (columnar/positions/snapshot/…) must "
-        "be invalidated by an epoch check; lru_cache on methods is forbidden"
+        "be invalidated by an epoch check and re-stamped wherever they are "
+        "replaced; lru_cache on methods is forbidden"
     )
 
     def applies_to(self, module: Module) -> bool:
@@ -95,7 +144,31 @@ class EpochGuardedCaches(Rule):
                     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         method_names.add(id(stmt))
 
+        stamps = {
+            name for name in referenced_names(module.tree) if name.endswith("_epoch")
+        }
+
         for func in functions(module.tree):
+            assignments = [
+                found for stmt in func.body for found in _memo_assignments(stmt, frozenset())
+            ]
+            assigned = {attr for attr, _, _ in assignments}
+            for attr, line, lazily_guarded in assignments:
+                stamp = f"{attr}_epoch"
+                if (
+                    not lazily_guarded
+                    and _is_derived_attr(attr)
+                    and stamp in stamps
+                    and stamp not in assigned
+                ):
+                    yield (
+                        line,
+                        f"'self.{attr}' is replaced in {func.name!r} without "
+                        f"re-stamping 'self.{stamp}': assign both in the same "
+                        "function, or the patched value is rebuilt needlessly "
+                        "and a stamp set elsewhere can vouch for stale rows",
+                    )
+
             for decorator in func.decorator_list:
                 cache_name = _decorator_cache_name(decorator)
                 if cache_name is None:

@@ -179,6 +179,149 @@ class TestDatabaseSnapshotCaching:
         assert len(database.columnar()) == len(stale) - 1
 
 
+def _snapshot_arrays(snapshot):
+    names = ("oids", "xy") if isinstance(snapshot, ColumnarPoints) else (
+        "oids", "bounds", "catalog_levels", "catalog_bounds"
+    )
+    return {name: getattr(snapshot, name) for name in names}
+
+
+def assert_same_snapshot(derived, rebuilt):
+    """Array-equal (catalogs included), object-identical, read-only."""
+    assert type(derived) is type(rebuilt)
+    assert len(derived.objects) == len(rebuilt.objects)
+    assert all(a is b for a, b in zip(derived.objects, rebuilt.objects))
+    for name, expected in _snapshot_arrays(rebuilt).items():
+        got = getattr(derived, name)
+        if expected is None:
+            assert got is None, name
+            continue
+        assert got.dtype == expected.dtype and got.shape == expected.shape, name
+        assert np.array_equal(got, expected), name
+        assert not got.flags.writeable, name
+    if isinstance(rebuilt, ColumnarUncertain):
+        assert derived._row_of_oid == rebuilt._row_of_oid
+        assert np.array_equal(
+            derived.rows_for(list(derived.objects)), np.arange(len(derived.objects))
+        )
+
+
+def _point_mutations(database):
+    oids = [obj.oid for obj in database.objects]
+    return [
+        lambda: database.insert(PointObject.at(4_000, 1_234.0, 2_345.0)),
+        lambda: database.delete(oids[3]),  # the last row fills the hole
+        lambda: database.delete(database.objects[-1].oid),  # nothing to swap
+        lambda: database.move(oids[10], 321.0, 654.0),
+        lambda: database.move(4_000, 3_999.0, 1.0),
+    ]
+
+
+def _uncertain_mutations(database):
+    oids = [obj.oid for obj in database.objects]
+    region = Rect.from_center(Point(2_000.0, 2_000.0), 120.0, 40.0)
+    return [
+        lambda: database.insert(UncertainObject.uniform(4_000, region)),
+        lambda: database.delete(oids[3]),
+        lambda: database.delete(database.objects[-1].oid),
+        lambda: database.move(oids[10], UniformPdf(region)),
+        lambda: database.move(oids[11], UniformCirclePdf(Circle(Point(900.0, 900.0), 70.0))),
+    ]
+
+
+class TestSnapshotDerivation:
+    """The mutators carry the snapshot forward instead of rebuilding it."""
+
+    CASES = {
+        "points": (lambda: PointDatabase.build(_points()), _point_mutations, ColumnarPoints),
+        "uncertain-pti": (
+            lambda: UncertainDatabase.build(_uncertain(with_catalog=False)),
+            _uncertain_mutations,
+            ColumnarUncertain,
+        ),
+        "uncertain-rtree": (
+            lambda: UncertainDatabase.build(_uncertain(), index_kind="rtree"),
+            _uncertain_mutations,
+            ColumnarUncertain,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_each_mutator_derives_an_equal_snapshot(self, case, monkeypatch):
+        build, mutations, snapshot_cls = self.CASES[case]
+        database = build()
+        database.columnar()
+        rebuilds = []
+        original_init = snapshot_cls.__init__
+
+        def counting_init(self, objects):
+            rebuilds.append(len(objects))
+            original_init(self, objects)
+
+        for mutate in mutations(database):
+            previous = database.columnar()
+            frozen = {
+                name: None if array is None else array.copy()
+                for name, array in _snapshot_arrays(previous).items()
+            }
+            frozen_objects = previous.objects
+            monkeypatch.setattr(snapshot_cls, "__init__", counting_init)
+            mutate()
+            derived = database.columnar()
+            monkeypatch.setattr(snapshot_cls, "__init__", original_init)
+            assert derived is not previous
+            assert database._columnar_epoch == database.epoch
+            assert_same_snapshot(derived, snapshot_cls(database.objects))
+            # The snapshot handed out earlier still describes the old state.
+            assert previous.objects is frozen_objects
+            for name, array in frozen.items():
+                if array is not None:
+                    assert np.array_equal(getattr(previous, name), array), name
+        assert rebuilds == []
+
+    def test_out_of_band_edit_still_forces_a_rebuild(self):
+        database = PointDatabase.build(_points())
+        database.move(database.objects[0].oid, 5.0, 6.0)
+        derived = database.columnar()
+        database.objects[1] = PointObject.at(database.objects[1].oid, 77.0, 88.0)
+        assert database._columnar_epoch != database.epoch
+        rebuilt = database.columnar()
+        assert rebuilt is not derived
+        assert tuple(rebuilt.xy[1]) == (77.0, 88.0)
+        # ... and a mutator meeting a stale snapshot leaves it to the rebuild.
+        database.objects.reverse()
+        database.move(database.objects[0].oid, 3.0, 4.0)
+        assert database._columnar is None
+        assert_same_snapshot(database.columnar(), ColumnarPoints(database.objects))
+
+    def test_no_snapshot_means_nothing_to_derive(self):
+        database = PointDatabase.build(_points())
+        database.insert(PointObject.at(4_000, 1.0, 2.0))
+        assert database._columnar is None
+
+    def test_catalog_questions_go_to_the_full_rebuild(self):
+        """No shared levels, an object off the levels, a drained collection."""
+        plain = UncertainDatabase.build(
+            _uncertain(with_catalog=False), index_kind="rtree", catalog_levels=None
+        )
+        assert plain.columnar().catalog_bounds is None
+        plain.delete(plain.objects[0].oid)
+        assert plain._columnar is None
+        assert_same_snapshot(plain.columnar(), ColumnarUncertain(plain.objects))
+
+        mixed = UncertainDatabase.build(_uncertain(), index_kind="rtree")
+        mixed.columnar()
+        odd = UncertainObject.uniform(4_000, Rect(10.0, 10.0, 90.0, 50.0))
+        mixed.insert(odd.with_catalog([0.0, 0.25]))
+        assert mixed._columnar is None
+        assert mixed.columnar().catalog_bounds is None
+
+        single = UncertainDatabase.build(_uncertain(1), index_kind="rtree")
+        single.columnar()
+        single.delete(single.objects[0].oid)
+        assert_same_snapshot(single.columnar(), ColumnarUncertain([]))
+
+
 class TestBatchedPdfApi:
     RECTS = np.array(
         [

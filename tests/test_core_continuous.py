@@ -2,8 +2,8 @@
 
 Covers the subscription lifecycle, JOIN/LEAVE/SCORE_CHANGE delta emission
 with trigger/epoch attribution, the registry-wide delta ordering, the
-affected-only selectivity proofs (serial candidate windows and sharded
-scope tokens), and :func:`repro.core.continuous.replay_deltas`.
+affected-only selectivity proof (the candidate-window test, the same for
+serial and sharded databases), and :func:`repro.core.continuous.replay_deltas`.
 """
 
 from __future__ import annotations
@@ -206,6 +206,22 @@ class TestSelectivity:
         assert stats["reevaluations"] == 1 and stats["skipped"] == 0
         assert subscription.answer() == _cold_answer(database, subscription.query)
 
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_hop_over_the_window_is_skipped(self, k):
+        """Before and after both miss the fence; only their union box crosses it."""
+        points = _points() + [PointObject.at(4, 100.0, 500.0)]
+        database = (
+            ShardedDatabase.build_points(points, k) if k else PointDatabase.build(points)
+        )
+        registry = _registry(database)
+        subscription = registry.subscribe(_watch(500.0, 500.0))  # window [250, 750]^2
+        before = subscription.answer()
+        database.move(4, x=900.0, y=500.0)
+        stats = registry.stats()
+        assert stats["reevaluations"] == 0 and stats["skipped"] == 1
+        assert subscription.poll() == []
+        assert subscription.answer() == before == _cold_answer(database, subscription.query)
+
     def test_mutating_the_other_database_skips_point_subscriptions(self, small_uncertain):
         from repro.core.engine import UncertainDatabase
         from repro.uncertainty.pdf import UniformPdf
@@ -291,6 +307,42 @@ class TestShardedRegistry:
         assert any(delta.oid == 102 for delta in subscription.poll())
         stats = registry.stats()
         assert stats["reevaluations"] == 1
+
+    def test_move_in_a_routed_shard_but_outside_the_window_is_skipped(self):
+        points = _points() + [PointObject.at(4, 2_000.0, 2_000.0)]
+        database = ShardedDatabase.build_points(points, 2)
+        registry = _registry(database)
+        subscription = registry.subscribe(_watch(500.0, 500.0))
+
+        def routed_token():
+            return database.epoch_scope(database.route_window(subscription.window))
+
+        assert database.owner_of(4) in database.route_window(subscription.window)
+        subscribed_at = subscription._scope
+        assert subscribed_at == routed_token()
+        database.move(4, x=2_100.0, y=2_100.0)
+        stats = registry.stats()
+        assert stats["reevaluations"] == 0 and stats["skipped"] == 1
+        # The retained answer is now known to describe the newer shard state.
+        assert subscription._scope == routed_token() != subscribed_at
+        database.move(1, x=3_000.0, y=450.0)  # out of the fence
+        deltas = subscription.poll()
+        assert [delta.kind for delta in deltas] == [DeltaKind.LEAVE]
+        assert deltas[0].epoch == routed_token()
+        assert registry.stats()["reevaluations"] == 1
+
+    def test_nearest_neighbor_reevaluates_on_any_point_mutation(self):
+        database = ShardedDatabase.build_points(_points(), 2)
+        registry = _registry(database)
+        subscription = registry.subscribe(
+            NearestNeighborQuery(issuer=_issuer(902, 500.0, 500.0), samples=32)
+        )
+        database.move(12, x=9_050.0, y=9_150.0)  # the far shard
+        assert registry.stats()["reevaluations"] == 1
+        database.insert(PointObject.at(61, 9_500.0, 200.0))
+        stats = registry.stats()
+        assert stats["reevaluations"] == 2 and stats["skipped"] == 0
+        assert subscription.answer() == _cold_answer(database, subscription.query)
 
     def test_cross_shard_move_into_window_emits_join(self):
         database = ShardedDatabase.build_points(_points(), 2)

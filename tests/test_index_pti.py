@@ -127,3 +127,57 @@ class TestThresholdSearch:
         window = Rect(500.0, 500.0, 700.0, 700.0)
         results = pti.range_search_with_threshold(query, 0.3, window)
         assert all(o.region.overlaps(window) for o in results)
+
+
+class TestMoves:
+    """``update`` keeps the per-level bounds right, in place or not."""
+
+    QUERIES = [
+        (Rect(0.0, 0.0, 2000.0, 2000.0), None),
+        (Rect(300.0, 300.0, 900.0, 900.0), None),
+        (Rect(0.0, 0.0, 2000.0, 2000.0), Rect(800.0, 800.0, 1300.0, 1300.0)),
+        (Rect(1000.0, 200.0, 1900.0, 1100.0), Rect(1100.0, 300.0, 1500.0, 900.0)),
+    ]
+
+    def _assert_matches_rebuilt(self, tree, current):
+        tree.check_invariants()
+        tree.check_augmentation()
+        rebuilt = ProbabilityThresholdIndex.bulk_load(current.values(), max_entries=8)
+        for query, window in self.QUERIES:
+            for threshold in (0.0, 0.2, 0.5, 0.9):
+                found = tree.range_search_with_threshold(query, threshold, window)
+                assert all(obj is current[obj.oid] for obj in found)
+                assert {obj.oid for obj in found} == {
+                    obj.oid for obj in rebuilt.range_search_with_threshold(query, threshold, window)
+                }
+
+    def test_moves_inside_the_leaf_rectangle_match_a_rebuilt_index(self, objects):
+        tree = ProbabilityThresholdIndex.bulk_load(objects, max_entries=8)
+        current = {obj.oid: obj for obj in objects}
+        layout = {id(node): list(node.entries) for node in tree._iter_nodes()}
+        rng = np.random.default_rng(3)
+        for leaf in [node for node in tree._iter_nodes() if node.is_leaf]:
+            # Re-report one member anywhere inside its leaf's rectangle, with
+            # a new extent: the entry is overwritten where it sits.
+            old = leaf.entries[int(rng.integers(len(leaf.entries)))].item
+            cover = leaf.mbr()
+            width = rng.uniform(1.0, cover.width)
+            height = rng.uniform(1.0, cover.height)
+            x = rng.uniform(cover.xmin, cover.xmax - width)
+            y = rng.uniform(cover.ymin, cover.ymax - height)
+            new = UncertainObject.uniform(
+                old.oid, Rect(x, y, x + width, y + height), with_catalog=True
+            )
+            tree.update(old.mbr, new.mbr, old, replacement=new)
+            current[old.oid] = new
+        assert {id(node): list(node.entries) for node in tree._iter_nodes()} == layout
+        self._assert_matches_rebuilt(tree, current)
+
+    def test_moves_across_the_space_match_a_rebuilt_index(self, objects):
+        tree = ProbabilityThresholdIndex.bulk_load(objects, max_entries=8)
+        current = {obj.oid: obj for obj in objects}
+        for old, template in zip(objects[:120], _uncertain_objects(120, seed=77)):
+            new = UncertainObject.uniform(old.oid, template.region, with_catalog=True)
+            tree.update(old.mbr, new.mbr, old, replacement=new)
+            current[old.oid] = new
+        self._assert_matches_rebuilt(tree, current)

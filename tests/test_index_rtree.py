@@ -5,7 +5,7 @@ import pytest
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.index.rtree import RTree
+from repro.index.rtree import RTree, _Entry
 from repro.uncertainty.region import PointObject
 
 
@@ -277,3 +277,135 @@ class TestDeletion:
         tree.update(old.mbr, new.mbr, old, replacement=new)
         (found,) = tree.range_search(Rect(499.0, 499.0, 501.0, 501.0))
         assert found is new
+
+
+class TestCondenseAndInPlaceMoves:
+    """Deletes and moves cost what they touch, whatever the packed layout."""
+
+    @staticmethod
+    def _packed_points(count: int, seed: int) -> list[PointObject]:
+        rng = np.random.default_rng(seed)
+        return [
+            PointObject.at(i, float(x), float(y))
+            for i, (x, y) in enumerate(rng.uniform(0.0, 1_000.0, (count, 2)))
+        ]
+
+    def test_delete_reinserts_at_most_a_path_of_nodes(self, monkeypatch):
+        """1230 points at fan-out 10 pack into 123 leaves = 12 full level-1
+        nodes and one of 3, then a full level-2 node and one of 3: both tails
+        sit below the minimum fill of 4, and the level-2 one holds 230 items.
+        Re-inserting a dissolved node's *entries* keeps every delete below
+        ``max_entries * height`` insertions; flattening it to items does not.
+        """
+        items = self._packed_points(1230, seed=31)
+        tree = RTree.bulk_load(items, max_entries=10)
+        assert tree.height == 4
+        internal_fills = [
+            len(node.entries)
+            for node in tree._iter_nodes()
+            if not node.is_leaf and node is not tree._root
+        ]
+        assert min(internal_fills) < tree.min_entries
+
+        calls = 0
+        insert_entry = tree._insert_entry
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            insert_entry(*args, **kwargs)
+
+        monkeypatch.setattr(tree, "_insert_entry", counting)
+        for item in items:
+            calls = 0
+            budget = tree.max_entries * tree.height
+            tree.delete(item.mbr, item)
+            assert calls <= budget, f"deleting oid {item.oid} re-inserted {calls} entries"
+        assert len(tree) == 0
+        tree.check_invariants()
+
+    def test_move_inside_the_leaf_rectangle_touches_no_other_node(self):
+        items = self._packed_points(500, seed=37)
+        tree = RTree.bulk_load(items, max_entries=10)
+        leaf = next(node for node in tree._iter_nodes() if node.is_leaf)
+        before = {id(node): list(node.entries) for node in tree._iter_nodes()}
+        old = leaf.entries[0].item
+        centre = leaf.mbr().center
+        new = PointObject.at(old.oid, centre.x, centre.y)
+        tree.update(old.mbr, new.mbr, old, replacement=new)
+        assert {id(node): list(node.entries) for node in tree._iter_nodes()} == before
+        assert leaf.entries[0].item is new and leaf.entries[0].mbr == new.mbr
+        tree.check_invariants()
+        assert tree.range_search(new.mbr) == [new]
+        assert old not in tree.range_search(old.mbr)
+
+    def test_move_of_an_unknown_item_changes_nothing(self):
+        items = self._packed_points(50, seed=41)
+        tree = RTree.bulk_load(items, max_entries=4)
+        stranger = PointObject.at(999, 1.0, 1.0)
+        with pytest.raises(KeyError):
+            tree.update(stranger.mbr, Rect(2.0, 2.0, 2.0, 2.0), stranger)
+        with pytest.raises(ValueError):
+            tree.update(items[0].mbr, Rect.empty(), items[0])
+        assert len(tree) == 50
+        assert tree.range_search(items[0].mbr) == [items[0]]
+
+
+class TestQuadraticSplitDecisions:
+    """The array formulation of the quadratic split against Guttman's loops."""
+
+    @staticmethod
+    def _reference_split(rects: list[Rect], min_entries: int) -> tuple[list[int], list[int]]:
+        worst, seeds = -np.inf, (0, 1)
+        for i in range(len(rects)):
+            for j in range(i + 1, len(rects)):
+                waste = rects[i].union_bounds(rects[j]).area - rects[i].area - rects[j].area
+                if waste > worst:
+                    worst, seeds = waste, (i, j)
+        groups = ([seeds[0]], [seeds[1]])
+        covers = [rects[seeds[0]], rects[seeds[1]]]
+        remaining = [i for i in range(len(rects)) if i not in seeds]
+        while remaining:
+            for side in (0, 1):
+                if len(groups[side]) + len(remaining) == min_entries:
+                    groups[side].extend(remaining)
+                    return groups
+            growth = [
+                tuple(cover.enlargement_to_include(rects[i]) for cover in covers)
+                for i in remaining
+            ]
+            pick = max(range(len(remaining)), key=lambda k: (abs(growth[k][0] - growth[k][1]), -k))
+            grow_a, grow_b = growth[pick]
+            if grow_a != grow_b:
+                side = 0 if grow_a < grow_b else 1
+            else:
+                side = 0 if covers[0].area <= covers[1].area else 1
+            chosen = remaining.pop(pick)
+            groups[side].append(chosen)
+            covers[side] = covers[side].union_bounds(rects[chosen])
+        return groups
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_groups_in_the_same_order(self, seed):
+        rng = np.random.default_rng(seed)
+        max_entries = int(rng.choice([4, 9, 16, 40]))
+        if seed % 3 == 0:  # a coarse grid: ties in growth and in area
+            corners = rng.integers(0, 4, (max_entries + 1, 2)).astype(float)
+            extents = rng.integers(0, 2, (max_entries + 1, 2)).astype(float)
+        elif seed % 3 == 1:  # points: zero-area entries
+            corners = rng.uniform(0.0, 100.0, (max_entries + 1, 2))
+            extents = np.zeros((max_entries + 1, 2))
+        else:
+            corners = rng.uniform(0.0, 100.0, (max_entries + 1, 2))
+            extents = rng.uniform(0.0, 20.0, (max_entries + 1, 2))
+        rects = [
+            Rect(float(x), float(y), float(x + w), float(y + h))
+            for (x, y), (w, h) in zip(corners, extents)
+        ]
+        tree = RTree(max_entries=max_entries)
+        node = tree._root
+        node.entries = [_Entry(mbr=rect, item=position) for position, rect in enumerate(rects)]
+        sibling = tree._split_node(node)
+        expected = self._reference_split(rects, tree.min_entries)
+        assert [entry.item for entry in node.entries] == expected[0]
+        assert [entry.item for entry in sibling.entries] == expected[1]

@@ -11,6 +11,7 @@ from repro.geometry.rect import Rect
 from repro.index.gridfile import GridFile
 from repro.index.linear import LinearScanIndex
 from repro.index.rtree import RTree
+from repro.uncertainty.region import PointObject
 
 coords = st.floats(min_value=0.0, max_value=1_000.0, allow_nan=False)
 sizes = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
@@ -142,3 +143,78 @@ class TestInterleavedMaintenance:
         expected = {i for i, rect in live.items() if rect.overlaps(query)}
         assert set(grid.range_search(query)) == expected
         assert set(linear.range_search(query)) == expected
+
+
+def _has_underfull_node(tree: RTree) -> bool:
+    return any(
+        len(node.entries) < tree.min_entries
+        for node in tree._iter_nodes()
+        if node is not tree._root
+    )
+
+
+@st.composite
+def packed_trees_and_edits(draw):
+    """A point set STR packs with under-filled tail nodes, plus a stream of edits.
+
+    With a fan-out of 4, any count of the form ``4k + 1`` leaves a one-item
+    tail leaf, and 17+ points make the packed tree three levels tall — the
+    shape in which a delete meets an under-full *internal* node.
+    """
+    count = 4 * draw(st.integers(min_value=4, max_value=15)) + 1
+    points = [(draw(coords), draw(coords)) for _ in range(count)]
+    edits = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "delete", "nudge", "jump"]),
+                st.integers(min_value=0, max_value=10_000),
+                coords,
+                coords,
+            ),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    windows = draw(st.lists(queries(), min_size=2, max_size=3))
+    return points, edits, windows
+
+
+class TestLiveMaintenanceOfPackedTrees:
+    """Insert / delete / move streams over bulk-loaded trees with STR tails."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(packed_trees_and_edits())
+    def test_every_step_matches_a_scan_and_a_freshly_packed_tree(self, case):
+        points, edits, windows = case
+        live = {i: PointObject.at(i, x, y) for i, (x, y) in enumerate(points)}
+        tree = RTree.bulk_load(live.values(), max_entries=4)
+        assert tree.height >= 3
+        assert _has_underfull_node(tree)
+        next_oid = len(live)
+        for action, pick, x, y in edits:
+            if action == "insert" or not live:
+                obj = PointObject.at(next_oid, x, y)
+                next_oid += 1
+                tree.insert(obj.mbr, obj)
+                live[obj.oid] = obj
+            else:
+                old = live[sorted(live)[pick % len(live)]]
+                if action == "delete":
+                    tree.delete(old.mbr, old)
+                    del live[old.oid]
+                else:
+                    if action == "nudge":  # a few units: usually stays in its leaf
+                        x = old.x + (x - 500.0) / 100.0
+                        y = old.y + (y - 500.0) / 100.0
+                    new = PointObject.at(old.oid, x, y)
+                    tree.update(old.mbr, new.mbr, old, replacement=new)
+                    live[old.oid] = new
+            tree.check_invariants()
+            assert len(tree) == len(live)
+            repacked = RTree.bulk_load(live.values(), max_entries=4) if live else RTree()
+            for window in windows:
+                expected = {oid for oid, obj in live.items() if obj.mbr.overlaps(window)}
+                found = tree.range_search(window)
+                assert {obj.oid for obj in found} == expected
+                assert all(obj is live[obj.oid] for obj in found)
+                assert {obj.oid for obj in repacked.range_search(window)} == expected

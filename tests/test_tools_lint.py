@@ -82,6 +82,15 @@ def test_clean_fixture_is_silent(rule_id):
     assert diagnostics == [], [d.message for d in diagnostics]
 
 
+def test_rpl001_patch_without_restamp_is_flagged():
+    """The second RPL001 shape: a memo replaced outside its lazy guard."""
+    diagnostics = lint_fixture("RPL001", "restamp_violation")
+    assert [(d.rule, d.line) for d in diagnostics] == [("RPL001", 14), ("RPL001", 19)]
+    assert all("re-stamping 'self._columnar_epoch'" in d.message for d in diagnostics)
+    assert "'move'" in diagnostics[0].message and "'drop'" in diagnostics[1].message
+    assert lint_fixture("RPL001", "restamp_clean") == []
+
+
 # --------------------------------------------------------------------------- #
 # Suppressions
 # --------------------------------------------------------------------------- #

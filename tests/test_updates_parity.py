@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.columnar import ColumnarPoints, ColumnarUncertain
 from repro.core.engine import (
     EngineConfig,
     ImpreciseQueryEngine,
@@ -32,6 +33,7 @@ from repro.uncertainty.pdf import UniformPdf
 from repro.uncertainty.region import PointObject, UncertainObject
 
 from tests.conftest import TEST_SPACE
+from tests.test_core_columnar import assert_same_snapshot
 
 
 def _queries(count, *, target=None, threshold=0.0, seed=99, nn_every=0):
@@ -302,3 +304,46 @@ class TestShardedSessionUpdates:
             config=config,
         )
         _assert_identical(rebuilt.evaluate_many(workload), session.evaluate_many(workload))
+
+
+class TestSnapshotsCarriedAcrossUpdates:
+    """Warm shard snapshots are patched by the mutators, never rebuilt or stale."""
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_every_shard_snapshot_equals_a_fresh_one(
+        self, small_points, small_uncertain, k, monkeypatch
+    ):
+        parallel = ParallelEngine(
+            point_db=ShardedDatabase.build_points(small_points, k),
+            uncertain_db=ShardedDatabase.build_uncertain(small_uncertain, k),
+            # Content-keyed draws: the workload is evaluated twice below.
+            config=EngineConfig(draw_plan="query_keyed"),
+        )
+        workload = _all_kind_workload()
+        parallel.evaluate_many(workload)  # builds every routed shard's snapshot
+        shard_dbs = [
+            shard.database
+            for sharded in (parallel.point_db, parallel.uncertain_db)
+            for shard in sharded.non_empty_shards()
+        ]
+        for database in shard_dbs:
+            database.columnar()
+        handed_out = [database.columnar() for database in shard_dbs]
+        rows_before = [len(snapshot) for snapshot in handed_out]
+
+        def no_rebuild(self, objects):
+            raise AssertionError("a warm snapshot was rebuilt from scratch")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(ColumnarPoints, "__init__", no_rebuild)
+            patched.setattr(ColumnarUncertain, "__init__", no_rebuild)
+            parallel.apply_updates(_mutation_batch())
+            derived = [database.columnar() for database in shard_dbs]
+        for database, snapshot in zip(shard_dbs, derived):
+            assert database._columnar_epoch == database.epoch
+            assert_same_snapshot(snapshot, type(snapshot)(database.objects))
+        assert [len(snapshot) for snapshot in handed_out] == rows_before
+        _assert_identical(
+            _rebuilt_engine(parallel, draw_plan="query_keyed").evaluate_many(workload),
+            parallel.evaluate_many(workload),
+        )
