@@ -16,7 +16,7 @@ The package is organised around the paper's structure:
   index probe, pruner, draw-plan slot, cache key).
 * :mod:`repro.core.pipeline` — the staged
   plan → cache? → candidates → prune → evaluate → merge runner shared by
-  the serial engine, per-shard execution and the parallel worker loop.
+  the serial engine, per-shard execution and the shard daemons.
 * :mod:`repro.core.cache` — the epoch-keyed LRU result cache consulted and
   filled by the pipeline in every engine.
 * :mod:`repro.core.engine` — the serial engine front over the pipeline
@@ -28,8 +28,9 @@ The package is organised around the paper's structure:
 * :mod:`repro.core.sharding` — spatial partitioning of databases into
   independently indexed shards, with window / best-distance shard routing
   and live per-shard mutation (insert/delete/move, hot-shard re-splits).
-* :mod:`repro.core.parallel` — shard-parallel workload execution across
-  worker processes, with results identical to the single-shard engine.
+* :mod:`repro.core.parallel` — sharded workload execution (routing,
+  parent-side cache, in-process shards, merge), with results identical to
+  the single-shard engine; :mod:`repro.rpc` runs the same shards in daemons.
 * :mod:`repro.core.updates` — ordered insert/delete/move batches that both
   engines apply directly or interleave with query workloads, plus the
   mutation-observer hook continuous subscriptions listen on.

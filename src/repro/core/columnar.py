@@ -105,12 +105,11 @@ class ColumnarPoints:
         oids: np.ndarray,
         xy: np.ndarray,
     ) -> "ColumnarPoints":
-        """Wrap pre-built arrays (e.g. shared-memory views) without copying.
+        """Wrap pre-built arrays without copying.
 
-        The arrays must describe ``objects`` row for row — this is how
-        :mod:`repro.core.shm` rebuilds a snapshot inside a worker process as
-        zero-copy views into a shared mapping instead of re-deriving the
-        arrays from the object list.
+        The arrays must describe ``objects`` row for row — this is how the
+        ``with_*`` methods carry a snapshot across a mutation instead of
+        re-deriving the arrays from the object list.
         """
         snapshot = object.__new__(cls)
         snapshot.objects = tuple(objects)
@@ -204,7 +203,7 @@ class ColumnarUncertain:
         catalog_levels: np.ndarray | None = None,
         catalog_bounds: np.ndarray | None = None,
     ) -> "ColumnarUncertain":
-        """Wrap pre-built arrays (e.g. shared-memory views) without copying.
+        """Wrap pre-built arrays without copying.
 
         The arrays must describe ``objects`` row for row; the two catalog
         arrays are either both present or both absent, mirroring what

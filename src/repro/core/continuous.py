@@ -218,7 +218,7 @@ class SubscriptionRegistry:
         self._pipeline: QueryPipeline | None = None
         if self._sharded:
             self._parallel = ParallelEngine(
-                point_db=point_db, uncertain_db=uncertain_db, config=config, workers=1
+                point_db=point_db, uncertain_db=uncertain_db, config=config
             )
         else:
             self._pipeline = QueryPipeline(

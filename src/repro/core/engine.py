@@ -13,7 +13,7 @@ layered architecture:
 * :mod:`repro.core.pipeline` — the staged
   plan → cache? → candidates → prune → evaluate → merge runner shared
   verbatim with per-shard execution (:mod:`repro.core.sharding`) and the
-  shared-memory worker pool (:mod:`repro.core.parallel`).
+  shard daemons (:mod:`repro.rpc.shardd`).
 * :mod:`repro.core.cache` — the epoch-keyed
   :class:`~repro.core.cache.ResultCache` consulted and filled by the
   pipeline when :class:`EngineConfig` carries one.

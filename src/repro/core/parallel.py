@@ -1,79 +1,46 @@
-"""Shard-parallel workload execution over shared-memory snapshots.
+"""Sharded workload execution: routing, the parent-side cache, the merge.
 
 :class:`ParallelEngine` runs whole workloads against a
-:class:`~repro.core.sharding.ShardedDatabase`: a shard planner routes every
-query to only the shards its expanded window (Minkowski-expanded for range
-queries, best-distance-bounded for nearest-neighbour queries) can touch, the
-routed per-shard batches execute either in-process or on a persistent pool
-of worker processes, and the per-shard partial results are merged back into
-ordinary :class:`~repro.core.queries.Evaluation` envelopes — answers in
-global oid order, work counters summed, and per-shard wall-clock attribution
-attached (:class:`ParallelEvaluation.shard_timings`).
+:class:`~repro.core.sharding.ShardedDatabase`: every query is routed to only
+the shards its window can touch (Minkowski-expanded for range queries,
+best-distance-bounded for nearest-neighbour queries), the routed per-shard
+batches run through each shard's staged pipeline
+(:mod:`repro.core.pipeline` — the engine owns no evaluation code), and the
+per-shard partial results are merged into ordinary
+:class:`~repro.core.queries.Evaluation` envelopes: answers in global oid
+order, work counters summed, per-shard wall-clock attribution attached
+(:class:`ParallelEvaluation.shard_timings`).
 
-Per-shard execution is the *same staged pipeline* the serial engine runs
-(:mod:`repro.core.pipeline`): this engine owns no evaluation code of its
-own, only routing, the worker pool and the merge.  The result-cache stage,
-however, runs **here in the parent**, not inside the shards: a cache entry
-must hold a whole-query answer, and fills performed inside pool workers
-would die with the worker anyway.  Cache keys embed the *per-shard epoch
-vector* of the routed shards (plus the sharded database's structure
-version), so a mutation in one shard does not evict answers that only
-touched others — the fine-grained invalidation a single global epoch cannot
-give.
+The shards execute **in this process**, one after another; the engine holds
+no OS resources.  The one seam is :meth:`ParallelEngine._execute`, which
+takes the routed batches and returns :class:`RangePartial` /
+:class:`NNPartial` contributions — :class:`~repro.rpc.engine.RemoteEngine`
+overrides it to run the same batches on shard daemons, and is the way to put
+shards on other cores or hosts (``Session.distributed(k)``).
 
-**Worker protocol.**  No bulk data crosses the pool pipes in either
-direction.  Each shard's snapshot — columnar arrays laid out raw, object
-list and index pickled once — lives in a named shared-memory block published
-by a :class:`~repro.core.shm.SnapshotStore`; workers attach by name and map
-the arrays zero-copy.  Tasks carry only :class:`~repro.core.plan.PlanToken`
-records (a few hundred bytes per query) plus the block name; results travel
-the same way in reverse — the worker packs ``(oid, probability)`` answer
-arrays and :class:`~repro.core.statistics.StatsPack` counter rows into a
-one-shot block (:func:`~repro.core.shm.publish_arrays`) and ships back just
-its name, which the parent consumes and unlinks.  Because attachment is by
-*name*, the protocol works under any start method: ``fork`` is used where
-available (cheapest), ``spawn`` everywhere else — macOS and Windows get real
-parallelism, not a serial fallback.  Set ``REPRO_PARALLEL_START_METHOD`` to
-force a method.
+The result cache is consulted here, not inside the shards: an entry holds a
+whole-query answer.  Keys embed the *per-shard epoch vector* of the routed
+shards (plus the sharded database's structure version), so a mutation in one
+shard does not evict answers that only touched others.
 
 Results are **identical** to a single-shard
-:class:`~repro.core.engine.ImpreciseQueryEngine` running the same workload
-under a position-independent draw plan (``draw_plan="per_oid"``, which this
-engine forces when handed the streaming plan, or ``"query_keyed"``): the
-shards partition the objects, pruning decisions are per-object, and every
-Monte-Carlo draw is a pure function of ``(rng_seed, draw token, oid)`` — so
-sampled probabilities match bitwise no matter how the objects are spread
-over shards or how many workers run them.  One caveat applies to
-nearest-neighbour queries: when two objects are at *exactly* the same
-distance from a sampled position, the sharded merge breaks the tie towards
+:class:`~repro.core.engine.ImpreciseQueryEngine` under a
+position-independent draw plan (``"per_oid"``, forced when handed the
+streaming plan, or ``"query_keyed"``): the shards partition the objects,
+pruning decisions are per-object, and every Monte-Carlo draw is a pure
+function of ``(rng_seed, draw token, oid)``.  Updates consume no query
+sequence numbers, so a live-mutated sharded database answers
+bitwise-identically to a from-scratch rebuild of the same final collection.
+One caveat for nearest-neighbour queries: when two objects are at *exactly*
+the same distance from a sampled position, the merge breaks the tie towards
 the smaller oid while the single-shard engine keeps whichever its R-tree
-traversal found first.  Under the continuous pdfs used throughout this
-reproduction exact ties have probability zero; datasets with symmetric,
-grid-aligned point layouts can hit them.
-
-The engine also carries the live-mutation surface (``insert`` / ``delete``
-/ ``move`` / ``apply_updates``, with :class:`~repro.core.updates.UpdateBatch`
-items accepted inline in ``evaluate_many``): mutations route to the owning
-shard through :class:`ShardedDatabase`, and the **pool survives** — the next
-parallel batch republishes just the mutated shard's snapshot under a fresh
-versioned name, and workers re-attach on the name mismatch.  Updates consume
-no query sequence numbers, so the per-oid parity guarantee extends to live
-data: a mutated sharded database answers bitwise-identically to a
-from-scratch rebuild of the same final collection.  Worker processes are
-reused across :meth:`ParallelEngine.evaluate_many` calls; call
-:meth:`ParallelEngine.close` (or use the engine as a context manager) to
-release them and unlink the shared-memory blocks.
+traversal found first — probability zero under the continuous pdfs used
+here, reachable with symmetric grid-aligned point layouts.
 """
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
-import multiprocessing
-import os
-import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
@@ -84,24 +51,17 @@ from repro.core.engine import EngineConfig
 from repro.core.errors import ConfigurationError, EngineStateError, InvalidArgumentError
 from repro.core.expansion import minkowski_expanded_query
 from repro.core.nearest import nn_query_draws
-from repro.core.pipeline import DEFAULT_NN_SAMPLES, QueryPipeline, partition_workload
-from repro.core.plan import PlanToken, query_cache_key, resolve_draw_token
+from repro.core.pipeline import DEFAULT_NN_SAMPLES, partition_workload
+from repro.core.plan import query_cache_key, resolve_draw_token
 from repro.core.queries import (
     Evaluation,
     NearestNeighborQuery,
     Query,
-    QueryAnswer,
     QueryResult,
     RangeQuery,
 )
 from repro.core.sharding import Shard, ShardedDatabase
-from repro.core.shm import (
-    AttachedSnapshot,
-    SnapshotStore,
-    publish_arrays,
-    read_arrays,
-)
-from repro.core.statistics import EvaluationStatistics, StatsPack
+from repro.core.statistics import EvaluationStatistics
 from repro.core.updates import (
     UpdateBatch,
     apply_update_op,
@@ -109,19 +69,6 @@ from repro.core.updates import (
     resolve_move_target,
 )
 from repro.uncertainty.region import PointObject, UncertainObject
-
-#: Environment knob forcing the pool start method (``fork`` / ``spawn`` /
-#: ``forkserver``).  Unset, the engine picks ``fork`` where available.
-START_METHOD_ENV = "REPRO_PARALLEL_START_METHOD"
-
-#: Environment knob (any non-empty value) disabling the cpu-count clamp on
-#: the worker count.  The clamp exists because pooling *costs* on an
-#: oversubscribed host — task serialization plus context switches with no
-#: spare core to run on, a measured ~3x slowdown on single-core containers —
-#: so ``workers=4`` on one core silently degrades to serial shard execution.
-#: Tests that assert real pool behaviour (distinct worker pids, published
-#: snapshot blocks) set this to opt back into oversubscription.
-FORCE_WORKERS_ENV = "REPRO_PARALLEL_FORCE_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -168,8 +115,8 @@ class ParallelEvaluation(Evaluation):
 
 
 @dataclass
-class _RangePartial:
-    """One shard's contribution to a range query."""
+class RangePartial:
+    """One shard's contribution to a range query (what ``_execute`` returns)."""
 
     result: QueryResult
     statistics: EvaluationStatistics
@@ -177,300 +124,13 @@ class _RangePartial:
 
 
 @dataclass
-class _NNPartial:
-    """One shard's per-draw nearest-neighbour winners."""
+class NNPartial:
+    """One shard's per-draw nearest-neighbour winners (what ``_execute`` returns)."""
 
     oids: np.ndarray
     distances: np.ndarray
     statistics: EvaluationStatistics
     elapsed_seconds: float
-
-
-# --------------------------------------------------------------------------- #
-# Wire format
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class _ShardTask:
-    """One pool task: routed plan tokens against one shard snapshot.
-
-    Everything here is a few hundred bytes — the snapshot *name*, not the
-    snapshot; plan tokens, not queries.  The config digest guards against a
-    task reaching a worker initialised under a different configuration
-    (impossible through the public API, cheap to verify).
-    """
-
-    kind: str
-    sid: int
-    block_name: str
-    config_digest: str
-    #: ``(position, query_seq, token)`` triples per query family.
-    range_items: tuple[tuple[int, int, PlanToken], ...]
-    nn_items: tuple[tuple[int, int, PlanToken], ...]
-
-
-@dataclass(frozen=True)
-class _AnswerPack:
-    """One query's packed partial answer (flattened into the result block)."""
-
-    kind: str
-    position: int
-    #: Answer oids (range) or per-draw winner oids (nearest-neighbour).
-    oids: np.ndarray
-    #: Qualification probabilities (range) or winner distances (nearest).
-    values: np.ndarray
-    stats: StatsPack
-    elapsed_seconds: float
-
-
-@dataclass(frozen=True)
-class _ShardResult:
-    """Everything one task sends back *over the pipe*: a block name.
-
-    The answer data itself — packed oid/probability arrays and the per-pack
-    counter rows — lives in a one-shot shared-memory block the worker
-    published (:func:`repro.core.shm.publish_arrays`); the parent attaches,
-    copies the arrays out and unlinks it.  Only the pruning-strategy names
-    ride along here (short memoized strings; everything else in the block is
-    numeric).
-    """
-
-    sid: int
-    pid: int
-    block_name: str
-    pruned_names: tuple[str, ...]
-
-
-#: Order assigning integer codes to answer-pack kinds inside result blocks.
-_PACK_KINDS = ("range", "nn")
-
-
-def _pack_answers(
-    packs: list[_AnswerPack],
-) -> tuple[dict[str, np.ndarray], tuple[str, ...]]:
-    """Flatten a task's answer packs into the arrays of one result block.
-
-    ``meta`` rows are ``(position, kind code, answer count)``; ``timing``
-    rows ``(response_time, elapsed_seconds)``; ``counters`` rows the five
-    scalar work counters followed by the five I/O counters; ``pruned`` rows
-    the per-strategy pruned counts (−1 marking a strategy absent from that
-    pack, since 0 is a recordable count).  ``oids`` / ``values`` concatenate
-    every pack's answer arrays in row order.
-    """
-    pruned_names: list[str] = []
-    for pack in packs:
-        for strategy, _ in pack.stats.pruned:
-            if strategy not in pruned_names:
-                pruned_names.append(strategy)
-    rows = len(packs)
-    meta = np.zeros((rows, 3), dtype=np.int64)
-    timing = np.zeros((rows, 2), dtype=np.float64)
-    counters = np.zeros((rows, 9), dtype=np.int64)
-    pruned = np.full((rows, len(pruned_names)), -1, dtype=np.int64)
-    for row, pack in enumerate(packs):
-        stats = pack.stats
-        meta[row] = (pack.position, _PACK_KINDS.index(pack.kind), pack.oids.size)
-        timing[row] = (stats.response_time, pack.elapsed_seconds)
-        counters[row] = (
-            stats.candidates_examined,
-            stats.probability_computations,
-            stats.monte_carlo_samples,
-            stats.results_returned,
-            *stats.io,
-        )
-        for strategy, count in stats.pruned:
-            pruned[row, pruned_names.index(strategy)] = count
-    arrays = {
-        "meta": meta,
-        "timing": timing,
-        "counters": counters,
-        "pruned": pruned,
-        "oids": (
-            np.concatenate([pack.oids for pack in packs])
-            if packs
-            else np.zeros(0, dtype=np.int64)
-        ),
-        "values": (
-            np.concatenate([pack.values for pack in packs])
-            if packs
-            else np.zeros(0, dtype=np.float64)
-        ),
-    }
-    return arrays, tuple(pruned_names)
-
-
-def _unpack_answers(
-    arrays: dict[str, np.ndarray], pruned_names: tuple[str, ...]
-) -> list[_AnswerPack]:
-    """Rebuild the answer packs of one result block (inverse of pack)."""
-    packs: list[_AnswerPack] = []
-    offset = 0
-    meta = arrays["meta"]
-    for row in range(meta.shape[0]):
-        position, kind_code, count = (int(value) for value in meta[row])
-        counters = arrays["counters"][row]
-        stats = StatsPack(
-            response_time=float(arrays["timing"][row, 0]),
-            candidates_examined=int(counters[0]),
-            probability_computations=int(counters[1]),
-            monte_carlo_samples=int(counters[2]),
-            results_returned=int(counters[3]),
-            pruned=tuple(
-                (strategy, int(pruned_count))
-                for strategy, pruned_count in zip(pruned_names, arrays["pruned"][row])
-                if pruned_count >= 0
-            ),
-            io=tuple(int(value) for value in counters[4:9]),
-        )
-        packs.append(
-            _AnswerPack(
-                kind=_PACK_KINDS[kind_code],
-                position=position,
-                oids=arrays["oids"][offset : offset + count],
-                values=arrays["values"][offset : offset + count],
-                stats=stats,
-                elapsed_seconds=float(arrays["timing"][row, 1]),
-            )
-        )
-        offset += count
-    return packs
-
-
-# --------------------------------------------------------------------------- #
-# Worker side
-# --------------------------------------------------------------------------- #
-#: Per-process worker state: the engine configuration (set once by the pool
-#: initializer) and the attached snapshots/pipelines, keyed by (kind, sid).
-#: A worker holds at most one snapshot per shard; a task naming a different
-#: block than the attached one means the shard was republished — drop the
-#: old attachment and re-attach.  No locks: each worker process owns its own
-#: copy of these globals.
-_WORKER_CONFIG: EngineConfig | None = None
-_WORKER_SNAPSHOTS: dict[tuple[str, int], AttachedSnapshot] = {}
-_WORKER_PIPELINES: dict[tuple[str, int], QueryPipeline] = {}
-
-
-def _worker_init(config_blob: bytes) -> None:
-    """Pool initializer: install the engine configuration (cache stripped)."""
-    global _WORKER_CONFIG
-    _WORKER_CONFIG = pickle.loads(config_blob)
-
-
-def _worker_pid() -> int:
-    """No-op task used to spin up and identify workers."""
-    return os.getpid()
-
-
-def _worker_attach(kind: str, sid: int, name: str) -> QueryPipeline:
-    """The pipeline over one shard snapshot, (re-)attaching on staleness."""
-    key = (kind, sid)
-    snapshot = _WORKER_SNAPSHOTS.get(key)
-    if snapshot is None or snapshot.name != name:
-        if snapshot is not None:
-            _WORKER_PIPELINES.pop(key, None)
-            snapshot.close()
-        snapshot = AttachedSnapshot(name)
-        _WORKER_SNAPSHOTS[key] = snapshot
-        if kind == "points":
-            pipeline = QueryPipeline(
-                point_db=snapshot.database, config=_WORKER_CONFIG, cache=None
-            )
-        else:
-            pipeline = QueryPipeline(
-                uncertain_db=snapshot.database, config=_WORKER_CONFIG, cache=None
-            )
-        _WORKER_PIPELINES[key] = pipeline
-    return _WORKER_PIPELINES[key]
-
-
-def execute_token_items(
-    pipeline: QueryPipeline,
-    config: EngineConfig,
-    range_items: Iterable[tuple[int, int, PlanToken]],
-    nn_items: Iterable[tuple[int, int, PlanToken]],
-) -> list[_AnswerPack]:
-    """Run routed plan tokens through one shard pipeline, packing the answers.
-
-    The single shard-side execution routine: both the shared-memory pool
-    worker (:func:`_worker_run`) and the RPC shard daemon
-    (:mod:`repro.rpc.shardd`) call it, so the two transports cannot drift in
-    how queries are rebuilt from tokens, how draws are keyed, or how the
-    partial answers are packed.  Items are ``(position, query_seq, token)``
-    triples; the result preserves range-before-nn pack order.
-    """
-    answers: list[_AnswerPack] = []
-    range_items = list(range_items)
-    if range_items:
-        batch = [token.to_query() for _, _, token in range_items]
-        seqs = [int(seq) for _, seq, _ in range_items]
-        evaluations = pipeline.run_batch(batch, seqs)
-        for (position, _, _), evaluation in zip(range_items, evaluations):
-            rows = evaluation.result.answers
-            answers.append(
-                _AnswerPack(
-                    kind="range",
-                    position=position,
-                    oids=np.fromiter(
-                        (a.oid for a in rows), dtype=np.int64, count=len(rows)
-                    ),
-                    values=np.fromiter(
-                        (a.probability for a in rows),
-                        dtype=np.float64,
-                        count=len(rows),
-                    ),
-                    stats=StatsPack.from_statistics(evaluation.statistics),
-                    elapsed_seconds=evaluation.elapsed_seconds,
-                )
-            )
-    for position, seq, token in nn_items:
-        query = token.to_query()
-        samples = token.samples if token.samples is not None else DEFAULT_NN_SAMPLES
-        draw_token = resolve_draw_token(config, query, seq)
-        draws = nn_query_draws(query.issuer.pdf, samples, config.rng_seed, draw_token)
-        nn_engine = pipeline.nearest_engine(samples)
-        oids, distances, stats = nn_engine.per_draw_winners(draws)
-        answers.append(
-            _AnswerPack(
-                kind="nn",
-                position=position,
-                oids=oids,
-                values=distances,
-                stats=StatsPack.from_statistics(stats),
-                elapsed_seconds=stats.response_time,
-            )
-        )
-    return answers
-
-
-def _worker_run(task: _ShardTask) -> _ShardResult:
-    """Run one shard task inside a pool worker.
-
-    Rebuilds queries from their plan tokens, runs them through the very same
-    staged pipeline the serial engine uses (over the zero-copy snapshot) and
-    packs the answers into flat arrays for the trip back.
-    """
-    config = _WORKER_CONFIG
-    if config is None:
-        raise EngineStateError("worker used before its pool initializer ran")
-    if task.config_digest != _config_digest(config):
-        raise EngineStateError(
-            "task configuration does not match this worker's configuration"
-        )
-    pipeline = _worker_attach(task.kind, task.sid, task.block_name)
-    answers = execute_token_items(pipeline, config, task.range_items, task.nn_items)
-    arrays, pruned_names = _pack_answers(answers)
-    return _ShardResult(
-        sid=task.sid,
-        pid=os.getpid(),
-        block_name=publish_arrays(arrays),
-        pruned_names=pruned_names,
-    )
-
-
-def _config_digest(config: EngineConfig) -> str:
-    """A short stable digest of a configuration fingerprint (wire-friendly)."""
-    return hashlib.blake2b(
-        repr(config.fingerprint()).encode(), digest_size=8
-    ).hexdigest()
 
 
 class ParallelEngine:
@@ -479,9 +139,7 @@ class ParallelEngine:
     Drop-in compatible with :class:`ImpreciseQueryEngine` for the query
     surface (``evaluate`` / ``evaluate_many`` / ``config`` / database
     properties), so a :class:`~repro.core.session.Session` can swap one in
-    transparently.  ``workers=1`` (the default) executes the routed shard
-    batches serially in-process; ``workers > 1`` fans them out over a
-    persistent pool of worker processes fed through shared memory.
+    transparently.  The routed shard batches execute serially in-process.
     """
 
     engine_kind = "parallel"
@@ -492,7 +150,6 @@ class ParallelEngine:
         point_db: ShardedDatabase | None = None,
         uncertain_db: ShardedDatabase | None = None,
         config: EngineConfig | None = None,
-        workers: int | None = None,
     ) -> None:
         if point_db is None and uncertain_db is None:
             raise ConfigurationError("the engine needs at least one sharded database to query")
@@ -500,8 +157,6 @@ class ParallelEngine:
             raise ConfigurationError("point_db must be a ShardedDatabase of kind 'points'")
         if uncertain_db is not None and uncertain_db.kind != "uncertain":
             raise ConfigurationError("uncertain_db must be a ShardedDatabase of kind 'uncertain'")
-        if workers is not None and workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self._point_db = point_db
         self._uncertain_db = uncertain_db
         config = config if config is not None else EngineConfig()
@@ -513,28 +168,7 @@ class ParallelEngine:
             config = config.with_overrides(draw_plan="per_oid")
         self._config = config
         self._config_fingerprint = config.fingerprint()
-        self._config_digest = _config_digest(config)
-        requested = 1 if workers is None else int(workers)
-        self._requested_workers = requested
-        # Clamp to the machine: pooling on an oversubscribed core is strictly
-        # slower than serial shard execution (there is nothing to run the
-        # extra processes on, and the task traffic still costs), so excess
-        # workers fall back to the in-process path.
-        if os.environ.get(FORCE_WORKERS_ENV):
-            self._workers = requested
-        else:
-            self._workers = min(requested, os.cpu_count() or 1)
         self._query_seq = 0
-        self._pool: ProcessPoolExecutor | None = None
-        self._store = SnapshotStore()
-        self._observed_worker_pids: set[int] = set()
-        #: When True, every pool task and result is additionally pickled in
-        #: the parent to account IPC bytes (benchmark instrumentation; off by
-        #: default because the extra pickling is pure overhead).
-        self.ipc_accounting = False
-        self._ipc_task_bytes = 0
-        self._ipc_result_bytes = 0
-        self._result_shm_bytes = 0
 
     # ------------------------------------------------------------------ #
     # Introspection / lifecycle
@@ -554,123 +188,28 @@ class ParallelEngine:
         """The sharded uncertain-object database, if any."""
         return self._uncertain_db
 
-    @property
-    def workers(self) -> int:
-        """Effective worker-process count (1 = serial in-process).
-
-        May sit below :attr:`requested_workers` on machines with fewer cores
-        than requested workers (see :data:`FORCE_WORKERS_ENV`).
-        """
-        return self._workers
-
-    @property
-    def requested_workers(self) -> int:
-        """The worker count the caller asked for, before the cpu clamp."""
-        return self._requested_workers
-
     def reconfigured(self, config: EngineConfig) -> "ParallelEngine":
-        """A fresh engine of the same class, databases shared, new config.
+        """A fresh engine over the same databases with a new configuration.
 
         The polymorphic hook :meth:`Session.with_config` uses so a subclass
-        (e.g. the RPC :class:`~repro.rpc.engine.RemoteEngine`) is not
-        silently downgraded to a local pool when its session is re-tuned.
+        (the RPC :class:`~repro.rpc.engine.RemoteEngine`) is not silently
+        downgraded to in-process execution when its session is re-tuned.
         """
         return type(self)(
-            point_db=self._point_db,
-            uncertain_db=self._uncertain_db,
-            config=config,
-            workers=self._requested_workers,
+            point_db=self._point_db, uncertain_db=self._uncertain_db, config=config
         )
 
-    @property
-    def snapshot_store(self) -> SnapshotStore:
-        """The shared-memory snapshot store backing the worker pool."""
-        return self._store
-
-    @property
-    def observed_worker_pids(self) -> frozenset[int]:
-        """Pids of every pool worker that has returned a result or ping."""
-        return frozenset(self._observed_worker_pids)
-
-    @property
-    def ipc_task_bytes(self) -> int:
-        """Serialized task bytes accounted while ``ipc_accounting`` was on."""
-        return self._ipc_task_bytes
-
-    @property
-    def ipc_result_bytes(self) -> int:
-        """Serialized result bytes accounted while ``ipc_accounting`` was on."""
-        return self._ipc_result_bytes
-
-    @property
-    def result_shm_bytes(self) -> int:
-        """One-shot result-block bytes accounted while ``ipc_accounting`` was on.
-
-        These bytes move through shared memory, not the pool pipes — kept
-        separate from :attr:`ipc_result_bytes` so benchmarks can report both
-        the serialized traffic and the total answer volume.
-        """
-        return self._result_shm_bytes
-
-    def reset_ipc_accounting(self) -> None:
-        """Zero the IPC byte counters."""
-        self._ipc_task_bytes = 0
-        self._ipc_result_bytes = 0
-        self._result_shm_bytes = 0
-
     def warm(self) -> None:
-        """Start the pool, publish every shard snapshot, await the workers.
-
-        Optional — the first parallel batch does all of this lazily — but
-        separating spin-up from query time lets benchmarks report the two
-        costs apart, and a server can pay the spin-up before taking traffic.
-        No-op for ``workers=1``.
-        """
-        if self._workers <= 1:
-            return
-        for kind in ("points", "uncertain"):
-            database = self._point_db if kind == "points" else self._uncertain_db
-            if database is None:
-                continue
-            for shard in database.non_empty_shards():
-                self._store.ensure(kind, shard.sid, shard.database)
-        pool = self._ensure_pool()
-        for future in [pool.submit(_worker_pid) for _ in range(self._workers)]:
-            self._observed_worker_pids.add(future.result())
+        """Nothing to start: the shards execute in this process."""
 
     def close(self) -> None:
-        """Shut down the worker pool and unlink every shared-memory block.
-
-        The engine stays usable afterwards: the next parallel batch starts a
-        fresh pool and republishes snapshots into a fresh store.
-        """
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        self._store.close()
-        self._store = SnapshotStore()
+        """Nothing to release: the engine holds no OS resources."""
 
     def __enter__(self) -> "ParallelEngine":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def __del__(self) -> None:
-        # Last-resort cleanup so engines dropped without close() release
-        # their workers and shared-memory blocks.  Unlike close(), the pool
-        # shutdown must not block: __del__ can run during interpreter
-        # teardown, where waiting on worker processes may hang or raise.
-        try:
-            pool = self.__dict__.get("_pool")
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
-            store = self.__dict__.get("_store")
-            if store is not None:
-                store.close()
-        except Exception:
-            pass
 
     # ------------------------------------------------------------------ #
     # Entry points
@@ -680,25 +219,22 @@ class ParallelEngine:
         return self.evaluate_many([query])[0]
 
     def evaluate_many(self, queries: Iterable[Query | UpdateBatch]) -> list[Evaluation]:
-        """Evaluate a workload shard-parallel, preserving input order.
+        """Evaluate a workload shard by shard, preserving input order.
 
         Each query is routed to the shards its window can touch, the routed
         per-shard batches run through the shared staged pipeline (one
         pipeline per shard), and the partial results are merged.  Queries
         whose window misses every shard return empty evaluations without
-        touching any worker; queries answerable from the result cache are
+        touching any shard; queries answerable from the result cache are
         served in the parent without routing any shard work at all.
 
         An :class:`~repro.core.updates.UpdateBatch` may be interleaved with
         the queries: it is applied at exactly its position in the stream
         (earlier queries see the old data, later ones the new) and produces
-        no :class:`Evaluation`.  The worker pool survives the mutation —
-        only the owning shard's snapshot is republished, and workers
-        re-attach to it on their next task.  Updates consume no query
-        sequence numbers, so the surrounding queries' per-oid Monte-Carlo
-        draws are unaffected — a live-updated sharded database answers
-        bitwise-identically to a from-scratch rebuild of the same final
-        collection.
+        no :class:`Evaluation`.  Updates consume no query sequence numbers,
+        so the surrounding queries' per-oid Monte-Carlo draws are unaffected
+        — a live-updated sharded database answers bitwise-identically to a
+        from-scratch rebuild of the same final collection.
         """
         evaluations: list[Evaluation] = []
         for kind, payload in partition_workload(queries):
@@ -760,7 +296,7 @@ class ParallelEngine:
             for shard in shards:
                 tasks.setdefault((kind, shard.sid), []).append((position, seq, query))
 
-        partials: dict[int, list[tuple[int, _RangePartial | _NNPartial]]] = {}
+        partials: dict[int, list[tuple[int, RangePartial | NNPartial]]] = {}
         for position, (sid, payload) in self._execute(tasks):
             partials.setdefault(position, []).append((sid, payload))
 
@@ -783,9 +319,7 @@ class ParallelEngine:
     def insert(self, obj: PointObject | UncertainObject):
         """Insert one object into its owning shard (chosen by nearest cover).
 
-        Returns the stored object.  The worker pool survives: the owning
-        shard's shared-memory snapshot is republished lazily before the next
-        parallel batch that routes to it.
+        Returns the stored object.
         """
         if isinstance(obj, PointObject):
             return self._require("points").insert(obj)
@@ -851,8 +385,8 @@ class ParallelEngine:
     # ------------------------------------------------------------------ #
     def _execute_shard(
         self, kind: str, sid: int, items: list[tuple[int, int, Query]]
-    ) -> list[tuple[int, tuple[int, _RangePartial | _NNPartial]]]:
-        """Run one shard's routed queries in-process (the ``workers=1`` path).
+    ) -> list[tuple[int, tuple[int, RangePartial | NNPartial]]]:
+        """Run one shard's routed queries in-process.
 
         Range queries run through the shard's staged pipeline
         (:meth:`ShardedDatabase.execute_on_shard`) — the identical stage
@@ -861,7 +395,7 @@ class ParallelEngine:
         per-draw argmin across shards rather than an answer-list union.
         """
         database = self._require(kind)
-        results: list[tuple[int, tuple[int, _RangePartial | _NNPartial]]] = []
+        results: list[tuple[int, tuple[int, RangePartial | NNPartial]]] = []
         range_items = [item for item in items if isinstance(item[2], RangeQuery)]
         nn_items = [item for item in items if isinstance(item[2], NearestNeighborQuery)]
         if range_items:
@@ -869,7 +403,7 @@ class ParallelEngine:
                 sid, [(seq, query) for _, seq, query in range_items], self._config
             )
             for (position, _, _), evaluation in zip(range_items, evaluations):
-                payload = _RangePartial(
+                payload = RangePartial(
                     result=evaluation.result,
                     statistics=evaluation.statistics,
                     elapsed_seconds=evaluation.elapsed_seconds,
@@ -883,7 +417,7 @@ class ParallelEngine:
             )
             nn_engine = database.shard_pipeline(sid, self._config).nearest_engine(samples)
             oids, distances, stats = nn_engine.per_draw_winners(draws)
-            payload = _NNPartial(
+            payload = NNPartial(
                 oids=oids,
                 distances=distances,
                 statistics=stats,
@@ -892,137 +426,15 @@ class ParallelEngine:
             results.append((position, (sid, payload)))
         return results
 
-    @staticmethod
-    def _pick_start_method() -> str:
-        forced = os.environ.get(START_METHOD_ENV)
-        if forced:
-            return forced
-        return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is not None:
-            return self._pool
-        context = multiprocessing.get_context(self._pick_start_method())
-        # Workers never see the result cache: shards compute partial
-        # answers, and fills die with the worker anyway.  The stripped
-        # configuration pickles once, at pool creation — not per task.
-        worker_config = self._config.with_overrides(cache=None)
-        config_blob = pickle.dumps(worker_config, protocol=pickle.HIGHEST_PROTOCOL)
-        self._pool = ProcessPoolExecutor(
-            max_workers=self._workers,
-            mp_context=context,
-            initializer=_worker_init,
-            initargs=(config_blob,),
-        )
-        return self._pool
-
     def _execute(
         self, tasks: dict[tuple[str, int], list[tuple[int, int, Query]]]
-    ) -> list[tuple[int, tuple[int, _RangePartial | _NNPartial]]]:
-        ordered = sorted(tasks.items())
-        if self._workers > 1 and len(ordered) > 1:
-            return self._execute_pooled(ordered)
+    ) -> list[tuple[int, tuple[int, RangePartial | NNPartial]]]:
+        """Run the routed batches, shard by shard in ``(kind, sid)`` order."""
         return [
             result
-            for (kind, sid), items in ordered
+            for (kind, sid), items in sorted(tasks.items())
             for result in self._execute_shard(kind, sid, items)
         ]
-
-    def _execute_pooled(
-        self, ordered: list[tuple[tuple[str, int], list[tuple[int, int, Query]]]]
-    ) -> list[tuple[int, tuple[int, _RangePartial | _NNPartial]]]:
-        """Fan the routed shard batches out over the worker pool.
-
-        Publishes (or refreshes) each routed shard's shared-memory snapshot,
-        ships plan tokens, and unpacks the returned answer arrays into the
-        same partial shapes the in-process path produces.  Each in-flight
-        task leases its snapshot block, so a concurrent republication (an
-        interleaved mutation) cannot unlink a block a worker may still
-        attach by name.
-        """
-        pool = self._ensure_pool()
-        store = self._store
-        submitted = []
-        for (kind, sid), items in ordered:
-            shard = self._require(kind).shards[sid]
-            block = store.ensure(kind, sid, shard.database)
-            task = _ShardTask(
-                kind=kind,
-                sid=sid,
-                block_name=block.name,
-                config_digest=self._config_digest,
-                range_items=tuple(
-                    (position, seq, PlanToken.from_query(query))
-                    for position, seq, query in items
-                    if isinstance(query, RangeQuery)
-                ),
-                nn_items=tuple(
-                    (position, seq, PlanToken.from_query(query))
-                    for position, seq, query in items
-                    if isinstance(query, NearestNeighborQuery)
-                ),
-            )
-            if self.ipc_accounting:
-                self._ipc_task_bytes += len(
-                    pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL)
-                )
-            store.lease(block)
-            submitted.append((block, pool.submit(_worker_run, task)))
-        results: list[tuple[int, tuple[int, _RangePartial | _NNPartial]]] = []
-        pending = list(submitted)
-        try:
-            while pending:
-                block, future = pending.pop(0)
-                try:
-                    shard_result: _ShardResult = future.result()
-                finally:
-                    store.release(block)
-                if self.ipc_accounting:
-                    self._ipc_result_bytes += len(
-                        pickle.dumps(shard_result, protocol=pickle.HIGHEST_PROTOCOL)
-                    )
-                self._observed_worker_pids.add(shard_result.pid)
-                arrays, block_nbytes = read_arrays(shard_result.block_name)
-                if self.ipc_accounting:
-                    self._result_shm_bytes += block_nbytes
-                for pack in _unpack_answers(arrays, shard_result.pruned_names):
-                    results.append(
-                        (pack.position, (shard_result.sid, self._unpack(pack)))
-                    )
-        except BaseException:
-            # A failed task must not orphan the *other* tasks' one-shot
-            # result blocks: drain every remaining future and unlink the
-            # block each one published before re-raising.
-            for block, future in pending:
-                store.release(block)
-                # ``future.result()`` re-raises whatever the task died with,
-                # and a sibling that never published has no block to unlink —
-                # either way the drain must keep going.
-                with contextlib.suppress(Exception):
-                    read_arrays(future.result().block_name)
-            raise
-        return results
-
-    @staticmethod
-    def _unpack(pack: _AnswerPack) -> _RangePartial | _NNPartial:
-        """Rehydrate one packed partial into the in-process partial shape."""
-        stats = pack.stats.to_statistics()
-        if pack.kind == "nn":
-            return _NNPartial(
-                oids=pack.oids,
-                distances=pack.values,
-                statistics=stats,
-                elapsed_seconds=pack.elapsed_seconds,
-            )
-        result = QueryResult(
-            answers=[
-                QueryAnswer(oid=int(oid), probability=float(probability))
-                for oid, probability in zip(pack.oids, pack.values)
-            ]
-        )
-        return _RangePartial(
-            result=result, statistics=stats, elapsed_seconds=pack.elapsed_seconds
-        )
 
     # ------------------------------------------------------------------ #
     # Merging
@@ -1041,7 +453,7 @@ class ParallelEngine:
         return merged
 
     def _merge(
-        self, query: Query, contributions: list[tuple[int, _RangePartial | _NNPartial]]
+        self, query: Query, contributions: list[tuple[int, RangePartial | NNPartial]]
     ) -> ParallelEvaluation:
         contributions = sorted(contributions, key=lambda item: item[0])
         timings = tuple(
@@ -1078,7 +490,7 @@ class ParallelEngine:
         )
 
     def _merge_nearest(
-        self, query: NearestNeighborQuery, contributions: list[tuple[int, _NNPartial]]
+        self, query: NearestNeighborQuery, contributions: list[tuple[int, NNPartial]]
     ) -> tuple[QueryResult, EvaluationStatistics]:
         """Combine per-shard per-draw winners into global win probabilities.
 

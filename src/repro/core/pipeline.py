@@ -2,8 +2,8 @@
 
 All three execution paths — the serial
 :class:`~repro.core.engine.ImpreciseQueryEngine`, per-shard execution inside
-:class:`~repro.core.sharding.ShardedDatabase`, and the shared-memory worker
-pool of :class:`~repro.core.parallel.ParallelEngine` — answer queries by
+:class:`~repro.core.sharding.ShardedDatabase`, and the shard daemons of
+:class:`~repro.rpc.engine.RemoteEngine` — answer queries by
 running the exact same stages over a :class:`~repro.core.plan.QueryPlan`:
 
     plan ──► cache? ──► candidates ──► prune ──► evaluate ──► merge/rank

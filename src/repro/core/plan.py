@@ -193,18 +193,18 @@ class QueryPlan:
 
 @dataclass(frozen=True)
 class PlanToken:
-    """A pickled-tiny stand-in for one routed query, sent to pool workers.
+    """A tiny stand-in for one routed query, sent to shard daemons.
 
-    The parallel executor never ships :class:`Query` objects across the task
-    pipe — only this token, a few hundred bytes carrying exactly the fields a
-    worker needs to rebuild an equivalent query against its shared-memory
-    shard snapshot.  Every identity derived from a query — fingerprint, draw
+    The remote executor never ships :class:`Query` objects across the wire —
+    only this token, a few hundred bytes carrying exactly the fields a
+    daemon needs to rebuild an equivalent query against its copy of the
+    shard.  Every identity derived from a query — fingerprint, draw
     token, candidate window, pruner filter region — is a pure function of
     these fields, so the rebuilt query plans and draws bit-for-bit like the
     original:
 
     * the issuer is rebuilt as ``UncertainObject(oid, pdf)`` (pdfs are small
-      picklable dataclasses); when the original issuer carried a U-catalog
+      dataclasses with wire codecs); when the original issuer carried a U-catalog
       its *levels* are shipped and the catalog is rebuilt with
       :meth:`~repro.uncertainty.region.UncertainObject.with_catalog`, which
       derives identical p-bounds from the pdf — preserving the exact filter

@@ -32,9 +32,10 @@ columnar-snapshot epoch, its cover rectangle and its nearest-neighbour
 anchor.  When an insert pushes a shard past the configurable
 ``hot_threshold``, that one shard is re-split in place (a median cut into
 two) without touching its siblings.  The per-shard epochs double as the
-staleness signal of the parallel executor's shared-memory snapshot store
-(:mod:`repro.core.shm`): a mutation bumps only the owning shard's epoch, so
-only that shard's snapshot block is republished for the worker pool.
+staleness signal of the sharded engines: a mutation bumps only the owning
+shard's epoch, so only cache entries routed over that shard fall out of
+reach, and :class:`~repro.rpc.engine.RemoteEngine` re-syncs only that
+shard's daemon.
 """
 
 from __future__ import annotations

@@ -105,13 +105,13 @@ class EvaluationStatistics:
 
 @dataclass(frozen=True)
 class StatsPack:
-    """A flat, packed encoding of :class:`EvaluationStatistics` for IPC.
+    """A flat, packed encoding of :class:`EvaluationStatistics` for the wire.
 
-    Pool workers return this instead of the statistics object itself: a
-    handful of plain numbers plus two small tuples, a fraction of the pickle
-    cost of the nested dataclasses (the :class:`IOStatistics` inside carries
-    five counters of its own).  :meth:`to_statistics` rehydrates a fully
-    independent object — never aliased to anything the worker held.
+    Shard daemons reply with this instead of the statistics object itself:
+    a handful of plain numbers plus two small tuples that lay out as numeric
+    array rows (:func:`repro.rpc.wire.pack_answers`).  :meth:`to_statistics`
+    rehydrates a fully independent object — never aliased to anything the
+    sender held.
     """
 
     response_time: float

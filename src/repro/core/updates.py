@@ -230,7 +230,7 @@ class MutationObservable:
     events — editing ``db.objects`` out of band is not observed, matching
     the repository-wide contract that live data changes go through the
     mutators.  Observer lists are deliberately excluded from pickling
-    (worker snapshots must not drag subscription state across processes).
+    (a copy must not drag subscription state across processes).
     """
 
     def add_update_observer(self, observer: Callable[[UpdateEvent], None]) -> None:

@@ -72,18 +72,16 @@ class ExperimentConfig:
     #: the paper's scalar implementation; the vectorized backend compresses
     #: those constants differently per method and would distort the figures'
     #: qualitative shapes.  Set to True to study the vectorized backend's
-    #: behaviour instead (see ``benchmarks/bench_vectorized.py`` for the
-    #: backend-vs-backend comparison).
+    #: behaviour instead (``tests/test_vectorized_parity.py`` holds the two
+    #: backends to equal answers).
     engine_vectorized: bool = False
     #: Spatial shard count for sharded-execution studies (0 = single-shard;
     #: the paper's figures always run single-shard so that index I/O counters
     #: keep their meaning).  When positive, harness code builds sessions via
-    #: ``session.sharded(shards, workers=shard_workers)``.
+    #: ``session.sharded(shards)`` — the shards execute in-process.
     shards: int = 0
-    #: Worker processes for sharded execution (1 = serial in-process).
-    shard_workers: int = 1
-    #: Run sharded execution over spawned RPC shard daemons instead of the
-    #: in-process pool (only meaningful with ``shards > 0``).  Harness code
+    #: Run sharded execution over spawned RPC shard daemons instead of
+    #: in-process (only meaningful with ``shards > 0``).  Harness code
     #: then builds sessions via ``session.distributed(shards)`` — one local
     #: ``shardd`` process per shard; results are identical either way.
     shard_remote: bool = False
@@ -107,8 +105,6 @@ class ExperimentConfig:
             raise ConfigurationError("queries_per_point must be positive")
         if self.shards < 0:
             raise ConfigurationError("shards must be >= 0 (0 disables sharding)")
-        if self.shard_workers < 1:
-            raise ConfigurationError("shard_workers must be >= 1")
         if self.shard_hot_threshold < 0:
             raise ConfigurationError("shard_hot_threshold must be >= 0 (0 disables re-splits)")
         if self.shard_remote and self.shard_hot_threshold > 0:
@@ -163,8 +159,8 @@ class ExperimentConfig:
         """Apply the configured sharding to ``session`` (no-op when 0 shards).
 
         Harness code funnels sessions through this before issuing workloads,
-        so flipping ``shards``/``shard_workers`` on a config switches the
-        whole experiment to shard-parallel execution without touching the
+        so flipping ``shards``/``shard_remote`` on a config switches the
+        whole experiment to sharded execution without touching the
         figure code (results are identical — see
         :mod:`repro.core.parallel`).
         """
@@ -173,9 +169,7 @@ class ExperimentConfig:
         if self.shard_remote:
             return session.distributed(self.shards)
         return session.sharded(
-            self.shards,
-            workers=self.shard_workers,
-            hot_threshold=self.shard_hot_threshold or None,
+            self.shards, hot_threshold=self.shard_hot_threshold or None
         )
 
     def engine_config(self, **overrides):

@@ -90,9 +90,9 @@ def run_session_batch(
 
     Works for plain and sharded sessions alike; passing an
     :class:`~repro.experiments.config.ExperimentConfig` first applies its
-    ``shards`` / ``shard_workers`` settings
+    ``shards`` / ``shard_remote`` settings
     (:meth:`~repro.experiments.config.ExperimentConfig.sharded_session`), so
-    one config knob switches an experiment to shard-parallel execution.
+    one config knob switches an experiment to sharded execution.
     """
     if config is not None:
         session = config.sharded_session(session)

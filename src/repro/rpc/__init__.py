@@ -1,7 +1,8 @@
 """Distributed shard service: RPC workers, scatter-gather, epoch coherence.
 
-The package splits the shared-memory parallel executor across process — and
-potentially machine — boundaries:
+The package runs the sharded engine's per-shard batches across process — and
+potentially machine — boundaries; it is the repository's one multi-process
+executor:
 
 * :mod:`repro.rpc.wire` — the framed binary protocol's header codecs.
 * :mod:`repro.rpc.shardd` — the per-shard daemon (``python -m

@@ -1,14 +1,14 @@
 """Distributed scatter-gather execution over remote shard daemons.
 
 :class:`RemoteEngine` is a :class:`~repro.core.parallel.ParallelEngine`
-whose routed shard batches execute on ``shardd`` processes instead of an
-in-process pool: routing, merging, caching and the mutation surface are all
+whose routed shard batches execute on ``shardd`` processes instead of in
+this one: routing, merging, caching and the mutation surface are all
 inherited unchanged — only ``_execute`` (one pipelined scatter-gather round
 over :class:`~repro.rpc.pool.RemoteShardPool`), the cache key (the
 daemon-reported epoch vector joins the scope) and the mutators (which
 mirror every primitive to the owning shard's daemon) are overridden.
 Answers are therefore bitwise-identical to the serial engine under any
-position-independent draw plan, exactly like the shared-memory pool.
+position-independent draw plan, exactly like the in-process shards.
 
 **Coherence protocol.**  The parent keeps, per ``(kind, sid)``, the local
 shard database's ``(uid, epoch)`` recorded at the last moment parent and
@@ -30,9 +30,15 @@ from typing import Hashable, TYPE_CHECKING
 
 from repro.core.engine import EngineConfig
 from repro.core.errors import ConfigurationError
-from repro.core.parallel import ParallelEngine, _unpack_answers
+from repro.core.parallel import NNPartial, ParallelEngine, RangePartial
 from repro.core.plan import PlanToken, query_cache_key
-from repro.core.queries import NearestNeighborQuery, Query, RangeQuery
+from repro.core.queries import (
+    NearestNeighborQuery,
+    Query,
+    QueryAnswer,
+    QueryResult,
+    RangeQuery,
+)
 from repro.core.sharding import Shard, ShardedDatabase
 from repro.core.updates import UpdateOp, pick_mutation_database, resolve_move_target
 from repro.core.wire import require
@@ -60,9 +66,7 @@ class RemoteEngine(ParallelEngine):
         owns_pool: bool = True,
         synced: dict | None = None,
     ) -> None:
-        super().__init__(
-            point_db=point_db, uncertain_db=uncertain_db, config=config, workers=1
-        )
+        super().__init__(point_db=point_db, uncertain_db=uncertain_db, config=config)
         for database in (point_db, uncertain_db):
             if database is None:
                 continue
@@ -81,6 +85,7 @@ class RemoteEngine(ParallelEngine):
         self._cluster = cluster
         self._owns_pool = owns_pool
         self._worker_config = self._config.with_overrides(cache=None)
+        self._config_digest = wire.config_digest(self._config)
         #: Per (kind, sid): the local shard database's (uid, epoch) at the
         #: last provably-in-step moment with its daemon.
         self._synced: dict[tuple[str, int], tuple[int, int]] = {}
@@ -136,14 +141,13 @@ class RemoteEngine(ParallelEngine):
                 self._ensure_synced(kind, shard)
 
     def close(self) -> None:
-        """Release the daemons (when owned), the pool, and local resources."""
+        """Release the daemons and the pool (when owned)."""
         if self._owns_pool:
             try:
                 self._rpc_pool.shutdown()
             finally:
                 if self._cluster is not None:
                     self._cluster.close()
-        super().close()
 
     # ------------------------------------------------------------------ #
     # Coherence bookkeeping
@@ -269,9 +273,30 @@ class RemoteEngine(ParallelEngine):
         results = []
         for ((kind, sid), _), (reply, arrays) in zip(ordered, replies):
             pruned_names = tuple(require(reply, wire.RPC_SCHEMA, "pruned_names"))
-            for pack in _unpack_answers(dict(arrays), pruned_names):
+            for pack in wire.unpack_answers(arrays, pruned_names):
                 results.append((pack.position, (sid, self._unpack(pack))))
         return results
+
+    @staticmethod
+    def _unpack(pack: wire.AnswerPack) -> RangePartial | NNPartial:
+        """Rehydrate one packed partial into the in-process partial shape."""
+        stats = pack.stats.to_statistics()
+        if pack.kind == "nn":
+            return NNPartial(
+                oids=pack.oids,
+                distances=pack.values,
+                statistics=stats,
+                elapsed_seconds=pack.elapsed_seconds,
+            )
+        result = QueryResult(
+            answers=[
+                QueryAnswer(oid=int(oid), probability=float(probability))
+                for oid, probability in zip(pack.oids, pack.values)
+            ]
+        )
+        return RangePartial(
+            result=result, statistics=stats, elapsed_seconds=pack.elapsed_seconds
+        )
 
     # ------------------------------------------------------------------ #
     # Live mutation (local first, then mirrored to the owning daemon)

@@ -16,11 +16,15 @@ remote shard that drifted from the parent's copy can never serve a silently
 stale answer.
 
 Error replies decode through the serving layer's error codec and re-raise
-as the same typed exception classes the in-process engines raise.
+as the same typed exception classes the in-process engines raise.  A daemon
+that accepts a request and then says nothing for
+:data:`_REPLY_TIMEOUT_SECONDS` raises :class:`~repro.errors.EngineStateError`
+naming its address, and every connection left with an unread reply is
+dropped — the next request reconnects instead of reading a stale frame.
 
 Byte counters (``query_bytes_sent`` / ``query_bytes_received``) account the
-scatter hot path only — exact on-the-wire frame sizes, used by
-``benchmarks/bench_rpc.py`` for the ``rpc_bytes_per_query`` metric.
+scatter hot path only — exact on-the-wire frame sizes, read by
+``benchmarks/suite`` for its ``rpc.pool.bytes_per_query`` metric.
 """
 
 from __future__ import annotations
@@ -42,6 +46,12 @@ from repro.serve.schemas import error_from_dict
 ShardTask = tuple[str, int, list, list]
 
 _CONNECT_TIMEOUT_SECONDS = 30.0
+
+#: Longest silence tolerated on an open connection, per send or receive.  A
+#: ``load`` reply arrives only after the daemon has rebuilt the shard's index
+#: and catalogs (about 10 s for a paper-scale PTI shard), so this sits well
+#: above any healthy reply and only bounds a daemon that stopped answering.
+_REPLY_TIMEOUT_SECONDS = 300.0
 
 
 class RemoteShardPool:
@@ -96,14 +106,33 @@ class RemoteShardPool:
         sock = socket.create_connection(
             self._addrs[sid], timeout=_CONNECT_TIMEOUT_SECONDS
         )
-        sock.settimeout(None)
+        sock.settimeout(_REPLY_TIMEOUT_SECONDS)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sockets[sid] = sock
         return sock
 
+    def _drop(self, sid: int) -> None:
+        """Close and forget one connection; the next request to it reconnects."""
+        sock = self._sockets.pop(sid, None)
+        if sock is not None:
+            try:
+                sock.close()
+            except OSError:
+                pass  # already torn down by the peer
+
+    def _unresponsive(self, sid: int) -> EngineStateError:
+        self._drop(sid)
+        return EngineStateError(
+            f"shardd at {self._addrs[sid]} did not respond within "
+            f"{_REPLY_TIMEOUT_SECONDS:g} s; the connection was dropped"
+        )
+
     def _send(self, sid: int, header: dict, arrays: dict | None = None) -> int:
         frame = encode_frame(header, arrays or {})
-        self._socket(sid).sendall(frame)
+        try:
+            self._socket(sid).sendall(frame)
+        except TimeoutError:
+            raise self._unresponsive(sid) from None
         return len(frame)
 
     def _read_reply(
@@ -114,8 +143,12 @@ class RemoteShardPool:
         A decoded ``error`` reply is *returned*, not raised, so pipelined
         readers can drain a scatter round before surfacing the failure.
         """
-        sized = read_sized_frame_from_socket(self._socket(sid))
+        try:
+            sized = read_sized_frame_from_socket(self._socket(sid))
+        except TimeoutError:
+            raise self._unresponsive(sid) from None
         if sized is None:
+            self._drop(sid)
             raise EngineStateError(
                 f"shardd at {self._addrs[sid]} closed the connection mid-reply"
             )
@@ -179,34 +212,44 @@ class RemoteShardPool:
         Every task's query frame is written before any reply is read; each
         connection then yields its replies in send order.  Returns replies
         in task order.  Reply epochs are checked against the recorded epoch
-        map — drift raises :class:`EngineStateError`.
+        map — drift raises :class:`EngineStateError`.  When the round is cut
+        short (a daemon timed out or hung up), every connection still owed a
+        reply is dropped with it.
         """
-        send_order: dict[int, list[int]] = {}
-        for index, (kind, sid, range_items, nn_items) in enumerate(tasks):
-            self.query_bytes_sent += self._send(
-                sid, wire.query_header(kind, sid, config_digest, range_items, nn_items)
-            )
-            send_order.setdefault(sid, []).append(index)
+        #: Per connection, the task indices whose replies are still unread.
+        unread: dict[int, list[int]] = {}
         results: list[tuple[Mapping, dict[str, np.ndarray]] | None]
         results = [None] * len(tasks)
         first_error: Exception | None = None
-        for sid, indices in send_order.items():
-            for index in indices:
-                _, reply, arrays, nbytes, error = self._read_reply(sid)
-                self.query_bytes_received += nbytes
-                if error is not None:
-                    first_error = first_error or error
-                    continue
-                kind = tasks[index][0]
-                shard_epoch = int(require(reply, wire.RPC_SCHEMA, "epoch"))
-                expected = self._epochs.get((kind, tasks[index][1]))
-                if expected is None or shard_epoch != expected:
-                    first_error = first_error or EngineStateError(
-                        f"shard ({kind!r}, {tasks[index][1]}) answered at epoch "
-                        f"{shard_epoch} but the pool recorded {expected}"
-                    )
-                    continue
-                results[index] = (reply, arrays)
+        try:
+            for index, (kind, sid, range_items, nn_items) in enumerate(tasks):
+                unread.setdefault(sid, []).append(index)
+                self.query_bytes_sent += self._send(
+                    sid,
+                    wire.query_header(kind, sid, config_digest, range_items, nn_items),
+                )
+            for sid, indices in unread.items():
+                while indices:
+                    _, reply, arrays, nbytes, error = self._read_reply(sid)
+                    index = indices.pop(0)
+                    self.query_bytes_received += nbytes
+                    if error is not None:
+                        first_error = first_error or error
+                        continue
+                    kind = tasks[index][0]
+                    shard_epoch = int(require(reply, wire.RPC_SCHEMA, "epoch"))
+                    expected = self._epochs.get((kind, tasks[index][1]))
+                    if expected is None or shard_epoch != expected:
+                        first_error = first_error or EngineStateError(
+                            f"shard ({kind!r}, {tasks[index][1]}) answered at epoch "
+                            f"{shard_epoch} but the pool recorded {expected}"
+                        )
+                        continue
+                    results[index] = (reply, arrays)
+        finally:
+            for sid, indices in unread.items():
+                if indices:
+                    self._drop(sid)
         if first_error is not None:
             raise first_error
         return [result for result in results if result is not None]
@@ -225,12 +268,8 @@ class RemoteShardPool:
 
     def close(self) -> None:
         """Close every connection; the daemons themselves keep running."""
-        for sock in self._sockets.values():
-            try:
-                sock.close()
-            except OSError:
-                pass
-        self._sockets = {}
+        for sid in list(self._sockets):
+            self._drop(sid)
 
     def __enter__(self) -> "RemoteShardPool":
         return self

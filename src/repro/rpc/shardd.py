@@ -16,11 +16,10 @@ connection (a pipelined client reads replies in send order) and execution
 is synchronous inside the event loop — a shard daemon is a single-core unit
 of deployment; parallelism comes from running many of them.
 
-Query execution delegates to
-:func:`repro.core.parallel.execute_token_items`, the routine the
-shared-memory pool workers run, so the RPC transport cannot diverge from
-the in-process executors in how tokens rebuild queries or how answers are
-packed.  Mutations apply the same database primitives the parent's owning
+Query execution (:func:`execute_token_items`) rebuilds each query from its
+plan token, keys its draws exactly as the in-process shard path does and
+packs the partial answers into the arrays of :func:`repro.rpc.wire.pack_answers`.
+Mutations apply the same database primitives the parent's owning
 shard applied and reply with the shard's new epoch — the parent's
 epoch-vector cache keys stay coherent without any broadcast invalidation.
 
@@ -45,8 +44,10 @@ import numpy as np
 from repro.core.database import PointDatabase, UncertainDatabase
 from repro.core.engine import EngineConfig
 from repro.core.errors import EngineStateError, SchemaError
-from repro.core.parallel import _config_digest, _pack_answers, execute_token_items
-from repro.core.pipeline import QueryPipeline
+from repro.core.nearest import nn_query_draws
+from repro.core.pipeline import DEFAULT_NN_SAMPLES, QueryPipeline
+from repro.core.plan import PlanToken, resolve_draw_token
+from repro.core.statistics import StatsPack
 from repro.core.updates import UpdateOp
 from repro.core.wire import require
 from repro.errors import ReproError
@@ -55,6 +56,62 @@ from repro.serve.framing import encode_frame, read_frame
 from repro.serve.schemas import error_to_dict
 
 RPC_SCHEMA = wire.RPC_SCHEMA
+
+
+def execute_token_items(
+    pipeline: QueryPipeline,
+    config: EngineConfig,
+    range_items: list[tuple[int, int, PlanToken]],
+    nn_items: list[tuple[int, int, PlanToken]],
+) -> list[wire.AnswerPack]:
+    """Run routed plan tokens through one shard pipeline, packing the answers.
+
+    Items are ``(position, query_seq, token)`` triples; the result preserves
+    range-before-nn pack order.  Range queries run as one pipeline batch;
+    nearest-neighbour queries use the pipeline's sampler in per-draw mode,
+    because their merge is a per-draw argmin across shards.
+    """
+    answers: list[wire.AnswerPack] = []
+    if range_items:
+        batch = [token.to_query() for _, _, token in range_items]
+        seqs = [int(seq) for _, seq, _ in range_items]
+        evaluations = pipeline.run_batch(batch, seqs)
+        for (position, _, _), evaluation in zip(range_items, evaluations):
+            rows = evaluation.result.answers
+            answers.append(
+                wire.AnswerPack(
+                    kind="range",
+                    position=position,
+                    oids=np.fromiter(
+                        (a.oid for a in rows), dtype=np.int64, count=len(rows)
+                    ),
+                    values=np.fromiter(
+                        (a.probability for a in rows),
+                        dtype=np.float64,
+                        count=len(rows),
+                    ),
+                    stats=StatsPack.from_statistics(evaluation.statistics),
+                    elapsed_seconds=evaluation.elapsed_seconds,
+                )
+            )
+    for position, seq, token in nn_items:
+        query = token.to_query()
+        samples = token.samples if token.samples is not None else DEFAULT_NN_SAMPLES
+        draw_token = resolve_draw_token(config, query, seq)
+        draws = nn_query_draws(query.issuer.pdf, samples, config.rng_seed, draw_token)
+        nn_engine = pipeline.nearest_engine(samples)
+        oids, distances, stats = nn_engine.per_draw_winners(draws)
+        answers.append(
+            wire.AnswerPack(
+                kind="nn",
+                position=position,
+                oids=oids,
+                values=distances,
+                stats=StatsPack.from_statistics(stats),
+                elapsed_seconds=stats.response_time,
+            )
+        )
+    return answers
 
 
 class _LoadedShard:
@@ -68,7 +125,7 @@ class _LoadedShard:
 
     def register(self, config: EngineConfig) -> str:
         """Register one engine configuration; returns its digest."""
-        digest = _config_digest(config)
+        digest = wire.config_digest(config)
         self._configs.setdefault(digest, config)
         return digest
 
@@ -186,7 +243,7 @@ class ShardHost:
             wire.decode_items(require(header, RPC_SCHEMA, "range_items")),
             wire.decode_items(require(header, RPC_SCHEMA, "nn_items")),
         )
-        arrays, pruned_names = _pack_answers(answers)
+        arrays, pruned_names = wire.pack_answers(answers)
         reply = wire.header(
             "answers", pruned_names=list(pruned_names), epoch=shard.database.epoch
         )

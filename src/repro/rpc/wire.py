@@ -3,10 +3,9 @@
 Every RPC message is one binary frame (:mod:`repro.serve.framing`): a JSON
 header tagged with :data:`RPC_SCHEMA` plus zero or more raw numpy arrays.
 The hot path — ``query`` requests and their ``answers`` replies — carries
-plan tokens as JSON and the packed answer arrays
-(:func:`repro.core.parallel._pack_answers` layout: ``oid:int64[]``,
-``value:float64[]`` and the ``StatsPack`` counter rows) as raw array bytes;
-nothing on it is pickled.
+plan tokens as JSON and the packed answer arrays (:func:`pack_answers`
+layout: ``oid:int64[]``, ``value:float64[]`` and the ``StatsPack`` counter
+rows) as raw array bytes; nothing on it is pickled.
 
 The codecs here are module-level functions, not methods: :class:`PlanToken`
 and :class:`~repro.core.engine.EngineConfig` are in-process types first and
@@ -30,12 +29,17 @@ the serving front-end's envelopes.
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import dataclass
 from typing import Any, Mapping
+
+import numpy as np
 
 from repro.core.engine import EngineConfig
 from repro.core.errors import SchemaError
 from repro.core.plan import PlanToken
 from repro.core.pruning import PruningStrategy
+from repro.core.statistics import StatsPack
 from repro.core.wire import check_schema, require, tagged
 from repro.uncertainty.pdf import pdf_from_dict
 from repro.uncertainty.region import (
@@ -149,6 +153,13 @@ def config_from_dict(payload: Any) -> EngineConfig:
     )
 
 
+def config_digest(config: EngineConfig) -> str:
+    """A short stable digest of a configuration fingerprint (wire-friendly)."""
+    return hashlib.blake2b(
+        repr(config.fingerprint()).encode(), digest_size=8
+    ).hexdigest()
+
+
 # --------------------------------------------------------------------------- #
 # Objects
 # --------------------------------------------------------------------------- #
@@ -239,3 +250,116 @@ def decode_items(raw: Any) -> list[tuple[int, int, PlanToken]]:
 def update_header(kind: str, sid: int, ops: list) -> dict:
     """An ``update`` request: ordered mutation ops for one owning shard."""
     return header("update", kind=kind, sid=int(sid), ops=[op.to_dict() for op in ops])
+
+
+# --------------------------------------------------------------------------- #
+# Answer frames
+# --------------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class AnswerPack:
+    """One query's packed partial answer (flattened into an ``answers`` reply)."""
+
+    kind: str
+    position: int
+    #: Answer oids (range) or per-draw winner oids (nearest-neighbour).
+    oids: np.ndarray
+    #: Qualification probabilities (range) or winner distances (nearest).
+    values: np.ndarray
+    stats: StatsPack
+    elapsed_seconds: float
+
+
+#: Order assigning integer codes to answer-pack kinds inside reply frames.
+_PACK_KINDS = ("range", "nn")
+
+
+def pack_answers(
+    packs: list[AnswerPack],
+) -> tuple[dict[str, np.ndarray], tuple[str, ...]]:
+    """Flatten a batch's answer packs into the arrays of one reply frame.
+
+    ``meta`` rows are ``(position, kind code, answer count)``; ``timing``
+    rows ``(response_time, elapsed_seconds)``; ``counters`` rows the four
+    scalar work counters followed by the five I/O counters; ``pruned`` rows
+    the per-strategy pruned counts (−1 marking a strategy absent from that
+    pack, since 0 is a recordable count).  ``oids`` / ``values`` concatenate
+    every pack's answer arrays in row order.  The pruning-strategy names
+    ride in the header (short strings; everything in the arrays is numeric).
+    """
+    pruned_names: list[str] = []
+    for pack in packs:
+        for strategy, _ in pack.stats.pruned:
+            if strategy not in pruned_names:
+                pruned_names.append(strategy)
+    rows = len(packs)
+    meta = np.zeros((rows, 3), dtype=np.int64)
+    timing = np.zeros((rows, 2), dtype=np.float64)
+    counters = np.zeros((rows, 9), dtype=np.int64)
+    pruned = np.full((rows, len(pruned_names)), -1, dtype=np.int64)
+    for row, pack in enumerate(packs):
+        stats = pack.stats
+        meta[row] = (pack.position, _PACK_KINDS.index(pack.kind), pack.oids.size)
+        timing[row] = (stats.response_time, pack.elapsed_seconds)
+        counters[row] = (
+            stats.candidates_examined,
+            stats.probability_computations,
+            stats.monte_carlo_samples,
+            stats.results_returned,
+            *stats.io,
+        )
+        for strategy, count in stats.pruned:
+            pruned[row, pruned_names.index(strategy)] = count
+    arrays = {
+        "meta": meta,
+        "timing": timing,
+        "counters": counters,
+        "pruned": pruned,
+        "oids": (
+            np.concatenate([pack.oids for pack in packs])
+            if packs
+            else np.zeros(0, dtype=np.int64)
+        ),
+        "values": (
+            np.concatenate([pack.values for pack in packs])
+            if packs
+            else np.zeros(0, dtype=np.float64)
+        ),
+    }
+    return arrays, tuple(pruned_names)
+
+
+def unpack_answers(
+    arrays: Mapping[str, np.ndarray], pruned_names: tuple[str, ...]
+) -> list[AnswerPack]:
+    """Rebuild the answer packs of one reply frame (inverse of :func:`pack_answers`)."""
+    packs: list[AnswerPack] = []
+    offset = 0
+    meta = arrays["meta"]
+    for row in range(meta.shape[0]):
+        position, kind_code, count = (int(value) for value in meta[row])
+        counters = arrays["counters"][row]
+        stats = StatsPack(
+            response_time=float(arrays["timing"][row, 0]),
+            candidates_examined=int(counters[0]),
+            probability_computations=int(counters[1]),
+            monte_carlo_samples=int(counters[2]),
+            results_returned=int(counters[3]),
+            pruned=tuple(
+                (strategy, int(pruned_count))
+                for strategy, pruned_count in zip(pruned_names, arrays["pruned"][row])
+                if pruned_count >= 0
+            ),
+            io=tuple(int(value) for value in counters[4:9]),
+        )
+        packs.append(
+            AnswerPack(
+                kind=_PACK_KINDS[kind_code],
+                position=position,
+                oids=arrays["oids"][offset : offset + count],
+                values=arrays["values"][offset : offset + count],
+                stats=stats,
+                elapsed_seconds=float(arrays["timing"][row, 1]),
+            )
+        )
+        offset += count
+    return packs

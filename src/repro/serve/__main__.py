@@ -2,12 +2,12 @@
 
 Builds the synthetic California/Long Beach datasets at the requested scale,
 wraps them in a :class:`~repro.core.session.Session` through the experiment
-configuration plumbing (so sharding, worker counts and result caching use
+configuration plumbing (so sharding, shard daemons and result caching use
 the exact same knobs as the experiment harness), and listens with a
 micro-batching :class:`~repro.serve.server.QueryServer`::
 
     python -m repro.serve --port 8707 --window-ms 2 --scale 0.05
-    python -m repro.serve --shards 4 --workers 4 --cache-capacity 1024
+    python -m repro.serve --shards 4 --distributed --cache-capacity 1024
 """
 
 from __future__ import annotations
@@ -58,7 +58,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="serve without the uncertain dataset",
     )
     parser.add_argument("--shards", type=int, default=0, help="spatial shards (0 = serial)")
-    parser.add_argument("--workers", type=int, default=1, help="shard worker processes")
+    parser.add_argument(
+        "--distributed",
+        action="store_true",
+        help="run each shard in its own local shardd process (needs --shards)",
+    )
     parser.add_argument(
         "--cache-capacity", type=int, default=0, help="result-cache entries (0 = uncached)"
     )
@@ -70,7 +74,7 @@ def build_session(args: argparse.Namespace) -> Session:
     config = ExperimentConfig(
         dataset_scale=args.scale,
         shards=args.shards,
-        shard_workers=args.workers,
+        shard_remote=args.distributed,
         cache_capacity=args.cache_capacity,
     )
     points = None if args.no_points else california_points(scale=config.dataset_scale)
@@ -111,12 +115,17 @@ async def _amain(args: argparse.Namespace) -> int:
             await server.serve_forever()
     finally:
         await front_end.stop()
+        if args.distributed:
+            session.engine.close()  # shuts the spawned shard daemons down
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.distributed and args.shards <= 0:
+        parser.error("--distributed needs --shards N (one daemon per shard)")
     try:
         return asyncio.run(_amain(args))
     except KeyboardInterrupt:

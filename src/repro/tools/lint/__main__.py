@@ -17,7 +17,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.tools.lint",
         description="Check repository invariants (epoch-guarded caches, "
-        "seeded RNG, shm lifecycles, typed raises, wire completeness, …).",
+        "seeded RNG, replay safety, typed raises, wire completeness, …).",
     )
     parser.add_argument(
         "paths",

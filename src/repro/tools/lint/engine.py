@@ -4,7 +4,7 @@ The engine is deliberately small: a :class:`Module` wraps one parsed source
 file, a :class:`Rule` inspects it and yields :class:`Diagnostic`\\ s, and
 :func:`lint_paths` walks a file tree running every registered rule.  Rules
 encode invariants this codebase has actually shipped bugs against (stale
-un-epoch'd caches, shm leaks, stats aliasing, …); each carries a stable
+un-epoch'd caches, unseeded draws, stats aliasing, …); each carries a stable
 ``RPLxxx`` identifier so a violation can be silenced *at the line* with::
 
     risky_call()  # repro-lint: disable=RPL004

@@ -4,10 +4,10 @@
 |--------|-----------------|-------------------------------------------------------|
 | RPL001 | caching         | derived-state memos must be epoch-guarded             |
 | RPL002 | randomness      | core sampling flows through seeded generators         |
-| RPL003 | shm             | shared-memory handles must be released or escape      |
+| RPL003 | —               | retired with the shared-memory worker pool; id not reused |
 | RPL004 | raises          | raises in ``repro/`` use the typed error hierarchy    |
 | RPL005 | wire            | every ``to_dict`` has a decode path and a schema tag  |
-| RPL006 | replay          | no wall-clock/pid calls in worker-replayed pipelines  |
+| RPL006 | replay          | no wall-clock/pid calls in replayed pipelines / merge |
 | RPL007 | observability   | observable-database mutators emit ``UpdateEvent``     |
 | RPL008 | exceptions      | no silently-swallowed broad excepts                   |
 | RPL009 | statistics      | merged ``EvaluationStatistics`` are copied, not aliased |
@@ -24,7 +24,6 @@ from repro.tools.lint.rules import (  # noqa: F401  (import = register)
     randomness,
     replay,
     rpc,
-    shm,
     statistics,
     wire,
 )

@@ -1,7 +1,7 @@
 """RPL006 — no wall-clock / process-identity calls in replayed pipeline code.
 
-Query evaluation runs identically in three contexts: in-process, in pool
-workers, and replayed from a recorded draw-plan.  Any value read from the
+Query evaluation runs identically in three contexts: in-process, in shard
+daemons, and replayed from a recorded draw-plan.  Any value read from the
 environment — ``time.time()``, ``datetime.now()``, ``os.getpid()``,
 ``os.urandom()``, ``uuid.uuid4()`` — differs between those contexts and
 poisons the bitwise-parity contract the parallel engine's merge step relies
@@ -11,10 +11,11 @@ value that could never be reproduced parent-side.)
 ``time.perf_counter`` stays allowed: it feeds the *statistics* channel
 (response-time measurements), which is explicitly excluded from parity.
 
-The rule scopes to the modules whose code executes inside workers or
-replays: the evaluation pipeline and its numeric kernels.  Process-aware
-modules (``shm``, ``parallel``, ``serve``) legitimately read pids and
-wall-clocks and are out of scope by design.
+The rule scopes to the modules whose code executes inside daemons or
+replays, or decides what they return: the evaluation pipeline, its numeric
+kernels and the sharded engine's routing and merge (``parallel``).  The
+serving and RPC packages legitimately read wall-clocks and are out of scope
+by design.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ REPLAYED_MODULES = {
     "columnar",
     "expansion",
     "quality",
+    "parallel",
 }
 
 #: Dotted call targets that read ambient, unreplayable state.
@@ -47,7 +49,7 @@ _FORBIDDEN_CALLS = {
     "datetime.utcnow": "wall-clock time differs per run",
     "datetime.datetime.now": "wall-clock time differs per run",
     "datetime.datetime.utcnow": "wall-clock time differs per run",
-    "os.getpid": "process identity differs between workers and replay",
+    "os.getpid": "process identity differs between daemons and replay",
     "os.urandom": "OS entropy cannot be replayed",
     "uuid.uuid4": "random uuids cannot be replayed",
     "uuid.uuid1": "host/time-derived uuids cannot be replayed",
@@ -60,7 +62,7 @@ class ReplaySafety(Rule):
     severity = "error"
     description = (
         "pipeline/kernel modules must not read wall-clock time, pids, or OS "
-        "entropy — such values break worker/replay bitwise parity"
+        "entropy — such values break daemon/replay bitwise parity"
     )
 
     def applies_to(self, module: Module) -> bool:

@@ -3,10 +3,11 @@
 The distributed shard service exists to move plan-token batches and
 columnar answer frames between processes *without* object serialization:
 the wire format is JSON headers plus raw ``int64``/``float64`` array
-frames (see ``repro/serve/framing.py``), and the 2 KiB/query transport
-budget in ``benchmarks/check_regression.py`` assumes exactly that.  A
-``pickle.dumps`` slipped into ``repro/rpc/`` would silently reintroduce
-the per-query object-graph cost the shared-memory pool PR removed — and
+frames (see ``repro/serve/framing.py``), and the ~2 KiB/query transport
+cost ``benchmarks/suite`` reports as ``rpc.pool.bytes_per_query`` assumes
+exactly that.  A ``pickle.dumps`` slipped into ``repro/rpc/`` would
+silently reintroduce the per-query object-graph cost plan tokens exist to
+avoid — and
 would also widen the daemon's attack surface, since ``pickle.loads`` on
 bytes read from a socket executes arbitrary reduction callables.
 

@@ -64,7 +64,7 @@ def _build_database(k: int):
 def _cold_answers(database, queries) -> list[dict[int, float]]:
     config = EngineConfig(draw_plan="query_keyed")
     if isinstance(database, ShardedDatabase):
-        engine = ParallelEngine(point_db=database, config=config, workers=1)
+        engine = ParallelEngine(point_db=database, config=config)
     else:
         engine = ImpreciseQueryEngine(point_db=database, config=config)
     return [engine.evaluate(query).probabilities() for query in queries]

@@ -308,13 +308,11 @@ class TestSerialEngineCaching:
 
 
 class TestShardedCaching:
-    def _two_cluster_session(self, workers=1):
+    def _two_cluster_session(self):
         left = [PointObject.at(i, 100.0 + i, 100.0 + (i % 7)) for i in range(40)]
         right = [PointObject.at(100 + i, 9_000.0 + i, 9_000.0 + (i % 7)) for i in range(40)]
         session = Session.from_objects(points=left + right)
-        return session.sharded(2, partitioner="median", workers=workers).cached(
-            capacity=128
-        )
+        return session.sharded(2, partitioner="median").cached(capacity=128)
 
     def test_sharded_hits_and_fine_grained_invalidation(self):
         session = self._two_cluster_session()
@@ -357,7 +355,6 @@ class TestShardedCaching:
             engine=type(replay.engine)(
                 point_db=replay.engine.point_db,
                 config=cached.engine.config.with_overrides(cache=None),
-                workers=1,
             )
         )
         assert actual == [e.probabilities() for e in replay.evaluate_many(queries)]

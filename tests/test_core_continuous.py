@@ -57,7 +57,7 @@ def _cold_answer(database, query) -> dict[int, float]:
     """A from-scratch evaluation of ``query`` over the database's live state."""
     if isinstance(database, ShardedDatabase):
         engine = ParallelEngine(
-            point_db=database, config=EngineConfig(draw_plan="query_keyed"), workers=1
+            point_db=database, config=EngineConfig(draw_plan="query_keyed")
         )
     else:
         engine = ImpreciseQueryEngine(

@@ -5,12 +5,11 @@ query kinds (IPQ, C-IPQ, IUQ, C-IUQ) plus the nearest-neighbour extension,
 ``ParallelEngine.evaluate_many`` over K ∈ {2, 4} shards returns answer sets
 and probabilities identical — Monte-Carlo bitwise-identical — to the
 single-shard vectorized engine running the per-oid draw plan, for both
-partitioners, in serial and in worker-pool mode.
+partitioners.  (``tests/test_rpc_parity.py`` holds the shard daemons to the
+same contract.)
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -20,6 +19,7 @@ from repro.core.engine import (
     PointDatabase,
     UncertainDatabase,
 )
+from repro.core.errors import ConfigurationError
 from repro.core.parallel import ParallelEngine, ParallelEvaluation
 from repro.core.queries import NearestNeighborQuery, RangeQuery
 from repro.core.session import Session
@@ -56,7 +56,7 @@ def _single_engine(small_points, small_uncertain, **overrides):
 
 
 def _parallel_engine(
-    small_points, small_uncertain, k, *, partitioner="grid", workers=None, **overrides
+    small_points, small_uncertain, k, *, partitioner="grid", **overrides
 ):
     config = EngineConfig(draw_plan="per_oid").with_overrides(**overrides)
     return ParallelEngine(
@@ -65,7 +65,6 @@ def _parallel_engine(
             small_uncertain, k, partitioner=partitioner, catalog_levels=None
         ),
         config=config,
-        workers=workers,
     )
 
 
@@ -141,50 +140,6 @@ class TestShardedParity:
             assert got.probabilities() == expected.probabilities()
 
 
-@pytest.fixture
-def force_pool(monkeypatch):
-    """Opt out of the cpu-count worker clamp: these tests assert real pool
-    behaviour (worker processes, published snapshot blocks) and must not
-    silently degrade to the serial path on single-core machines."""
-    monkeypatch.setenv("REPRO_PARALLEL_FORCE_WORKERS", "1")
-
-
-class TestWorkerClamp:
-    def test_workers_clamped_to_cpu_count(self, small_points, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL_FORCE_WORKERS", raising=False)
-        engine = ParallelEngine(
-            point_db=ShardedDatabase.build_points(small_points, 4), workers=64
-        )
-        assert engine.requested_workers == 64
-        assert engine.workers == min(64, os.cpu_count() or 1)
-
-    def test_force_env_disables_the_clamp(self, small_points, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_FORCE_WORKERS", "1")
-        engine = ParallelEngine(
-            point_db=ShardedDatabase.build_points(small_points, 4), workers=64
-        )
-        assert engine.workers == 64
-
-
-class TestWorkerPool:
-    def test_pooled_execution_matches_serial(
-        self, small_points, small_uncertain, force_pool
-    ):
-        workload = (
-            _queries(5, target="points", seed=71)
-            + _queries(5, target="uncertain", threshold=0.3, seed=72)
-            + _queries(3, nn_every=1, seed=73)
-        )
-        serial = _parallel_engine(small_points, small_uncertain, 4)
-        reference = serial.evaluate_many(workload)
-        with _parallel_engine(small_points, small_uncertain, 4, workers=2) as pooled:
-            _assert_identical(reference, pooled.evaluate_many(workload))
-            # The pool persists across calls; sequence numbers keep advancing.
-            _assert_identical(
-                serial.evaluate_many(workload), pooled.evaluate_many(workload)
-            )
-
-
 class TestParallelEvaluationEnvelope:
     def test_shard_timings_and_counters_are_attributed(self, small_points, small_uncertain):
         parallel = _parallel_engine(small_points, small_uncertain, 4)
@@ -237,6 +192,12 @@ class TestShardedSession:
         assert sharded.engine.config.draw_plan == "per_oid"
         assert sharded.point_db.k == 2
 
+    def test_workers_above_one_point_at_distributed(self, small_points):
+        session = Session.from_objects(points=small_points)
+        assert isinstance(session.sharded(2, workers=1).engine, ParallelEngine)
+        with pytest.raises(ConfigurationError, match="distributed"):
+            session.sharded(2, workers=2)
+
     def test_nearest_builder_on_sharded_session(self, small_points):
         plain = Session.from_objects(
             points=small_points, config=EngineConfig(draw_plan="per_oid")
@@ -246,38 +207,6 @@ class TestShardedSession:
         expected = plain.nearest(samples=32).issued_by(issuer).run()
         got = sharded.nearest(samples=32).issued_by(issuer).run()
         assert got.probabilities() == expected.probabilities()
-
-
-class TestLifecycle:
-    def test_close_unlinks_every_shared_memory_block(self, small_points, force_pool):
-        from multiprocessing import shared_memory
-
-        engine = ParallelEngine(
-            point_db=ShardedDatabase.build_points(small_points, 4), workers=2
-        )
-        engine.evaluate_many(_queries(3, target="points", seed=87))
-        names = engine.snapshot_store.block_names()
-        assert names, "a pooled batch should have published shard snapshots"
-        engine.close()
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_dropped_engine_releases_blocks_on_gc(self, small_points, force_pool):
-        import gc
-        from multiprocessing import shared_memory
-
-        engine = ParallelEngine(
-            point_db=ShardedDatabase.build_points(small_points, 4), workers=2
-        )
-        engine.evaluate_many(_queries(3, target="points", seed=87))
-        names = engine.snapshot_store.block_names()
-        assert names
-        del engine
-        gc.collect()
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
 
 
 class TestExperimentConfigSharding:

@@ -17,6 +17,8 @@ simply use the first two addresses.
 from __future__ import annotations
 
 import contextlib
+import socket
+import time
 
 import pytest
 
@@ -27,7 +29,10 @@ from repro.core.engine import (
     UncertainDatabase,
 )
 from repro.core.errors import ConfigurationError, EngineStateError
+from repro.core.session import Session
 from repro.core.sharding import ShardedDatabase
+from repro.core.updates import UpdateBatch
+from repro.rpc import pool as rpc_pool
 from repro.rpc.engine import RemoteEngine
 from repro.rpc.launcher import LocalShardCluster
 from repro.rpc.pool import RemoteShardPool
@@ -37,6 +42,7 @@ from tests.test_updates_parity import (
     _assert_identical,
     _mutation_batch,
     _queries,
+    _rebuilt_engine,
 )
 
 
@@ -120,6 +126,53 @@ class TestDistributedParity:
                 single.evaluate_many(workload), remote.evaluate_many(workload)
             )
 
+    def test_interleaved_update_costs_one_update_rpc_and_no_reload(
+        self, cluster, small_points, small_uncertain, monkeypatch
+    ):
+        """The daemons survive a mutation: one ``update`` to the owning shard,
+        no snapshot re-shipped, the same processes, answers equal to a rebuild."""
+        head = _queries(3, target="points", threshold=0.2, seed=61)
+        tail = _queries(3, target="points", seed=62) + _queries(2, nn_every=1, seed=63)
+        with _remote_engine(cluster, small_points, small_uncertain, 2) as remote:
+            session = Session(engine=remote)
+            session.evaluate_many(_queries(1, target="uncertain", seed=60))  # all loaded
+            mover = small_points[0]
+            owner = remote.point_db.owner_of(mover.oid).sid
+            pids = [process.pid for process in cluster._processes]
+            calls = []
+
+            def count(name):
+                original = getattr(RemoteShardPool, name)
+
+                def counted(self, kind, sid, *args):
+                    calls.append((name, kind, sid))
+                    return original(self, kind, sid, *args)
+
+                monkeypatch.setattr(RemoteShardPool, name, counted)
+
+            count("load")
+            count("update")
+
+            batch = UpdateBatch().move(mover.oid, x=mover.x + 1.0, y=mover.y + 1.0)
+            evaluations = session.evaluate_many(head + [batch] + tail)
+
+            assert remote.point_db.owner_of(mover.oid).sid == owner
+            assert calls == [("update", "points", owner)]
+            assert [process.pid for process in cluster._processes] == pids
+            assert all(process.is_alive() for process in cluster._processes)
+
+            # Head against the original data at sequence numbers 1.., tail
+            # against the mutated data at the continuing numbers.
+            pristine = _single_engine(small_points, small_uncertain)
+            _assert_identical(
+                pristine.evaluate_many_at(list(enumerate(head, start=1))),
+                evaluations[: len(head)],
+            )
+            reference = _rebuilt_engine(remote).evaluate_many_at(
+                list(enumerate(tail, start=1 + len(head)))
+            )
+            _assert_identical(reference, evaluations[len(head) :])
+
     def test_rpc_bytes_per_query_stay_under_budget(
         self, cluster, small_points, small_uncertain
     ):
@@ -162,3 +215,25 @@ class TestDistributedSurface:
                     pool=pool,
                     owns_pool=False,
                 )
+
+
+class TestHungDaemon:
+    def test_silent_daemon_raises_typed_error_in_bounded_time(
+        self, cluster, monkeypatch
+    ):
+        """A listener that accepts and never replies must not wedge the parent."""
+        monkeypatch.setattr(rpc_pool, "_REPLY_TIMEOUT_SECONDS", 0.2)
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            addr = listener.getsockname()
+            with RemoteShardPool([addr]) as pool:
+                started = time.monotonic()
+                with pytest.raises(EngineStateError, match=str(addr[1])):
+                    pool.scatter([("points", 0, [], [])], "0badd1ge5700d00d")
+                assert time.monotonic() - started < 5.0
+                # The half-read connection is gone, not parked for reuse.
+                assert pool._sockets == {}
+        # Nothing global broke: a fresh pool to a live daemon still answers
+        # (here with the daemon's own typed error for the unknown shard/digest).
+        with RemoteShardPool(cluster.addrs[:1]) as pool:
+            with pytest.raises(EngineStateError, match="not loaded|no configuration"):
+                pool.scatter([("points", 0, [], [])], "0badd1ge5700d00d")

@@ -319,3 +319,24 @@ class TestConfiguration:
         server = QueryServer(session)
         assert server.session.engine.config.draw_plan == "per_oid"
         assert server.session is session
+
+
+class TestCommandLine:
+    def test_distributed_flag_serves_over_shard_daemons(self):
+        from repro.serve.__main__ import _build_parser, build_session
+
+        args = _build_parser().parse_args(
+            ["--scale", "0.01", "--no-uncertain", "--shards", "2", "--distributed"]
+        )
+        session = build_session(args)
+        try:
+            assert session.describe()["engine"] == {"kind": "distributed", "daemons": 2}
+        finally:
+            session.engine.close()
+
+    def test_distributed_flag_needs_a_shard_count(self):
+        from repro.serve.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--distributed"])
+        assert exit_info.value.code == 2

@@ -91,6 +91,22 @@ def test_rpl001_patch_without_restamp_is_flagged():
     assert lint_fixture("RPL001", "restamp_clean") == []
 
 
+def test_replay_rule_covers_the_sharded_merge():
+    """``core/parallel.py`` holds no process state any more, so RPL006 applies."""
+    source = (
+        "# lint-fixture-path: repro/core/parallel.py\n"
+        "import os\n"
+        "def merge():\n"
+        "    return os.getpid()\n"
+    )
+    diagnostics = lint_source(source, "x.py", [get_rule("RPL006")])
+    assert [(d.rule, d.line) for d in diagnostics] == [("RPL006", 4)]
+
+
+def test_retired_rule_id_is_not_registered():
+    assert "RPL003" not in RULE_IDS
+
+
 # --------------------------------------------------------------------------- #
 # Suppressions
 # --------------------------------------------------------------------------- #

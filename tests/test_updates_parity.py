@@ -4,10 +4,10 @@ Acceptance criteria of the incremental-update change: a shard-routed
 ``insert``/``delete``/``move`` stream followed by ``evaluate_many`` returns
 results bitwise-identical (per-oid draw plan) to a from-scratch rebuild of
 the same final collection, for all four paper query kinds (IPQ, C-IPQ, IUQ,
-C-IUQ) plus the nearest-neighbour extension, for K ∈ {1, 4} shards, in
-serial and worker-pool mode.  Updates consume no query sequence numbers, so
-interleaving them with queries leaves every query's Monte-Carlo draws
-untouched.
+C-IUQ) plus the nearest-neighbour extension, for K ∈ {1, 4} shards.
+Updates consume no query sequence numbers, so interleaving them with queries
+leaves every query's Monte-Carlo draws untouched.  (The shard daemons'
+version of the interleaving property lives in ``tests/test_rpc_parity.py``.)
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def _mutation_batch():
     )
 
 
-def _parallel_engine(small_points, small_uncertain, k, *, workers=None, **overrides):
+def _parallel_engine(small_points, small_uncertain, k, **overrides):
     config = EngineConfig(draw_plan="per_oid").with_overrides(**overrides)
     return ParallelEngine(
         point_db=ShardedDatabase.build_points(small_points, k),
@@ -89,7 +89,6 @@ def _parallel_engine(small_points, small_uncertain, k, *, workers=None, **overri
             small_uncertain, k, catalog_levels=None
         ),
         config=config,
-        workers=workers,
     )
 
 
@@ -139,22 +138,6 @@ class TestMutateThenQueryParity:
         assert sum(e.statistics.monte_carlo_samples for e in reference) > 0
         # Exact dict equality: bitwise-identical floats, not approximations.
         _assert_identical(reference, evaluations)
-
-    def test_pooled_execution_matches_rebuild(
-        self, small_points, small_uncertain, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_PARALLEL_FORCE_WORKERS", "1")
-        workload = _all_kind_workload()
-        with _parallel_engine(small_points, small_uncertain, 4, workers=2) as pooled:
-            # Force the pool up *before* mutating, so the test also covers
-            # the recycle path (stale forked snapshots must be retired).
-            pooled.evaluate_many(_queries(2, target="points", seed=3))
-            pooled.apply_updates(_mutation_batch())
-            evaluations = pooled.evaluate_many(workload)
-            reference = _rebuilt_engine(pooled).evaluate_many_at(
-                list(enumerate(workload, start=2))
-            )
-            _assert_identical(reference, evaluations)
 
     def test_randomised_update_stream(self, small_points, small_uncertain):
         """A generated move/insert/delete stream preserves parity too."""
@@ -212,50 +195,6 @@ class TestInterleavedUpdateParity:
         )
         parallel = _parallel_engine(small_points, small_uncertain, 4)
         _assert_identical(single.evaluate_many(workload), parallel.evaluate_many(workload))
-
-
-class TestWorkerPoolSurvivesUpdates:
-    """An interleaved UpdateBatch must not respawn the pool, yet stay exact."""
-
-    def test_stable_worker_pids_across_interleaved_update(
-        self, small_points, small_uncertain, monkeypatch
-    ):
-        # Opt out of the cpu clamp: this test asserts real worker processes.
-        monkeypatch.setenv("REPRO_PARALLEL_FORCE_WORKERS", "1")
-        head = _queries(3, target="points", threshold=0.2, seed=61)
-        tail = _queries(3, target="uncertain", threshold=0.3, seed=62) + _queries(
-            2, nn_every=1, seed=63
-        )
-        with _parallel_engine(small_points, small_uncertain, 4, workers=4) as pooled:
-            pooled.warm()
-            pool_before = pooled._pool
-            workers_before = set(pool_before._processes)
-            assert len(workers_before) >= 2  # real processes, not the parent
-            import os
-
-            assert os.getpid() not in {p.pid for p in pool_before._processes.values()}
-
-            evaluations = pooled.evaluate_many(head + [_mutation_batch()] + tail)
-
-            # Same executor, same worker processes: the mutation republished
-            # one shard's shared-memory snapshot instead of recycling the
-            # pool, and every worker is still alive.
-            assert pooled._pool is pool_before
-            assert set(pool_before._processes) == workers_before
-            assert all(p.is_alive() for p in pool_before._processes.values())
-
-            # And the answers are still bitwise-identical: head against the
-            # original data at sequence numbers 0.., tail against the mutated
-            # data at the continuing numbers.
-            pristine = ImpreciseQueryEngine(
-                point_db=PointDatabase.build(small_points),
-                uncertain_db=UncertainDatabase.build(small_uncertain, catalog_levels=None),
-                config=EngineConfig(draw_plan="per_oid"),
-            )
-            _assert_identical(pristine.evaluate_many(head), evaluations[: len(head)])
-            rebuilt = _rebuilt_engine(pooled)
-            reference = rebuilt.evaluate_many_at(list(enumerate(tail, start=len(head))))
-            _assert_identical(reference, evaluations[len(head) :])
 
 
 class TestHotShardResplitParity:
