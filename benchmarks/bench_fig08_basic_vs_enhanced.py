@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.basic import BasicEvaluator
 from repro.core.engine import ImpreciseQueryEngine
-from repro.core.queries import ImpreciseRangeQuery, RangeQuery
+from repro.core.queries import RangeQuery
 
 from benchmarks.conftest import issuer_for
 
@@ -32,6 +32,6 @@ def test_basic_iuq(benchmark, uncertain_db_rtree, uncertain_objects, u):
     """Basic evaluation: Equation 4 by discretising the issuer region."""
     evaluator = BasicEvaluator(issuer_samples=400)
     issuer, spec = issuer_for(u)
-    query = ImpreciseRangeQuery(issuer=issuer, spec=spec)
+    query = RangeQuery.iuq(issuer, spec)
     result = benchmark(lambda: evaluator.evaluate_iuq(query, uncertain_objects))
     assert result[0] is not None

@@ -34,7 +34,6 @@ from repro import (
     UniformPdf,
 )
 from repro.core.basic import BasicEvaluator
-from repro.core.queries import ImpreciseRangeQuery
 from repro.datasets.synthetic import clustered_rectangles
 
 CITY = Rect(0.0, 0.0, 10_000.0, 10_000.0)
@@ -63,9 +62,7 @@ def main() -> None:
     # --- 1. basic method (the paper's Section 3.3 baseline) ----------------
     basic = BasicEvaluator(issuer_samples=400)
     started = time.perf_counter()
-    basic_result, _ = basic.evaluate_iuq(
-        ImpreciseRangeQuery(issuer=rider, spec=spec), fleet.objects
-    )
+    basic_result, _ = basic.evaluate_iuq(RangeQuery.iuq(rider, spec), fleet.objects)
     basic_time = (time.perf_counter() - started) * 1000.0
 
     # --- 2. enhanced method (Section 4) ------------------------------------

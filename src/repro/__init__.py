@@ -41,7 +41,6 @@ from repro.core import (
     UpdateEvent,
     replay_deltas,
     RangeQuerySpec,
-    ImpreciseRangeQuery,
     Query,
     RangeQuery,
     NearestNeighborQuery,
@@ -86,7 +85,6 @@ __all__ = [
     "UncertainObject",
     "UCatalog",
     "RangeQuerySpec",
-    "ImpreciseRangeQuery",
     "Query",
     "RangeQuery",
     "NearestNeighborQuery",

@@ -48,7 +48,6 @@ The package is organised around the paper's structure:
 
 from repro.core.queries import (
     RangeQuerySpec,
-    ImpreciseRangeQuery,
     Query,
     RangeQuery,
     NearestNeighborQuery,
@@ -143,7 +142,6 @@ __all__ = [
     "WIRE_VERSION",
     "tagged",
     "check_schema",
-    "ImpreciseRangeQuery",
     "Query",
     "RangeQuery",
     "NearestNeighborQuery",

@@ -30,7 +30,7 @@ import numpy as np
 from repro.geometry.point import Point
 from repro.core.columnar import bounds_overlap_window_mask, points_in_window_mask
 from repro.core.expansion import minkowski_expanded_query
-from repro.core.queries import ImpreciseRangeQuery, QueryResult, RangeQuerySpec
+from repro.core.queries import QueryResult, RangeQuery, RangeQuerySpec
 from repro.core.statistics import EvaluationStatistics
 from repro.uncertainty.pdf import UncertaintyPdf, UniformPdf
 from repro.uncertainty.region import PointObject, UncertainObject
@@ -246,7 +246,7 @@ class BasicEvaluator:
         self._vectorized = vectorized
 
     def evaluate_ipq(
-        self, query: ImpreciseRangeQuery, objects: list[PointObject]
+        self, query: RangeQuery, objects: list[PointObject]
     ) -> tuple[QueryResult, EvaluationStatistics]:
         """Evaluate an IPQ over point objects with the basic method."""
         started = time.perf_counter()
@@ -290,7 +290,7 @@ class BasicEvaluator:
         return result, stats
 
     def evaluate_iuq(
-        self, query: ImpreciseRangeQuery, objects: list[UncertainObject]
+        self, query: RangeQuery, objects: list[UncertainObject]
     ) -> tuple[QueryResult, EvaluationStatistics]:
         """Evaluate an IUQ over uncertain objects with the basic method."""
         started = time.perf_counter()

@@ -1,8 +1,8 @@
 """Epoch-keyed LRU result cache shared by all query engines.
 
-Serving workloads repeat themselves: the same ``(issuer, spec, threshold,
-target)`` lookups arrive again and again (the C-IUQ pruner cache already
-exploits exactly this repetition within a batch).  The
+Serving workloads repeat themselves: the same queries arrive again and
+again (the pipeline's pruner reuse already exploits exactly this repetition
+within a batch).  The
 :class:`ResultCache` extends that observation across batches and across
 mutations: the staged pipeline (:mod:`repro.core.pipeline`) consults it as a
 first-class stage before running the candidate → prune → evaluate flow, and
@@ -19,10 +19,12 @@ into the lookup key:
   invalidation pass; stale entries age out of the LRU).  Per-shard epochs
   give sharded sessions fine-grained invalidation: a mutation in one shard
   does not evict answers whose routed shards were untouched.
-* a **query component** — the issuer's identity plus the query shape
-  (spec, threshold, target / sample count).  Issuers are compared by
-  identity; every entry pins a strong reference to its issuer so a recycled
-  ``id()`` can never alias a dead object's key.
+* a **query component** — the query's content,
+  :func:`~repro.core.plan.query_fingerprint` (issuer oid, pdf wire form,
+  catalog levels, shape, threshold, target / sample count).  Queries equal
+  by content share one entry however their objects were built, so a query
+  decoded from the wire hits the entry of an equal in-process query.  A
+  query whose pdf has no wire form has no fingerprint and is never cached.
 * a **config fingerprint** — every :class:`~repro.core.engine.EngineConfig`
   field that can influence an answer, so engines sharing one cache but
   running different configurations can never serve each other's results.
@@ -99,14 +101,8 @@ class CacheStats:
 
 @dataclass(frozen=True)
 class CachedAnswer:
-    """One stored evaluation: the ranked answers plus the work that produced them.
+    """One stored evaluation: the ranked answers plus the work that produced them."""
 
-    ``issuer`` pins the query issuer object so that the ``id(issuer)``
-    embedded in the entry's key cannot be recycled by the allocator while
-    the entry is alive; a hit additionally verifies the identity.
-    """
-
-    issuer: Any
     answers: tuple[QueryAnswer, ...]
     statistics: EvaluationStatistics
 
@@ -148,20 +144,16 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def lookup(self, key: Hashable, issuer: Any) -> CachedAnswer | None:
-        """The entry under ``key`` whose pinned issuer *is* ``issuer``, if any.
+    # ``issuer`` is ignored by lookup and store: kept for the frozen suite
+    # (``benchmarks/suite/layers.py`` passes it positionally); drop with the
+    # next ``benchmark`` issue.
+    def lookup(self, key: Hashable, issuer: Any = None) -> CachedAnswer | None:
+        """The entry under ``key``, if any.
 
-        Counts a hit or a miss; a hit refreshes the entry's LRU recency.  An
-        entry whose pinned issuer differs (an ``id()`` collision across
-        issuer lifetimes — possible only if the entry's issuer was freed,
-        which pinning prevents) is treated as a miss and dropped.
+        Counts a hit or a miss; a hit refreshes the entry's LRU recency.
         """
         entry = self._entries.get(key)
         if entry is None:
-            self.stats.misses += 1
-            return None
-        if entry.issuer is not issuer:
-            del self._entries[key]
             self.stats.misses += 1
             return None
         self._entries.move_to_end(key)
@@ -181,7 +173,6 @@ class ResultCache:
         mutation by the caller cannot corrupt the entry.
         """
         self._entries[key] = CachedAnswer(
-            issuer=issuer,
             answers=tuple(result.answers),
             statistics=copy_statistics(statistics),
         )

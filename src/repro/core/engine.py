@@ -8,8 +8,8 @@ layered architecture:
   :class:`UncertainDatabase` (live mutators, epoch counters, columnar
   snapshots); re-exported here for compatibility.
 * :mod:`repro.core.plan` — per-query :class:`~repro.core.plan.QueryPlan`
-  compilation (candidate window, index probe, pruner, draw-plan slot,
-  cache key).
+  compilation (candidate window, index probe, pruner, draw-plan slot) and
+  the query fingerprint every key derives from.
 * :mod:`repro.core.pipeline` — the staged
   plan → cache? → candidates → prune → evaluate → merge runner shared
   verbatim with per-shard execution (:mod:`repro.core.sharding`) and the
@@ -266,9 +266,7 @@ class ImpreciseQueryEngine:
         """
         raise InvalidArgumentError(
             f"cannot evaluate {type(query).__name__!r}; expected a RangeQuery "
-            "or a NearestNeighborQuery (legacy ImpreciseRangeQuery objects are "
-            "no longer accepted — adapt them with RangeQuery.from_legacy(query, "
-            "target))"
+            "or a NearestNeighborQuery"
         )
 
     @evaluate.register

@@ -52,7 +52,7 @@ from repro.core.errors import ConfigurationError, EngineStateError, InvalidArgum
 from repro.core.expansion import minkowski_expanded_query
 from repro.core.nearest import nn_query_draws
 from repro.core.pipeline import DEFAULT_NN_SAMPLES, partition_workload
-from repro.core.plan import query_cache_key, resolve_draw_token
+from repro.core.plan import query_fingerprint, resolve_draw_token
 from repro.core.queries import (
     Evaluation,
     NearestNeighborQuery,
@@ -247,7 +247,7 @@ class ParallelEngine:
     # ------------------------------------------------------------------ #
     # Cache stage (parent-side)
     # ------------------------------------------------------------------ #
-    def _cache_key(self, query: Query, kind: str, shards: list[Shard]) -> Hashable:
+    def _cache_key(self, fingerprint: str, kind: str, shards: list[Shard]) -> Hashable:
         """The sharded cache key: structure version + routed epoch vector.
 
         Only the *routed* shards' epochs participate, so a mutation in a
@@ -263,7 +263,7 @@ class ParallelEngine:
             database.version,
             tuple((shard.sid, shard.database.epoch) for shard in shards),
         )
-        return (scope, query_cache_key(query), self._config_fingerprint)
+        return (scope, fingerprint, self._config_fingerprint)
 
     def _run_query_batch(self, batch: list[Query]) -> list[Evaluation]:
         """Consult the cache, then route, execute and merge the misses."""
@@ -278,10 +278,11 @@ class ParallelEngine:
             seq = base_seq + position
             kind = "points" if self._targets_points(query) else "uncertain"
             shards = self._route(query)
-            if cache is not None:
-                started = time.perf_counter()
-                key = self._cache_key(query, kind, shards)
-                entry = cache.lookup(key, query.issuer)
+            started = time.perf_counter()
+            fingerprint = query_fingerprint(query) if cache is not None else None
+            if fingerprint is not None:
+                key = self._cache_key(fingerprint, kind, shards)
+                entry = cache.lookup(key)
                 if entry is not None:
                     result, stats = entry.materialise()
                     evaluations[position] = ParallelEvaluation(
@@ -306,7 +307,7 @@ class ParallelEngine:
             merged = self._merge(query, partials.get(position, []))
             key = fill_keys.get(position)
             if key is not None and fill_allowed(self._config.draw_plan, merged.statistics):
-                cache.store(key, query.issuer, merged.result, merged.statistics)
+                cache.store(key, None, merged.result, merged.statistics)
             evaluations[position] = merged
         return evaluations
 
@@ -411,7 +412,7 @@ class ParallelEngine:
                 results.append((position, (sid, payload)))
         for position, seq, query in nn_items:
             samples = query.samples if query.samples is not None else DEFAULT_NN_SAMPLES
-            token = resolve_draw_token(self._config, query, seq)
+            token = resolve_draw_token(self._config, query_fingerprint(query), seq)
             draws = nn_query_draws(
                 query.issuer.pdf, samples, self._config.rng_seed, token
             )

@@ -12,10 +12,11 @@ running the exact same stages over a :class:`~repro.core.plan.QueryPlan`:
                               miss: fill after ranking
 
 * **plan** compiles the query (:func:`repro.core.plan.plan_query`): window,
-  probe choice, pruner, draw-plan slot, cache key.
+  probe choice, pruner, draw-plan slot.
 * **cache** consults the shared epoch-keyed
   :class:`~repro.core.cache.ResultCache` (when the configuration carries
-  one); a hit skips every later stage.
+  one) under the query's content fingerprint; a hit skips every later
+  stage.
 * **candidates** retrieves the window's objects — an index probe (with PTI
   node-level threshold pruning when engaged) or a columnar window test on
   the batch path — always re-ordered by ascending oid, so downstream stages
@@ -71,7 +72,7 @@ from repro.core.plan import (
     DEFAULT_NN_SAMPLES,
     QueryPlan,
     plan_query,
-    query_cache_key,
+    query_fingerprint,
 )
 from repro.core.pruning import CIUQPruner, PruningStrategy
 from repro.core.queries import (
@@ -215,16 +216,16 @@ class QueryPipeline:
         database = self._require_point_db()
         return ("db", "points", database.uid, database.epoch)
 
-    def _cache_key(self, query: Query) -> Hashable:
+    def _cache_key(self, query: Query, fingerprint: str) -> Hashable:
         """The full cache key of one query — derivable without planning it.
 
-        Built from the query alone (plus the epoch scope and configuration
-        fingerprint) so the hit path never pays plan compilation: pruner
-        construction eagerly computes the Minkowski and Qp-expanded
-        regions, exactly the work a hit exists to skip.
+        Built from the query's fingerprint (plus the epoch scope and
+        configuration fingerprint) so the hit path never pays plan
+        compilation: pruner construction eagerly computes the Minkowski and
+        Qp-expanded regions, exactly the work a hit exists to skip.
         """
         target = "nearest" if isinstance(query, NearestNeighborQuery) else query.target
-        return (self._scope_key(target), query_cache_key(query), self._config_fingerprint)
+        return (self._scope_key(target), fingerprint, self._config_fingerprint)
 
     # ------------------------------------------------------------------ #
     # Batch entry point
@@ -240,8 +241,8 @@ class QueryPipeline:
 
         The batch path amortises work a per-query loop repeats: database
         presence checks run once per batch, the nearest-neighbour sampler is
-        shared, and pruners are reused across queries repeating an (issuer,
-        shape, threshold) combination.  With ``use_snapshots`` (and the
+        shared, and pruners are reused across queries with equal
+        fingerprints.  With ``use_snapshots`` (and the
         vectorized backend) range queries filter candidates with one NumPy
         window test over the databases' columnar snapshots instead of a
         per-query index traversal (PTI-engaged plans keep the index — its
@@ -262,21 +263,15 @@ class QueryPipeline:
         if any(isinstance(query, NearestNeighborQuery) for query in batch):
             self._require_point_db()
 
-        # Pruners own the expanded-region construction, so queries repeating
-        # an (issuer, shape, threshold) combination share one.  The cache is
-        # only engaged for combinations that actually repeat — a workload of
-        # all-distinct issuers (the common case) pays no caching overhead and
-        # retains no pruners; a single-query batch cannot repeat at all.
-        if len(batch) > 1:
-            repeats = Counter(
-                (id(query.issuer), query.spec, query.threshold, query.target)
-                for query in batch
-                if isinstance(query, RangeQuery)
-            )
-        else:
-            repeats = {}
-        point_pruners: dict[tuple, object] = {}
-        uncertain_pruners: dict[tuple, object] = {}
+        # One fingerprint per query keys the result cache, the repeat count
+        # and the plan (pruner reuse, draw token).  Pruners own the
+        # expanded-region construction, so equal queries share one.  The
+        # pruner dict is only engaged for queries that actually repeat — a
+        # workload of all-distinct queries (the common case) retains no
+        # pruners.
+        fingerprints = [query_fingerprint(query) for query in batch]
+        repeats = Counter(fingerprints)
+        pruners: dict[str, object] = {}
         point_snapshot: ColumnarPoints | None = None
         uncertain_snapshot: ColumnarUncertain | None = None
         if use_snapshots and self._config.vectorized and "points" in targets:
@@ -288,15 +283,15 @@ class QueryPipeline:
         )
 
         evaluations: list[Evaluation] = []
-        for query, seq in zip(batch, seqs):
+        for query, fingerprint, seq in zip(batch, fingerprints, seqs):
             started = time.perf_counter()
             # Cache stage first: a hit must skip every later stage,
             # including plan compilation (pruners build expanded regions
             # eagerly — exactly the repeated work a hit exists to avoid).
             key = None
-            if self._cache is not None:
-                key = self._cache_key(query)
-                entry = self._cache.lookup(key, query.issuer)
+            if self._cache is not None and fingerprint is not None:
+                key = self._cache_key(query, fingerprint)
+                entry = self._cache.lookup(key)
                 if entry is not None:
                     result, stats = entry.materialise()
                     evaluations.append(
@@ -308,20 +303,14 @@ class QueryPipeline:
                         )
                     )
                     continue
-            if isinstance(query, NearestNeighborQuery):
-                pruner_cache = None
-            elif repeats.get((id(query.issuer), query.spec, query.threshold, query.target), 0) > 1:
-                pruner_cache = (
-                    point_pruners if query.target == "points" else uncertain_pruners
-                )
-            else:
-                pruner_cache = None
+            pruner_cache = pruners if repeats[fingerprint] > 1 else None
             plan = plan_query(
                 query,
                 seq,
                 self._config,
                 uncertain_index=uncertain_index,
                 pruner_cache=pruner_cache,
+                fingerprint=fingerprint,
             )
             if plan.target == "nearest":
                 result, stats = self._run_nearest(plan)
@@ -332,7 +321,7 @@ class QueryPipeline:
                     plan, columnar=uncertain_snapshot
                 )
             if key is not None and fill_allowed(self._config.draw_plan, stats):
-                self._cache.store(key, query.issuer, result, stats)
+                self._cache.store(key, None, result, stats)
             evaluations.append(
                 Evaluation(
                     query=query,

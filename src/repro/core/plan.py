@@ -12,19 +12,22 @@ through the engine monolith:
   snapshot scan on the batch path,
 * the **pruner** (:class:`~repro.core.pruning.CIPQPruner` /
   :class:`~repro.core.pruning.CIUQPruner`) owning the expanded-region
-  construction, shared across queries that repeat an (issuer, spec,
-  threshold) combination,
+  construction, shared across queries with equal fingerprints, and
 * the **draw-plan slot** — the token Monte-Carlo draws are keyed by (the
-  query's sequence number under ``draw_plan="per_oid"``, a stable
-  content-derived fingerprint under ``draw_plan="query_keyed"``, or
-  ``None`` for the historical streaming plan), and
-* the **cache key** component identifying the query to the shared
-  :class:`~repro.core.cache.ResultCache`.
+  query's sequence number under ``draw_plan="per_oid"``, a digest of the
+  query's fingerprint under ``draw_plan="query_keyed"``, or ``None`` for
+  the historical streaming plan).
+
+A query has one identity, its content: :func:`query_fingerprint` (issuer
+oid, pdf wire form and catalog levels, shape, threshold, target).  The
+result-cache key, pruner reuse, the in-batch repeat count and the draw
+token all derive from it, so a query decoded from the wire, relayed to a
+shard daemon or rebuilt by hand is the same query as the original.
+Object identity is never a key.
 
 The plan is pure data: building one performs no index I/O and consumes no
-randomness, so planners can be called speculatively (e.g. to form a cache
-key before deciding whether to execute at all).  The stage runner in
-:mod:`repro.core.pipeline` is the only consumer.
+randomness.  The stage runner in :mod:`repro.core.pipeline` is the only
+consumer.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from repro.core.errors import InvalidArgumentError
 
 import hashlib
 from dataclasses import dataclass
-from typing import Hashable, Literal
+from typing import Literal
 
 from repro.core.expansion import minkowski_expanded_query
 from repro.core.pruning import CIPQPruner, CIUQPruner
@@ -56,54 +59,51 @@ def resolved_nn_samples(query: NearestNeighborQuery) -> int:
     """The Monte-Carlo sample count a nearest-neighbour query will run with.
 
     ``samples=None`` and an explicit ``samples=DEFAULT_NN_SAMPLES`` describe
-    the same request, so every identity derived from a query — fingerprint,
-    draw token, cache key — must resolve the default first; otherwise the
-    two spellings would share a cache entry while drawing different samples.
+    the same request, so the fingerprint resolves the default first;
+    otherwise the two spellings would be two queries drawing different
+    samples.
     """
     return query.samples if query.samples is not None else DEFAULT_NN_SAMPLES
 
 
-def query_fingerprint(query: Query) -> tuple:
-    """A content tuple identifying a query independently of object identity.
+def query_fingerprint(query: Query) -> str | None:
+    """The identity of a query: its content, spelled canonically.
 
-    Two queries with equal fingerprints describe the same request: same
-    issuer (oid + uncertainty-region bounds), same shape, same threshold,
-    same target.  This is the basis of the ``query_keyed`` draw plan — the
-    plan under which a repeated query draws the *same* Monte-Carlo samples
-    wherever it appears in a workload, which is what makes sampled answers
-    cacheable without breaking replay determinism.
+    Two queries with equal fingerprints are the same request, wherever
+    their objects came from.  The fingerprint holds the kind, the issuer's
+    oid, its pdf's wire form (``to_dict()``, which round-trips bit-exactly)
+    and its catalog levels (they change the C-IUQ pruner's Qp-expanded
+    window, hence the statistics an answer carries); then the
+    half-extents, threshold and target of a range query, or the threshold
+    and resolved sample count of a nearest-neighbour query.  Extents and
+    threshold are spelled as floats, as the wire decodes them.
+
+    ``None`` when the issuer's pdf has no wire form: such a query has no
+    content identity, so it is never cached, never shares a pruner and
+    draws by position (see :func:`resolve_draw_token`).
     """
-    region = query.issuer.region.as_tuple()
+    issuer = query.issuer
+    try:
+        pdf = issuer.pdf.to_dict()
+    except NotImplementedError:
+        return None
+    levels = issuer.catalog.levels if issuer.catalog is not None else None
     if isinstance(query, NearestNeighborQuery):
-        return (
-            "nn",
-            query.issuer.oid,
-            region,
-            query.threshold,
-            resolved_nn_samples(query),
+        shape = ("nn", float(query.threshold), resolved_nn_samples(query))
+    else:
+        shape = (
+            "range",
+            float(query.spec.half_width),
+            float(query.spec.half_height),
+            float(query.threshold),
+            query.target,
         )
-    return (
-        "range",
-        query.issuer.oid,
-        region,
-        query.spec.half_width,
-        query.spec.half_height,
-        query.threshold,
-        query.target,
-    )
+    return repr((int(issuer.oid), pdf, levels, shape))
 
 
-def query_cache_key(query: Query) -> tuple:
-    """The query component of a result-cache key, shared by every engine.
-
-    Issuers are identified by ``id()``; the cache pins the issuer object so
-    the id cannot be recycled while an entry lives.  The serial pipeline and
-    the parallel executor both derive their keys from this single helper, so
-    the key shape cannot drift between execution paths.
-    """
-    if isinstance(query, NearestNeighborQuery):
-        return ("nn", id(query.issuer), query.threshold, resolved_nn_samples(query))
-    return ("range", id(query.issuer), query.spec, query.threshold, query.target)
+#: Kept for the frozen suite (``benchmarks/suite/layers.py`` imports it);
+#: drop with the next ``benchmark`` issue.
+query_cache_key = query_fingerprint
 
 
 def relevance_window(query: Query) -> Rect | None:
@@ -127,18 +127,16 @@ def relevance_window(query: Query) -> Rect | None:
     return minkowski_expanded_query(query.issuer.region, query.spec)
 
 
-def query_draw_token(query: Query) -> int:
-    """A stable 63-bit draw-plan token derived from the query's content.
+def query_draw_token(fingerprint: str) -> int:
+    """A stable 63-bit draw-plan token hashed from a query's fingerprint.
 
     Deterministic across processes and Python hash randomisation (it goes
     through :mod:`hashlib`, not builtin ``hash``), non-negative (a
-    ``SeedSequence`` entropy requirement), and equal exactly when
-    :func:`query_fingerprint` is equal.  Passed to the per-oid draw helpers
-    in place of the query sequence number.
+    ``SeedSequence`` entropy requirement), and equal whenever the
+    :func:`query_fingerprint` the caller already holds is equal.  Passed to
+    the per-oid draw helpers in place of the query sequence number.
     """
-    digest = hashlib.blake2b(
-        repr(query_fingerprint(query)).encode(), digest_size=8
-    ).digest()
+    digest = hashlib.blake2b(fingerprint.encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big") >> 1
 
 
@@ -185,10 +183,6 @@ class QueryPlan:
     prefer_columnar: bool
     #: Monte-Carlo sample count (nearest-neighbour plans only).
     samples: int | None
-    #: Query component of the result-cache key.  Issuers are identified by
-    #: ``id()``; the cache pins the issuer object so the id cannot be
-    #: recycled while the entry lives.
-    cache_key: Hashable
 
 
 @dataclass(frozen=True)
@@ -274,18 +268,20 @@ class PlanToken:
         )
 
 
-def resolve_draw_token(config, query: Query, query_seq: int) -> int | None:
+def resolve_draw_token(config, fingerprint: str | None, query_seq: int) -> int | None:
     """The draw-plan slot for one query: what Monte-Carlo draws are keyed by.
 
     ``None`` selects the streaming plan (draws consumed from the engine's
     shared advancing generator); the query's sequence number keys the
-    position-independent ``per_oid`` plan; a stable content fingerprint keys
-    the ``query_keyed`` plan that the result cache relies on.
+    position-independent ``per_oid`` plan; the digest of the query's
+    fingerprint keys the ``query_keyed`` plan that the result cache relies
+    on.  A query without a fingerprint (see :func:`query_fingerprint`) is
+    never cached, so under ``query_keyed`` it draws by position instead.
     """
     if config.draw_plan == "per_oid":
         return query_seq
     if config.draw_plan == "query_keyed":
-        return query_draw_token(query)
+        return query_seq if fingerprint is None else query_draw_token(fingerprint)
     return None
 
 
@@ -296,45 +292,47 @@ def plan_query(
     *,
     uncertain_index=None,
     pruner_cache: dict | None = None,
+    fingerprint: str | None = None,
 ) -> QueryPlan:
     """Compile one query into a :class:`QueryPlan` under ``config``.
 
     ``uncertain_index`` is consulted only to decide PTI engagement for
-    uncertain-target range queries.  ``pruner_cache`` (keyed by issuer
-    identity, spec and threshold) lets the batch path reuse pruners across
-    queries sharing a filter region; pass ``None`` to always build fresh.
+    uncertain-target range queries.  ``fingerprint`` is the query's
+    :func:`query_fingerprint` when the caller already holds it (it is
+    computed here otherwise).  ``pruner_cache``, keyed by fingerprint, lets
+    the batch path reuse pruners across equal queries; pass ``None`` to
+    always build fresh.
     """
+    if not isinstance(query, (RangeQuery, NearestNeighborQuery)):
+        raise InvalidArgumentError(
+            f"cannot plan {type(query).__name__!r}; expected a RangeQuery "
+            "or a NearestNeighborQuery"
+        )
+    if fingerprint is None:
+        fingerprint = query_fingerprint(query)
+    draw_token = resolve_draw_token(config, fingerprint, query_seq)
     if isinstance(query, NearestNeighborQuery):
         return QueryPlan(
             query=query,
             query_seq=query_seq,
             target="nearest",
-            draw_token=resolve_draw_token(config, query, query_seq),
+            draw_token=draw_token,
             pruner=None,
             window=None,
             use_pti=False,
             prefer_columnar=False,
             samples=resolved_nn_samples(query),
-            cache_key=query_cache_key(query),
-        )
-    if not isinstance(query, RangeQuery):
-        raise InvalidArgumentError(
-            f"cannot plan {type(query).__name__!r}; expected a RangeQuery "
-            "or a NearestNeighborQuery"
         )
     issuer, spec, threshold = query.issuer, query.spec, query.threshold
     build = point_pruner if query.target == "points" else uncertain_pruner
-    # The target is part of the key: CIPQPruner and CIUQPruner answer the
-    # same (issuer, spec, threshold) with different machinery, so a shared
-    # cache dict must never alias them across targets.
-    cache_key = (id(issuer), spec, threshold, query.target)
-    pruner = None
-    if pruner_cache is not None:
-        pruner = pruner_cache.get(cache_key)
+    # The fingerprint holds the target, so a shared dict never aliases a
+    # CIPQPruner and a CIUQPruner built for the same issuer and shape.
+    key = fingerprint if pruner_cache is not None else None
+    pruner = pruner_cache.get(key) if key is not None else None
     if pruner is None:
         pruner = build(config, issuer, spec, threshold)
-        if pruner_cache is not None:
-            pruner_cache[cache_key] = pruner
+        if key is not None:
+            pruner_cache[key] = pruner
     if query.target == "points":
         window = pruner.filter_region
         use_pti = False
@@ -355,11 +353,10 @@ def plan_query(
         query=query,
         query_seq=query_seq,
         target=query.target,
-        draw_token=resolve_draw_token(config, query, query_seq),
+        draw_token=draw_token,
         pruner=pruner,
         window=window,
         use_pti=use_pti,
         prefer_columnar=prefer_columnar,
         samples=None,
-        cache_key=query_cache_key(query),
     )

@@ -63,39 +63,6 @@ class RangeQuerySpec:
         return (2.0 * self.half_width) * (2.0 * self.half_height)
 
 
-@dataclass(frozen=True)
-class ImpreciseRangeQuery:
-    """A fully specified imprecise location-dependent range query.
-
-    ``threshold == 0`` corresponds to the unconstrained IPQ / IUQ of
-    Definitions 3–4 (return every object with non-zero probability);
-    a positive threshold yields the constrained C-IPQ / C-IUQ of
-    Definitions 5–6.
-    """
-
-    issuer: UncertainObject
-    spec: RangeQuerySpec
-    threshold: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.threshold <= 1.0:
-            raise InvalidQueryError(f"threshold must lie in [0, 1], got {self.threshold}")
-
-    @property
-    def issuer_region(self) -> Rect:
-        """The issuer's uncertainty region ``U0``."""
-        return self.issuer.region
-
-    @property
-    def is_constrained(self) -> bool:
-        """True when a positive probability threshold applies."""
-        return self.threshold > 0.0
-
-    def range_at(self, center: Point) -> Rect:
-        """Range rectangle for a hypothetical issuer position ``center``."""
-        return self.spec.region_at(center)
-
-
 @dataclass(frozen=True, slots=True)
 class QueryAnswer:
     """One tuple of a query result: an object identity and its qualification probability."""
@@ -226,18 +193,6 @@ class RangeQuery(Query):
     ) -> "RangeQuery":
         """Constrained imprecise range query over uncertain objects (Definition 6)."""
         return cls(issuer=issuer, spec=spec, threshold=threshold, target="uncertain")
-
-    @classmethod
-    def from_legacy(
-        cls, query: "ImpreciseRangeQuery", target: RangeQueryTarget
-    ) -> "RangeQuery":
-        """Adapt a legacy :class:`ImpreciseRangeQuery` plus target kind."""
-        return cls(
-            issuer=query.issuer,
-            spec=query.spec,
-            threshold=query.threshold,
-            target=target,
-        )
 
     # -- properties -------------------------------------------------------- #
     @property

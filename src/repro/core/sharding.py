@@ -125,12 +125,12 @@ class ShardedDatabase(MutationObservable):
     #: Lazy oid → position map into the global ``objects`` list.
     _oid_global: dict[int, int] | None = field(default=None, init=False, repr=False, compare=False)
     #: Per-shard :class:`~repro.core.pipeline.QueryPipeline` instances,
-    #: keyed by ``(shard id, configuration identity)`` so several engines
+    #: keyed by ``(shard id, configuration fingerprint)`` so several engines
     #: sharing this database (e.g. a session and its ``cached()``
     #: descendant) keep their pipelines — and the samplers those pipelines
     #: cache — warm side by side; an entry is rebuilt when the shard's
     #: database instance was replaced wholesale.
-    _pipelines: dict[tuple[int, int], tuple] = field(
+    _pipelines: dict[tuple[int, tuple], tuple] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -343,17 +343,19 @@ class ShardedDatabase(MutationObservable):
         was replaced wholesale (a re-split, or a shard emptying out);
         in-place mutations keep the pipeline, relying on the database epoch
         to refresh snapshots and samplers.  Pipelines are cached per
-        configuration identity, so engines sharing this database under
-        different configurations do not evict each other.
+        configuration content (:meth:`EngineConfig.fingerprint`, which
+        leaves out only the result cache a shard pipeline never uses), so
+        engines sharing this database under different configurations do
+        not evict each other and equal configurations share one pipeline.
         """
         shard = self.shards[sid]
         if shard.database is None:
             raise ConfigurationError(f"shard {sid} is empty and has no pipeline")
-        key = (sid, id(config))
+        key = (sid, config.fingerprint())
         cached = self._pipelines.get(key)
         if cached is not None:
-            cached_db, cached_config, pipeline = cached
-            if cached_db is shard.database and cached_config is config:
+            cached_db, _, pipeline = cached
+            if cached_db is shard.database:
                 return pipeline
         # Shed entries pinning this shard's replaced database (a re-split or
         # an emptied shard leaves them unreachable forever otherwise), then

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.core.queries import ImpreciseRangeQuery, RangeQuerySpec
+from repro.core.queries import RangeQuery, RangeQuerySpec
 from repro.datasets.tiger import DATA_SPACE
 from repro.uncertainty.catalog import DEFAULT_CATALOG_LEVELS, UCatalog
 from repro.uncertainty.pdf import TruncatedGaussianPdf, UniformPdf
@@ -89,11 +89,15 @@ class QueryWorkload:
         for oid, (x, y) in enumerate(zip(xs, ys)):
             yield self.make_issuer(Point(float(x), float(y)), oid=oid)
 
-    def queries(self, count: int) -> Iterator[ImpreciseRangeQuery]:
-        """Yield ``count`` fully specified imprecise range queries."""
+    def queries(self, count: int) -> Iterator[RangeQuery]:
+        """Yield ``count`` fully specified (C-)IPQs over point objects.
+
+        ``dataclasses.replace(query, target="uncertain")`` gives the
+        (C-)IUQ over the same issuer.
+        """
         spec = self.spec
         for issuer in self.issuers(count):
-            yield ImpreciseRangeQuery(issuer=issuer, spec=spec, threshold=self.threshold)
+            yield RangeQuery(issuer=issuer, spec=spec, threshold=self.threshold)
 
     def with_parameters(self, **kwargs) -> "QueryWorkload":
         """Return a copy with some parameters replaced (for sweeps)."""

@@ -17,7 +17,7 @@ from repro.core.engine import (
     PointDatabase,
     UncertainDatabase,
 )
-from repro.core.queries import ImpreciseRangeQuery
+from repro.core.queries import RangeQuery
 from repro.datasets.tiger import california_points, long_beach_uncertain_objects
 from repro.datasets.workload import QueryWorkload
 from repro.experiments.config import ExperimentConfig
@@ -96,8 +96,7 @@ def figure_08(config: ExperimentConfig | None = None) -> FigureResult:
         result.add_point("enhanced", SeriesPoint.from_aggregate(u, enhanced))
 
         def run_basic(issuer):
-            query = ImpreciseRangeQuery(issuer=issuer, spec=spec)
-            return basic.evaluate_iuq(query, database.objects)
+            return basic.evaluate_iuq(RangeQuery.iuq(issuer, spec), database.objects)
 
         basic_aggregate = run_query_batch(workload, config.queries_per_point, run_basic)
         result.add_point("basic", SeriesPoint.from_aggregate(u, basic_aggregate))

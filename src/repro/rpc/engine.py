@@ -31,10 +31,9 @@ from typing import Hashable, TYPE_CHECKING
 from repro.core.engine import EngineConfig
 from repro.core.errors import ConfigurationError
 from repro.core.parallel import NNPartial, ParallelEngine, RangePartial
-from repro.core.plan import PlanToken, query_cache_key
+from repro.core.plan import PlanToken
 from repro.core.queries import (
     NearestNeighborQuery,
-    Query,
     QueryAnswer,
     QueryResult,
     RangeQuery,
@@ -211,7 +210,7 @@ class RemoteEngine(ParallelEngine):
     # ------------------------------------------------------------------ #
     # Cache stage
     # ------------------------------------------------------------------ #
-    def _cache_key(self, query: Query, kind: str, shards: list[Shard]) -> Hashable:
+    def _cache_key(self, fingerprint: str, kind: str, shards: list[Shard]) -> Hashable:
         """The distributed cache key: structure + routed epoch *vector pairs*.
 
         Each routed shard contributes its local ``(uid, epoch)`` *and* the
@@ -241,7 +240,7 @@ class RemoteEngine(ParallelEngine):
                 for shard in shards
             ),
         )
-        return (scope, query_cache_key(query), self._config_fingerprint)
+        return (scope, fingerprint, self._config_fingerprint)
 
     # ------------------------------------------------------------------ #
     # Execution

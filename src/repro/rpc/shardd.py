@@ -46,7 +46,7 @@ from repro.core.engine import EngineConfig
 from repro.core.errors import EngineStateError, SchemaError
 from repro.core.nearest import nn_query_draws
 from repro.core.pipeline import DEFAULT_NN_SAMPLES, QueryPipeline
-from repro.core.plan import PlanToken, resolve_draw_token
+from repro.core.plan import PlanToken, query_fingerprint, resolve_draw_token
 from repro.core.statistics import StatsPack
 from repro.core.updates import UpdateOp
 from repro.core.wire import require
@@ -97,7 +97,7 @@ def execute_token_items(
     for position, seq, token in nn_items:
         query = token.to_query()
         samples = token.samples if token.samples is not None else DEFAULT_NN_SAMPLES
-        draw_token = resolve_draw_token(config, query, seq)
+        draw_token = resolve_draw_token(config, query_fingerprint(query), seq)
         draws = nn_query_draws(query.issuer.pdf, samples, config.rng_seed, draw_token)
         nn_engine = pipeline.nearest_engine(samples)
         oids, distances, stats = nn_engine.per_draw_winners(draws)

@@ -12,6 +12,7 @@
 | RPL008 | exceptions      | no silently-swallowed broad excepts                   |
 | RPL009 | statistics      | merged ``EvaluationStatistics`` are copied, not aliased |
 | RPL010 | rpc             | no pickle on the RPC shard-protocol hot path          |
+| RPL011 | identity        | no ``id()`` keys in ``repro/core/`` or ``repro/rpc/`` |
 
 ``RPL000`` is the engine itself (unused suppressions, parse failures).
 """
@@ -19,6 +20,7 @@
 from repro.tools.lint.rules import (  # noqa: F401  (import = register)
     caching,
     exceptions,
+    identity,
     observability,
     raises,
     randomness,

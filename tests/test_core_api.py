@@ -22,7 +22,6 @@ from repro.core.engine import (
 from repro.core.nearest import ImpreciseNearestNeighborEngine
 from repro.core.queries import (
     Evaluation,
-    ImpreciseRangeQuery,
     NearestNeighborQuery,
     RangeQuery,
 )
@@ -48,14 +47,6 @@ class TestRangeQueryModel:
     def test_invalid_target_rejected(self, uniform_issuer, default_spec):
         with pytest.raises(ValueError, match="unknown range-query target"):
             RangeQuery(issuer=uniform_issuer, spec=default_spec, target="everything")
-
-    def test_from_legacy_round_trip(self, uniform_issuer, default_spec):
-        legacy = ImpreciseRangeQuery(issuer=uniform_issuer, spec=default_spec, threshold=0.3)
-        query = RangeQuery.from_legacy(legacy, "uncertain")
-        assert query.issuer is legacy.issuer
-        assert query.spec == legacy.spec
-        assert query.threshold == legacy.threshold
-        assert query.target == "uncertain"
 
     def test_nearest_neighbor_query_validation(self, uniform_issuer):
         with pytest.raises(ValueError):
@@ -268,16 +259,9 @@ class TestLegacyShimsRemoved:
         self, point_db, uniform_issuer, default_spec
     ):
         engine = ImpreciseQueryEngine(point_db=point_db)
-        legacy_query = ImpreciseRangeQuery(issuer=uniform_issuer, spec=default_spec)
-        with pytest.raises(TypeError, match="from_legacy"):
-            engine.evaluate(legacy_query)
-
-    def test_from_legacy_still_adapts(self, point_db, uniform_issuer, default_spec):
-        engine = ImpreciseQueryEngine(point_db=point_db)
-        legacy_query = ImpreciseRangeQuery(issuer=uniform_issuer, spec=default_spec)
-        adapted = engine.evaluate(RangeQuery.from_legacy(legacy_query, "points"))
-        unified = engine.evaluate(RangeQuery.ipq(uniform_issuer, default_spec))
-        assert adapted.probabilities() == unified.probabilities()
+        not_a_query = {"issuer": uniform_issuer, "spec": default_spec}
+        with pytest.raises(TypeError, match="RangeQuery or a NearestNeighborQuery"):
+            engine.evaluate(not_a_query)
 
 
 class TestEngineConfigValidation:

@@ -6,7 +6,7 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.core.basic import BasicEvaluator, basic_ipq_probability, basic_iuq_probability
 from repro.core.duality import ipq_probability, iuq_probability_exact_uniform
-from repro.core.queries import ImpreciseRangeQuery, RangeQuerySpec
+from repro.core.queries import RangeQuery, RangeQuerySpec
 from repro.uncertainty.pdf import TruncatedGaussianPdf, UniformPdf
 from repro.uncertainty.region import PointObject, UncertainObject
 
@@ -66,7 +66,7 @@ class TestBasicEvaluator:
             PointObject.at(2, 900.0, 250.0),     # sometimes inside
             PointObject.at(3, 5_000.0, 5_000.0), # never inside
         ]
-        query = ImpreciseRangeQuery(issuer=self._issuer(), spec=SPEC)
+        query = RangeQuery(issuer=self._issuer(), spec=SPEC)
         result, stats = BasicEvaluator(issuer_samples=400).evaluate_ipq(query, objects)
         probabilities = result.probabilities()
         assert probabilities[1] == pytest.approx(1.0)
@@ -80,14 +80,14 @@ class TestBasicEvaluator:
             UncertainObject.uniform(1, Rect(200.0, 200.0, 300.0, 300.0)),
             UncertainObject.uniform(2, Rect(7_000.0, 7_000.0, 7_100.0, 7_100.0)),
         ]
-        query = ImpreciseRangeQuery(issuer=self._issuer(), spec=SPEC)
+        query = RangeQuery(issuer=self._issuer(), spec=SPEC)
         result, stats = BasicEvaluator(issuer_samples=400).evaluate_iuq(query, objects)
         assert result.oids() == {1}
         assert stats.candidates_examined == 1  # object 2 filtered by expansion
 
     def test_threshold_respected(self):
         objects = [PointObject.at(1, 900.0, 250.0)]  # partial probability
-        query = ImpreciseRangeQuery(issuer=self._issuer(), spec=SPEC, threshold=0.99)
+        query = RangeQuery(issuer=self._issuer(), spec=SPEC, threshold=0.99)
         result, _ = BasicEvaluator(issuer_samples=400).evaluate_ipq(query, objects)
         assert len(result) == 0
 
@@ -96,7 +96,7 @@ class TestBasicEvaluator:
             PointObject.at(1, 250.0, 250.0),
             PointObject.at(2, 9_000.0, 9_000.0),
         ]
-        query = ImpreciseRangeQuery(issuer=self._issuer(), spec=SPEC)
+        query = RangeQuery(issuer=self._issuer(), spec=SPEC)
         evaluator = BasicEvaluator(issuer_samples=100, use_expansion_filter=False)
         _, stats = evaluator.evaluate_ipq(query, objects)
         assert stats.candidates_examined == 2

@@ -1,7 +1,7 @@
 """Tests for the epoch-keyed result cache and its engine integration.
 
-Covers the cache data structure itself (LRU bounds, counters, issuer
-pinning), the ``EngineConfig`` validation of the new cache knobs, serving
+Covers the cache data structure itself (LRU bounds, counters, entry
+isolation), the ``EngineConfig`` validation of the new cache knobs, serving
 behaviour in the serial engine, the per-shard fine-grained invalidation of
 sharded sessions, and the ``Session.cached()`` / ``Session.stats()``
 surface.
@@ -44,56 +44,43 @@ class TestResultCacheUnit:
 
     def test_lru_eviction_and_counters(self):
         cache = ResultCache(capacity=2)
-        issuer = _issuer()
         result = QueryResult()
         result.add(7, 0.5)
-        cache.store("a", issuer, result, EvaluationStatistics())
-        cache.store("b", issuer, result, EvaluationStatistics())
-        assert cache.lookup("a", issuer) is not None  # refreshes "a"
-        cache.store("c", issuer, result, EvaluationStatistics())  # evicts "b"
-        assert cache.lookup("b", issuer) is None
-        assert cache.lookup("a", issuer) is not None
-        assert cache.lookup("c", issuer) is not None
+        cache.store("a", None, result, EvaluationStatistics())
+        cache.store("b", None, result, EvaluationStatistics())
+        assert cache.lookup("a") is not None  # refreshes "a"
+        cache.store("c", None, result, EvaluationStatistics())  # evicts "b"
+        assert cache.lookup("b") is None
+        assert cache.lookup("a") is not None
+        assert cache.lookup("c") is not None
         assert cache.stats.evictions == 1
         assert cache.stats.hits == 3
         assert cache.stats.misses == 1
         assert len(cache) == 2
         assert 0.0 < cache.stats.hit_rate < 1.0
 
-    def test_issuer_identity_pinned(self):
-        cache = ResultCache(capacity=4)
-        issuer = _issuer()
-        impostor = _issuer()  # equal content, different object
-        result = QueryResult()
-        cache.store("k", issuer, result, EvaluationStatistics())
-        assert cache.lookup("k", impostor) is None
-        # The colliding entry is dropped, so the original is gone too.
-        assert cache.lookup("k", issuer) is None
-
     def test_materialise_returns_independent_copies(self):
         cache = ResultCache(capacity=4)
-        issuer = _issuer()
         result = QueryResult()
         result.add(1, 0.9)
         stats = EvaluationStatistics(results_returned=1)
         stats.record_pruned("filter", 3)
-        cache.store("k", issuer, result, stats)
+        cache.store("k", None, result, stats)
         result.add(2, 0.1)  # caller mutates after the fill
         stats.record_pruned("filter", 5)
-        first, first_stats = cache.lookup("k", issuer).materialise()
+        first, first_stats = cache.lookup("k").materialise()
         assert [answer.oid for answer in first] == [1]
         assert first_stats.pruned == {"filter": 3}
         first.add(3, 0.2)  # hit consumer mutates its copy
         first_stats.record_pruned("filter", 100)
-        second, second_stats = cache.lookup("k", issuer).materialise()
+        second, second_stats = cache.lookup("k").materialise()
         assert [answer.oid for answer in second] == [1]
         assert second_stats.pruned == {"filter": 3}
 
     def test_clear_drops_entries_keeps_counters(self):
         cache = ResultCache(capacity=4)
-        issuer = _issuer()
-        cache.store("k", issuer, QueryResult(), EvaluationStatistics())
-        cache.lookup("k", issuer)
+        cache.store("k", None, QueryResult(), EvaluationStatistics())
+        cache.lookup("k")
         cache.clear()
         assert len(cache) == 0
         assert cache.stats.hits == 1
@@ -208,14 +195,13 @@ class TestSerialEngineCaching:
     def test_nn_default_samples_spellings_share_one_identity(self, small_points):
         """``samples=None`` and an explicit default are the *same* request.
 
-        Regression test: the content fingerprint (hence the draw token) and
-        the cache key must both resolve the default, or the two spellings
-        would share a cache entry while drawing different samples — and a
-        hit would no longer be bitwise-identical to recomputing.
+        The content fingerprint, which both the draw token and the cache key
+        derive from, resolves the default: the two spellings share one entry
+        and one set of draws, so a hit stays bitwise-identical to
+        recomputing.
         """
         from repro.core.plan import (
             DEFAULT_NN_SAMPLES,
-            query_cache_key,
             query_draw_token,
             query_fingerprint,
         )
@@ -224,8 +210,9 @@ class TestSerialEngineCaching:
         implicit = NearestNeighborQuery(issuer=issuer)
         explicit = NearestNeighborQuery(issuer=issuer, samples=DEFAULT_NN_SAMPLES)
         assert query_fingerprint(implicit) == query_fingerprint(explicit)
-        assert query_draw_token(implicit) == query_draw_token(explicit)
-        assert query_cache_key(implicit) == query_cache_key(explicit)
+        assert query_draw_token(query_fingerprint(implicit)) == query_draw_token(
+            query_fingerprint(explicit)
+        )
         # End to end: serving either spelling from an entry filled by the
         # other equals uncached evaluation.
         config = EngineConfig(draw_plan="query_keyed", cache=ResultCache(capacity=8))
@@ -241,6 +228,27 @@ class TestSerialEngineCaching:
         assert config.cache.stats.hits == 1
         expected = plain_engine.evaluate(explicit)
         assert served.probabilities() == expected.probabilities()
+
+    def test_pdf_without_wire_form_is_never_cached(self, small_points, default_spec):
+        """No content identity, so neither stored nor served — never an id() key."""
+        from repro.uncertainty.pdf import UncertaintyPdf
+
+        class NoWirePdf(TruncatedGaussianPdf):
+            to_dict = UncertaintyPdf.to_dict
+
+        region = _issuer().region
+        query = RangeQuery.ipq(UncertainObject(oid=3, pdf=NoWirePdf(region)), default_spec)
+        config = EngineConfig(draw_plan="query_keyed", cache=ResultCache(capacity=8))
+        engine = ImpreciseQueryEngine(point_db=PointDatabase.build(small_points), config=config)
+        plain = ImpreciseQueryEngine(
+            point_db=PointDatabase.build(small_points),
+            config=EngineConfig(draw_plan="query_keyed"),
+        )
+        served = engine.evaluate_many([query, query])
+        assert len(config.cache) == 0
+        assert config.cache.stats.lookups == 0
+        expected = plain.evaluate_many([query, query])
+        assert [e.probabilities() for e in served] == [e.probabilities() for e in expected]
 
     def test_cache_hit_skips_plan_compilation(self, small_points, default_spec):
         """A hit must not rebuild the pruner's expanded regions."""

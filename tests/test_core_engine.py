@@ -12,7 +12,6 @@ from repro.core.engine import (
 )
 from repro.core.pruning import PruningStrategy
 from repro.core.queries import (
-    ImpreciseRangeQuery,
     NearestNeighborQuery,
     RangeQuery,
     RangeQuerySpec,
@@ -245,19 +244,11 @@ class TestMonteCarloEngine:
 
 
 class TestEvaluateDispatch:
-    def test_legacy_query_adapts_through_from_legacy(
-        self, point_db, uniform_issuer, default_spec
-    ):
-        engine = ImpreciseQueryEngine(point_db=point_db)
-        legacy = ImpreciseRangeQuery(issuer=uniform_issuer, spec=default_spec, threshold=0.4)
-        result, _ = engine.evaluate(RangeQuery.from_legacy(legacy, "points")).as_tuple()
-        assert all(answer.probability >= 0.4 for answer in result)
-
     def test_legacy_query_objects_rejected(self, point_db, uniform_issuer, default_spec):
         engine = ImpreciseQueryEngine(point_db=point_db)
-        legacy = ImpreciseRangeQuery(issuer=uniform_issuer, spec=default_spec)
-        with pytest.raises(TypeError, match="from_legacy"):
-            engine.evaluate(legacy)
+        not_a_query = (uniform_issuer, default_spec)
+        with pytest.raises(TypeError, match="expected a RangeQuery"):
+            engine.evaluate(not_a_query)
 
 
 class TestWorkloadIntegration:

@@ -22,7 +22,7 @@ from repro.core.sharding import ShardedDatabase
 from repro.core.updates import UpdateBatch
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.uncertainty.pdf import UniformPdf
+from repro.uncertainty.pdf import TruncatedGaussianPdf, UncertaintyPdf, UniformPdf
 from repro.uncertainty.region import PointObject, UncertainObject
 
 
@@ -88,29 +88,63 @@ class TestQueryPlan:
         assert uncertain_plan.window == uncertain_plan.pruner.qp_expanded_region
 
 
+def _token(query):
+    return query_draw_token(query_fingerprint(query))
+
+
 class TestDrawTokens:
     def test_token_per_plan(self, default_spec):
-        query = RangeQuery.ipq(_issuer(), default_spec)
-        assert resolve_draw_token(EngineConfig(), query, 9) is None
-        assert resolve_draw_token(EngineConfig(draw_plan="per_oid"), query, 9) == 9
-        keyed = resolve_draw_token(EngineConfig(draw_plan="query_keyed"), query, 9)
-        assert keyed == query_draw_token(query)
+        fingerprint = query_fingerprint(RangeQuery.ipq(_issuer(), default_spec))
+        assert resolve_draw_token(EngineConfig(), fingerprint, 9) is None
+        assert resolve_draw_token(EngineConfig(draw_plan="per_oid"), fingerprint, 9) == 9
+        keyed = resolve_draw_token(EngineConfig(draw_plan="query_keyed"), fingerprint, 9)
+        assert keyed == query_draw_token(fingerprint)
 
     def test_content_token_position_independent(self, default_spec):
         issuer = _issuer()
         same_a = RangeQuery.cipq(issuer, default_spec, 0.3)
-        same_b = RangeQuery.cipq(issuer, default_spec, 0.3)
+        same_b = RangeQuery.cipq(_issuer(), default_spec, 0.3)  # equal, not identical
         other = RangeQuery.cipq(issuer, default_spec, 0.4)
         assert query_fingerprint(same_a) == query_fingerprint(same_b)
-        assert query_draw_token(same_a) == query_draw_token(same_b)
-        assert query_draw_token(same_a) != query_draw_token(other)
-        assert 0 <= query_draw_token(same_a) < 2**63
+        assert _token(same_a) == _token(same_b)
+        assert _token(same_a) != _token(other)
+        assert 0 <= _token(same_a) < 2**63
 
     def test_nn_and_range_tokens_distinct(self):
         issuer = _issuer()
         nn = NearestNeighborQuery(issuer=issuer, threshold=0.0)
         rq = RangeQuery.ipq(issuer, RangeQuerySpec.square(500.0))
-        assert query_draw_token(nn) != query_draw_token(rq)
+        assert _token(nn) != _token(rq)
+
+    def test_issuer_pdf_is_part_of_the_identity(self, default_spec):
+        """A uniform and a Gaussian issuer over one box are two queries."""
+        region = _issuer().region
+        uniform = UncertainObject(oid=0, pdf=UniformPdf(region))
+        gaussian = UncertainObject(oid=0, pdf=TruncatedGaussianPdf(region))
+        a = RangeQuery.cipq(uniform, default_spec, 0.3)
+        b = RangeQuery.cipq(gaussian, default_spec, 0.3)
+        assert query_fingerprint(a) != query_fingerprint(b)
+        assert _token(a) != _token(b)
+
+    def test_catalog_levels_are_part_of_the_identity(self, default_spec):
+        """Catalog levels change the C-IUQ pruner's window, hence the statistics."""
+        issuer = UncertainObject(oid=0, pdf=UniformPdf(_issuer().region))
+        a = RangeQuery.ciuq(issuer.with_catalog(), default_spec, 0.3)
+        b = RangeQuery.ciuq(issuer.with_catalog((0.0, 0.25, 0.5)), default_spec, 0.3)
+        assert query_fingerprint(a) != query_fingerprint(b)
+        assert _token(a) != _token(b)
+
+    def test_pdf_without_wire_form_has_no_identity(self, default_spec):
+        """No fingerprint, and under query_keyed the draws fall back to position."""
+
+        class NoWirePdf(UniformPdf):
+            to_dict = UncertaintyPdf.to_dict
+
+        issuer = UncertainObject(oid=0, pdf=NoWirePdf(_issuer().region))
+        query = RangeQuery.ipq(issuer, default_spec)
+        assert query_fingerprint(query) is None
+        plan = plan_query(query, 7, EngineConfig(draw_plan="query_keyed"), pruner_cache={})
+        assert plan.draw_token == 7
 
 
 class TestPartitionWorkload:
@@ -187,6 +221,15 @@ class TestSharedStageRunner:
         # Alternating configurations must not evict each other's pipeline.
         assert database.shard_pipeline(sid, config_a) is a
         assert database.shard_pipeline(sid, config_b) is b
+
+    def test_equal_configs_share_one_shard_pipeline(self, small_points):
+        """Shard pipelines are keyed by configuration content, not object identity."""
+        database = ShardedDatabase.build_points(small_points, 2, partitioner="median")
+        sid = database.non_empty_shards()[0].sid
+        first = EngineConfig(draw_plan="query_keyed", monte_carlo_samples=64)
+        second = EngineConfig(draw_plan="query_keyed", monte_carlo_samples=64)
+        assert first is not second
+        assert database.shard_pipeline(sid, first) is database.shard_pipeline(sid, second)
 
     def test_shard_pipeline_cache_bounded_and_sheds_replaced_databases(
         self, small_points

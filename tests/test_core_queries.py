@@ -4,7 +4,7 @@ import pytest
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.core.queries import ImpreciseRangeQuery, QueryAnswer, QueryResult, RangeQuerySpec
+from repro.core.queries import QueryAnswer, QueryResult, RangeQuery, RangeQuerySpec
 from repro.uncertainty.region import UncertainObject
 
 
@@ -26,29 +26,29 @@ class TestRangeQuerySpec:
         assert RangeQuerySpec(10.0, 20.0).area == 800.0
 
 
-class TestImpreciseRangeQuery:
+class TestRangeQuery:
     def _issuer(self) -> UncertainObject:
         return UncertainObject.uniform(0, Rect(0.0, 0.0, 100.0, 100.0))
 
     def test_defaults_to_unconstrained(self):
-        query = ImpreciseRangeQuery(issuer=self._issuer(), spec=RangeQuerySpec.square(50.0))
+        query = RangeQuery(issuer=self._issuer(), spec=RangeQuerySpec.square(50.0))
         assert query.threshold == 0.0
         assert not query.is_constrained
 
     def test_constrained_flag(self):
-        query = ImpreciseRangeQuery(
+        query = RangeQuery(
             issuer=self._issuer(), spec=RangeQuerySpec.square(50.0), threshold=0.3
         )
         assert query.is_constrained
 
     def test_invalid_threshold_rejected(self):
         with pytest.raises(ValueError):
-            ImpreciseRangeQuery(
+            RangeQuery(
                 issuer=self._issuer(), spec=RangeQuerySpec.square(50.0), threshold=1.5
             )
 
     def test_issuer_region_and_range_at(self):
-        query = ImpreciseRangeQuery(issuer=self._issuer(), spec=RangeQuerySpec.square(10.0))
+        query = RangeQuery(issuer=self._issuer(), spec=RangeQuerySpec.square(10.0))
         assert query.issuer_region == Rect(0.0, 0.0, 100.0, 100.0)
         assert query.range_at(Point(50.0, 50.0)) == Rect(40.0, 40.0, 60.0, 60.0)
 

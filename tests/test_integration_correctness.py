@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.basic import BasicEvaluator
 from repro.core.engine import EngineConfig, ImpreciseQueryEngine, PointDatabase, UncertainDatabase
-from repro.core.queries import ImpreciseRangeQuery, RangeQuery
+from repro.core.queries import RangeQuery
 from repro.datasets.synthetic import clustered_points, clustered_rectangles
 from repro.datasets.workload import QueryWorkload
 from repro.geometry.rect import Rect
@@ -46,7 +46,7 @@ class TestEnhancedMatchesBasic:
         basic = BasicEvaluator(issuer_samples=2_500)
         for issuer in workload.issuers(3):
             enhanced, _ = engine.evaluate(RangeQuery.ipq(issuer, workload.spec)).as_tuple()
-            query = ImpreciseRangeQuery(issuer=issuer, spec=workload.spec)
+            query = RangeQuery(issuer=issuer, spec=workload.spec)
             baseline, _ = basic.evaluate_ipq(query, points)
             enhanced_probs = enhanced.probabilities()
             baseline_probs = baseline.probabilities()
@@ -63,7 +63,7 @@ class TestEnhancedMatchesBasic:
         basic = BasicEvaluator(issuer_samples=2_500)
         for issuer in workload.issuers(3):
             enhanced, _ = engine.evaluate(RangeQuery.iuq(issuer, workload.spec)).as_tuple()
-            query = ImpreciseRangeQuery(issuer=issuer, spec=workload.spec)
+            query = RangeQuery(issuer=issuer, spec=workload.spec)
             baseline, _ = basic.evaluate_iuq(query, uncertain)
             enhanced_probs = enhanced.probabilities()
             for oid, probability in baseline.probabilities().items():

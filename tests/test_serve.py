@@ -134,6 +134,32 @@ class TestCoalescedParity:
         asyncio.run(scenario())
 
 
+class TestServedCaching:
+    def test_repeated_query_over_tcp_hits_the_cache(self):
+        """Each request decodes a fresh query; equal content still hits."""
+
+        async def scenario():
+            server = QueryServer(make_session().cached(capacity=64), window=0.0)
+            tcp, port = await start_tcp(server)
+            query = range_query(5, threshold=0.2)
+            try:
+                async with await ServeClient.connect("127.0.0.1", port) as client:
+                    first = await client.query(query)
+                    second = await client.query(query)
+                    remote = await client.stats()
+            finally:
+                tcp.close()
+                await tcp.wait_closed()
+                await server.stop()
+            assert remote["stats"]["cache"]["hits"] == 1
+            assert remote["stats"]["cache"]["entries"] == 1
+            assert [(a.oid, a.probability) for a in second] == [
+                (a.oid, a.probability) for a in first
+            ]
+
+        asyncio.run(scenario())
+
+
 class TestUpdates:
     def test_updates_observed_in_submission_order(self):
         async def scenario():

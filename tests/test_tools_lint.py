@@ -103,6 +103,20 @@ def test_replay_rule_covers_the_sharded_merge():
     assert [(d.rule, d.line) for d in diagnostics] == [("RPL006", 4)]
 
 
+def test_identity_rule_flags_an_issuer_id_key_in_the_planner():
+    """A deliberate ``id(query.issuer)`` in ``core/plan.py`` is caught."""
+    source = (REPO_ROOT / "src" / "repro" / "core" / "plan.py").read_text(encoding="utf-8")
+    lines = source.splitlines()
+    lines.append("def legacy_key(query):")
+    lines.append("    return (id(query.issuer), query.spec)")
+    diagnostics = lint_source(
+        "\n".join(lines) + "\n", "repro/core/plan.py", [get_rule("RPL011")]
+    )
+    assert [(d.rule, d.line) for d in diagnostics] == [("RPL011", len(lines))]
+    # Outside repro/core/ and repro/rpc/ the rule does not apply.
+    assert lint_source("key = id(object())\n", "repro/index/x.py", [get_rule("RPL011")]) == []
+
+
 def test_retired_rule_id_is_not_registered():
     assert "RPL003" not in RULE_IDS
 

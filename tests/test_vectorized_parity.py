@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.basic import BasicEvaluator
 from repro.core.engine import EngineConfig, ImpreciseQueryEngine, UncertainDatabase
-from repro.core.queries import ImpreciseRangeQuery, RangeQuery, RangeQuerySpec
+from repro.core.queries import RangeQuery, RangeQuerySpec
 from repro.datasets.workload import QueryWorkload
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -198,7 +198,7 @@ class TestBasicEvaluatorParity:
 
     @pytest.mark.parametrize("pdf", ["uniform", "gaussian"])
     def test_basic_ipq_parity(self, small_points, pdf):
-        query = ImpreciseRangeQuery(
+        query = RangeQuery(
             issuer=self._issuer(pdf), spec=RangeQuerySpec.square(500.0)
         )
         scalar, _ = BasicEvaluator(issuer_samples=100, vectorized=False).evaluate_ipq(
@@ -215,7 +215,7 @@ class TestBasicEvaluatorParity:
 
     @pytest.mark.parametrize("pdf", ["uniform", "gaussian"])
     def test_basic_iuq_parity(self, small_uncertain, pdf):
-        query = ImpreciseRangeQuery(
+        query = RangeQuery(
             issuer=self._issuer(pdf), spec=RangeQuerySpec.square(500.0)
         )
         scalar, _ = BasicEvaluator(issuer_samples=100, vectorized=False).evaluate_iuq(
@@ -231,7 +231,7 @@ class TestBasicEvaluatorParity:
             assert probability == pytest.approx(scalar_probs[oid], abs=1e-9)
 
     def test_basic_empty_object_list(self):
-        query = ImpreciseRangeQuery(issuer=self._issuer(), spec=RangeQuerySpec.square(500.0))
+        query = RangeQuery(issuer=self._issuer(), spec=RangeQuerySpec.square(500.0))
         for vectorized in (False, True):
             evaluator = BasicEvaluator(issuer_samples=64, vectorized=vectorized)
             result, stats = evaluator.evaluate_ipq(query, [])
