@@ -19,6 +19,14 @@ closed-form:
 For other pdfs a "semi-analytic" path (closed-form ``Q`` from the issuer,
 sampled expectation over the object) and a fully sampled Monte-Carlo path
 (used by the paper's Gaussian experiments, Figure 13) are provided.
+
+The sampled kernels come in two draw plans.  The streaming plan consumes one
+batched draw from the engine's advancing generator.  The keyed plans
+(``per_oid`` / ``query_keyed``, which every sharded, distributed, served,
+cached and continuous path runs) hold no generator at all: candidate
+``oid``'s draws are the counter function ``u(seed, token, oid, j)`` of
+:mod:`repro.core.draws`, turned into positions by each pdf's inverse-CDF
+``from_uniforms`` and tested in chunked ``(candidates, samples)`` blocks.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ import numpy as np
 from repro.geometry.interval import Interval
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.core.draws import row_keys, uniform_blocks
 from repro.core.queries import RangeQuerySpec
 from repro.uncertainty.pdf import UncertaintyPdf, UniformPdf
 from repro.uncertainty.region import UncertainObject
@@ -125,27 +134,8 @@ def ipq_probabilities_monte_carlo(
 
 
 # --------------------------------------------------------------------------- #
-# Per-oid draw plan (sharded / parallel execution)
+# Keyed draw plans (``per_oid`` / ``query_keyed``: every execution path)
 # --------------------------------------------------------------------------- #
-def per_oid_rng(rng_seed: int, query_seq: int, oid: int) -> np.random.Generator:
-    """Deterministic generator for one ``(query, object)`` pair.
-
-    The streaming draw plan (one batched draw consumed from a shared,
-    advancing generator) makes a survivor's draws depend on its position in
-    the candidate batch and on every query evaluated before it — which is
-    exactly what a sharded executor cannot reproduce, because each shard only
-    sees its own slice of the batch.  The per-oid plan instead derives an
-    independent generator from ``(engine seed, query sequence number, object
-    id)``, so a survivor's draws are identical no matter which shard — or how
-    many shards — evaluate it.  Object ids must be non-negative (a
-    ``SeedSequence`` entropy requirement); every dataset builder in this
-    repository numbers objects from zero.
-    """
-    return np.random.default_rng(
-        np.random.SeedSequence((int(rng_seed), int(query_seq), int(oid)))
-    )
-
-
 def ipq_probabilities_monte_carlo_per_oid(
     issuer_pdf: UncertaintyPdf,
     spec: RangeQuerySpec,
@@ -155,26 +145,29 @@ def ipq_probabilities_monte_carlo_per_oid(
     rng_seed: int,
     query_seq: int,
 ) -> np.ndarray:
-    """Monte-Carlo IPQ probabilities under the per-oid draw plan.
+    """Monte-Carlo IPQ probabilities under the keyed draw plans.
 
-    Each point object's issuer draws come from :func:`per_oid_rng`, so the
-    estimate for a given ``(query_seq, oid)`` pair is a pure function of the
-    engine seed — shard-parallel evaluation returns bitwise-identical
-    probabilities to a single-shard engine running the same plan.  Both
-    evaluation backends call this same function, so scalar/vectorized parity
-    is preserved by construction.
+    Object ``oid``'s ``n = samples`` issuer positions are
+    ``issuer_pdf.from_uniforms`` of the counter draws
+    ``u(rng_seed, query_seq, oid, j)`` (:mod:`repro.core.draws`): x from
+    columns ``[0, n)``, y from ``[n, 2n)``.  An estimate therefore depends
+    on nothing but its oid and the plan's token, so every execution path —
+    either backend, any shard count, any process — returns the same bits.
+    The containment test runs over blocks of at most
+    :data:`~repro.core.draws.CHUNK_ROWS` candidates.
     """
     if samples <= 0:
         raise InvalidQueryError(f"samples must be positive, got {samples}")
     locations = np.asarray(locations, dtype=float)
-    probabilities = np.empty(locations.shape[0], dtype=float)
-    for i, oid in enumerate(oids):
-        rng = per_oid_rng(rng_seed, query_seq, int(oid))
-        draws = issuer_pdf.sample_batch(rng, samples, 1)[0]
-        dx = np.abs(draws[:, 0] - locations[i, 0])
-        dy = np.abs(draws[:, 1] - locations[i, 1])
-        inside = (dx <= spec.half_width) & (dy <= spec.half_height)
-        probabilities[i] = float(np.count_nonzero(inside)) / samples
+    keys = row_keys(rng_seed, query_seq, oids)
+    probabilities = np.empty(len(keys), dtype=float)
+    for rows, u in uniform_blocks(keys, 2 * samples):
+        xs, ys = issuer_pdf.from_uniforms(u[:, :samples], u[:, samples:])
+        xs -= locations[rows, 0, None]
+        ys -= locations[rows, 1, None]
+        inside = np.abs(xs, out=xs) <= spec.half_width
+        inside &= np.abs(ys, out=ys) <= spec.half_height
+        probabilities[rows] = np.count_nonzero(inside, axis=1) / samples
     return probabilities
 
 
@@ -186,25 +179,29 @@ def iuq_probabilities_monte_carlo_per_oid(
     rng_seed: int,
     query_seq: int,
 ) -> np.ndarray:
-    """Fully sampled IUQ probabilities under the per-oid draw plan.
+    """Fully sampled IUQ probabilities under the keyed draw plans.
 
-    Per target, the issuer's draws come first and the target's second from
-    the same :func:`per_oid_rng` generator (the order is part of the plan's
-    contract).  Like its IPQ counterpart, the result only depends on
-    ``(engine seed, query_seq, oid)``, making shard-parallel evaluation
-    bitwise-identical to single-shard evaluation.
+    Per target, the issuer's draws read columns ``[0, 2n)`` of the target
+    oid's counter stream (as in the IPQ kernel) and the target's own draws
+    columns ``[2n, 4n)``, turned into positions by the target pdf's
+    ``from_uniforms``.
     """
     if samples <= 0:
         raise InvalidQueryError(f"samples must be positive, got {samples}")
-    probabilities = np.empty(len(targets), dtype=float)
-    for i, target in enumerate(targets):
-        rng = per_oid_rng(rng_seed, query_seq, target.oid)
-        issuer_draws = issuer_pdf.sample_batch(rng, samples, 1)[0]
-        target_draws = target.pdf.sample_batch(rng, samples, 1)[0]
-        dx = np.abs(target_draws[:, 0] - issuer_draws[:, 0])
-        dy = np.abs(target_draws[:, 1] - issuer_draws[:, 1])
-        inside = (dx <= spec.half_width) & (dy <= spec.half_height)
-        probabilities[i] = float(np.count_nonzero(inside)) / samples
+    n = samples
+    keys = row_keys(rng_seed, query_seq, [target.oid for target in targets])
+    probabilities = np.empty(len(keys), dtype=float)
+    for rows, u in uniform_blocks(keys, 4 * n):
+        xs, ys = issuer_pdf.from_uniforms(u[:, :n], u[:, n : 2 * n])
+        txs = np.empty_like(xs)
+        tys = np.empty_like(ys)
+        for i, target in enumerate(targets[rows]):
+            txs[i], tys[i] = target.pdf.from_uniforms(u[i, 2 * n : 3 * n], u[i, 3 * n :])
+        txs -= xs
+        tys -= ys
+        inside = np.abs(txs, out=txs) <= spec.half_width
+        inside &= np.abs(tys, out=tys) <= spec.half_height
+        probabilities[rows] = np.count_nonzero(inside, axis=1) / n
     return probabilities
 
 

@@ -79,10 +79,11 @@ ProbabilityMethod = Literal["auto", "exact", "monte_carlo"]
 
 #: How Monte-Carlo draws are assigned to candidate objects.  ``"stream"`` is
 #: the historical plan: one batched draw per query consumed from the engine's
-#: shared, advancing generator.  ``"per_oid"`` derives an independent
-#: generator per ``(query sequence number, object id)`` pair, which makes a
-#: survivor's draws independent of batch composition — the property the
-#: sharded parallel executor needs for bitwise-identical results.
+#: shared, advancing generator.  ``"per_oid"`` makes each draw the counter
+#: function ``u(rng_seed, query sequence number, oid, j)`` of
+#: :mod:`repro.core.draws` (no generator state), so a survivor's draws are
+#: independent of batch composition — the property the sharded parallel
+#: executor needs for bitwise-identical results.
 #: ``"query_keyed"`` goes one step further and keys the draws by a stable
 #: fingerprint of the query's *content* instead of its position, so a
 #: repeated query samples the same draws wherever it appears — the property

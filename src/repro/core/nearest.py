@@ -9,9 +9,12 @@ the issuer's nearest neighbour.
 
 Evaluation samples the issuer's pdf, finds the nearest point object for every
 sampled position with a best-first R-tree search, and normalises the win
-counts.  The candidate set is first narrowed with a conservative geometric
-filter: an object whose minimum possible distance to the issuer region
-exceeds the smallest maximum distance of some other object can never win.
+counts.  The samples come from the engine's own generator, or, under the
+keyed draw plans, from the query's counter stream (:func:`nn_query_draws`),
+which holds no generator state.  The candidate set is first narrowed with a
+conservative geometric filter: an object whose minimum possible distance to
+the issuer region exceeds the smallest maximum distance of some other object
+can never win.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import math
 import numpy as np
 
 from repro.geometry.point import Point
+from repro.core.draws import query_stream_key, uniforms
 from repro.core.queries import QueryAnswer, QueryResult
 from repro.core.statistics import EvaluationStatistics
 from repro.index.rtree import RTree
@@ -35,19 +39,21 @@ import time
 def nn_query_draws(
     issuer_pdf: UncertaintyPdf, samples: int, rng_seed: int, query_seq: int
 ) -> np.ndarray:
-    """The per-query draw plan for nearest-neighbour queries.
+    """The keyed draw plan for nearest-neighbour queries: ``(samples, 2)`` positions.
 
-    A fresh generator derived from ``(engine seed, query sequence number)``
-    produces the issuer draws, so every shard of a sharded database — and the
-    single-shard reference engine — samples the identical positions for a
-    given query.  This is the nearest-neighbour analogue of
-    :func:`repro.core.duality.per_oid_rng` (NN draws belong to the query, not
-    to a candidate object, so the object id is absent from the seed).
+    The issuer draws are the counter draws of the query's own stream
+    (:func:`repro.core.draws.query_stream_key` of ``(engine seed, draw
+    token)`` — a domain no oid's stream key comes from, since NN draws
+    belong to the query rather than to a candidate): x from columns
+    ``[0, n)``, y from ``[n, 2n)``.  Every shard of a sharded database, and
+    the single-shard reference engine, samples the identical positions for
+    a given query.  ``query_seq`` is the plan's draw token, any integer.
     """
     if samples <= 0:
         raise InvalidQueryError(f"samples must be positive, got {samples}")
-    rng = np.random.default_rng(np.random.SeedSequence((int(rng_seed), int(query_seq))))
-    return issuer_pdf.sample(rng, samples)
+    u = uniforms(query_stream_key(rng_seed, query_seq), 2 * samples)[0]
+    xs, ys = issuer_pdf.from_uniforms(u[:samples], u[samples:])
+    return np.column_stack([xs, ys])
 
 
 @dataclass(frozen=True)
@@ -76,7 +82,8 @@ class ImpreciseNearestNeighborEngine:
         self._objects = list(objects)
         self._index = index if index is not None else RTree.bulk_load(self._objects)
         self._samples = samples
-        self._rng = np.random.default_rng(rng_seed)
+        self._rng_seed = rng_seed
+        self._rng: np.random.Generator | None = None
 
     def evaluate(
         self,
@@ -101,6 +108,8 @@ class ImpreciseNearestNeighborEngine:
         before = self._index.stats.snapshot()
 
         if draws is None:
+            if self._rng is None:
+                self._rng = np.random.default_rng(self._rng_seed)
             draws = issuer.pdf.sample(self._rng, self._samples)
         samples = len(draws)
         stats.monte_carlo_samples = samples

@@ -155,8 +155,18 @@ class QueryPipeline:
         self._config = config
         self._cache = config.cache if cache is self._CONFIG_CACHE else cache
         self._config_fingerprint = config.fingerprint()
-        self._rng = np.random.default_rng(config.rng_seed)
+        self._stream_rng: np.random.Generator | None = None
         self._nn_engines: dict[tuple[int, int], ImpreciseNearestNeighborEngine] = {}
+
+    @property
+    def _rng(self) -> np.random.Generator:
+        """The streaming plan's advancing generator, built on first use.
+
+        Keyed draw plans never touch it: their draws are counter functions.
+        """
+        if self._stream_rng is None:
+            self._stream_rng = np.random.default_rng(self._config.rng_seed)
+        return self._stream_rng
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -403,11 +413,12 @@ class QueryPipeline:
 
         vectorized = self._config.vectorized
         candidate_xy: np.ndarray | None = None
+        candidate_rows: np.ndarray | None = None
         if columnar is not None and plan.prefer_columnar:
             rows = columnar.window_rows(plan.window)
-            rows = rows[np.argsort(columnar.oids[rows], kind="stable")]
-            candidates = [columnar.objects[row] for row in rows]
-            candidate_xy = columnar.xy[rows]
+            candidate_rows = rows[np.argsort(columnar.oids[rows], kind="stable")]
+            candidates = [columnar.objects[row] for row in candidate_rows]
+            candidate_xy = columnar.xy[candidate_rows]
         else:
             index = database.index
             before = index.stats.snapshot()
@@ -442,18 +453,10 @@ class QueryPipeline:
                     samples = self._config.monte_carlo_samples
                     stats.monte_carlo_samples += samples * len(survivors)
                     if plan.draw_token is not None:
-                        probabilities = ipq_probabilities_monte_carlo_per_oid(
-                            issuer.pdf,
-                            spec,
-                            survivor_xy,
-                            np.fromiter(
-                                (obj.oid for obj in survivors),
-                                dtype=np.int64,
-                                count=len(survivors),
-                            ),
-                            samples,
-                            self._config.rng_seed,
-                            plan.draw_token,
+                        # The snapshot's rows are set only when no re-check
+                        # ran, so they line up with the survivors.
+                        probabilities = self._keyed_point_probabilities(
+                            plan, survivors, survivor_xy, columnar, candidate_rows
                         )
                     else:
                         probabilities = ipq_probabilities_monte_carlo(
@@ -476,27 +479,9 @@ class QueryPipeline:
             if survivors and self._use_monte_carlo(issuer):
                 samples = self._config.monte_carlo_samples
                 if plan.draw_token is not None:
-                    # The per-oid plan is inherently per-object, so both
-                    # backends share the exact same helper.
-                    locations = np.empty((len(survivors), 2), dtype=float)
-                    for i, obj in enumerate(survivors):
-                        locations[i, 0] = obj.location.x
-                        locations[i, 1] = obj.location.y
                     stats.probability_computations += len(survivors)
                     stats.monte_carlo_samples += samples * len(survivors)
-                    probabilities = ipq_probabilities_monte_carlo_per_oid(
-                        issuer.pdf,
-                        spec,
-                        locations,
-                        np.fromiter(
-                            (obj.oid for obj in survivors),
-                            dtype=np.int64,
-                            count=len(survivors),
-                        ),
-                        samples,
-                        self._config.rng_seed,
-                        plan.draw_token,
-                    )
+                    probabilities = self._keyed_point_probabilities(plan, survivors)
                     for obj, probability in zip(survivors, probabilities):
                         probability = float(probability)
                         if probability > 0.0 and probability >= threshold:
@@ -525,6 +510,36 @@ class QueryPipeline:
         stats.results_returned = len(result)
         stats.response_time = time.perf_counter() - started
         return result, stats
+
+    def _keyed_point_probabilities(
+        self,
+        plan: QueryPlan,
+        survivors: list,
+        xy: np.ndarray | None = None,
+        columnar: ColumnarPoints | None = None,
+        rows: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Sampled IPQ probabilities of ``survivors`` under the plan's draw token.
+
+        Both backends end here.  ``xy`` are the survivors' coordinates and
+        ``rows`` their rows in the ``columnar`` snapshot when the caller has
+        them; otherwise both are gathered from the objects.
+        """
+        if xy is None:
+            xy = np.array([(obj.location.x, obj.location.y) for obj in survivors], dtype=float)
+        if rows is not None:
+            oids = columnar.oids[rows]
+        else:
+            oids = np.fromiter((obj.oid for obj in survivors), dtype=np.int64, count=len(survivors))
+        return ipq_probabilities_monte_carlo_per_oid(
+            plan.query.issuer.pdf,
+            plan.query.spec,
+            xy,
+            oids,
+            self._config.monte_carlo_samples,
+            self._config.rng_seed,
+            plan.draw_token,
+        )
 
     def _run_uncertain_range(
         self,
@@ -739,10 +754,11 @@ class QueryPipeline:
             samples = self._config.monte_carlo_samples
             stats.monte_carlo_samples += samples * len(mc_rows)
             all_mc = len(mc_rows) == len(survivors)
+            targets = survivors if all_mc else [survivors[row] for row in mc_rows]
             if draw_token is not None:
                 probabilities[mc_rows] = iuq_probabilities_monte_carlo_per_oid(
                     issuer.pdf,
-                    survivors if all_mc else [survivors[row] for row in mc_rows],
+                    targets,
                     spec,
                     samples,
                     self._config.rng_seed,
@@ -751,7 +767,7 @@ class QueryPipeline:
             else:
                 probabilities[mc_rows] = iuq_probabilities_monte_carlo(
                     issuer.pdf,
-                    survivors if all_mc else [survivors[row] for row in mc_rows],
+                    targets,
                     spec,
                     samples,
                     self._rng,
@@ -804,8 +820,6 @@ class QueryPipeline:
             stats.monte_carlo_samples += samples * len(mc_rows)
             targets = [survivors[row] for row in mc_rows]
             if draw_token is not None:
-                # The per-oid plan is inherently per-object, so both backends
-                # share the exact same helper.
                 probabilities[mc_rows] = iuq_probabilities_monte_carlo_per_oid(
                     issuer.pdf, targets, spec, samples, self._config.rng_seed, draw_token
                 )

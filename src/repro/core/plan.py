@@ -131,10 +131,10 @@ def query_draw_token(fingerprint: str) -> int:
     """A stable 63-bit draw-plan token hashed from a query's fingerprint.
 
     Deterministic across processes and Python hash randomisation (it goes
-    through :mod:`hashlib`, not builtin ``hash``), non-negative (a
-    ``SeedSequence`` entropy requirement), and equal whenever the
+    through :mod:`hashlib`, not builtin ``hash``), and equal whenever the
     :func:`query_fingerprint` the caller already holds is equal.  Passed to
-    the per-oid draw helpers in place of the query sequence number.
+    the keyed draw kernels in place of the query sequence number; the
+    counter function of :mod:`repro.core.draws` accepts any integer token.
     """
     digest = hashlib.blake2b(fingerprint.encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big") >> 1

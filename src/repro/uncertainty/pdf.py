@@ -13,6 +13,8 @@ Every pdf exposes:
 * ``probability_in_rect(rect)`` — the probability mass inside ``rect``,
 * per-axis marginal CDFs and quantiles (used to compute p-bounds),
 * ``sample(rng, n)`` — draws for Monte-Carlo evaluation,
+* ``from_uniforms(ux, uy)`` — the inverse-CDF transform of given uniforms,
+  which the counter-based draw plans (:mod:`repro.core.draws`) sample with,
 * ``density(x, y)`` — the raw density value.
 
 Two batched counterparts back the vectorized evaluation backend:
@@ -124,6 +126,17 @@ class UncertaintyPdf(abc.ABC):
         for i in range(k):
             self.sample_into(rng, out[i])
         return out
+
+    @abc.abstractmethod
+    def from_uniforms(self, ux: np.ndarray, uy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Locations ``(xs, ys)`` transformed from given uniforms in ``[0, 1)``.
+
+        The counter-based draw plans (:mod:`repro.core.draws`) hand each pdf
+        its uniforms instead of a generator; every pdf applies an
+        inverse-CDF transform element-wise, so ``xs``/``ys`` have the shape
+        of ``ux``/``uy``.  Both are new arrays (the kernels reuse them in
+        place) and the inputs are left untouched.
+        """
 
     # ------------------------------------------------------------------ #
     # Batched evaluation (vectorized backend)
@@ -299,6 +312,16 @@ class UniformPdf(UncertaintyPdf):
         out[:, :, 0] = region.xmin + (region.xmax - region.xmin) * u[0]
         out[:, :, 1] = region.ymin + (region.ymax - region.ymin) * u[1]
         return out
+
+    def from_uniforms(self, ux: np.ndarray, uy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # low + span·u, the stream plan's arithmetic, with one new array per
+        # axis (the sum is taken in place; addition commutes bitwise).
+        region = self._region
+        xs = (region.xmax - region.xmin) * ux
+        xs += region.xmin
+        ys = (region.ymax - region.ymin) * uy
+        ys += region.ymin
+        return xs, ys
 
     def to_dict(self) -> dict:
         return _tagged({"type": "uniform", "region": self._rect_payload(self._region)})
@@ -486,6 +509,13 @@ class TruncatedGaussianPdf(UncertaintyPdf):
         np.clip(ys, self._region.ymin, self._region.ymax, out=out[:, :, 1])
         return out
 
+    def from_uniforms(self, ux: np.ndarray, uy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        xs = self._x_dist.ppf(self._x_lo_cdf + ux * self._x_mass)
+        ys = self._y_dist.ppf(self._y_lo_cdf + uy * self._y_mass)
+        np.clip(xs, self._region.xmin, self._region.xmax, out=xs)
+        np.clip(ys, self._region.ymin, self._region.ymax, out=ys)
+        return xs, ys
+
     def to_dict(self) -> dict:
         return _tagged(
             {
@@ -494,6 +524,20 @@ class TruncatedGaussianPdf(UncertaintyPdf):
                 "sigma": [self._sigma_x, self._sigma_y],
             },
         )
+
+
+def _invert_bin_masses(masses: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bin index and in-bin fraction of the piecewise-linear inverse CDF at ``u``.
+
+    ``masses`` are (unnormalised) bin masses; empty bins are never chosen.
+    """
+    bins = np.flatnonzero(masses > 0)
+    upper = np.cumsum(masses[bins])
+    scaled = u * upper[-1]
+    k = np.minimum(np.searchsorted(upper, scaled, side="right"), len(bins) - 1)
+    mass = masses[bins[k]]
+    fraction = (scaled - (upper[k] - mass)) / mass
+    return bins[k], np.clip(fraction, 0.0, 1.0)
 
 
 class HistogramPdf(UncertaintyPdf):
@@ -633,6 +677,21 @@ class HistogramPdf(UncertaintyPdf):
         ys = self._region.ymin + (iys + rng.uniform(0.0, 1.0, size=n)) * self._bin_h
         return np.column_stack([xs, ys])
 
+    def from_uniforms(self, ux: np.ndarray, uy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # x inverts the marginal (column masses, linear within a column);
+        # y inverts the chosen column's conditional distribution.
+        uy = np.asarray(uy, dtype=float)
+        ix, fx = _invert_bin_masses(self._grid.sum(axis=0), np.asarray(ux, dtype=float))
+        iy = np.empty(ix.shape, dtype=ix.dtype)
+        fy = np.empty(ix.shape, dtype=float)
+        for column in np.unique(ix):
+            mask = ix == column
+            iy[mask], fy[mask] = _invert_bin_masses(self._grid[:, column], uy[mask])
+        return (
+            self._region.xmin + (ix + fx) * self._bin_w,
+            self._region.ymin + (iy + fy) * self._bin_h,
+        )
+
     def to_dict(self) -> dict:
         return _tagged(
             {
@@ -732,6 +791,12 @@ class UniformCirclePdf(UncertaintyPdf):
         xs = self._circle.center.x + radii * np.cos(angles)
         ys = self._circle.center.y + radii * np.sin(angles)
         return np.column_stack([xs, ys])
+
+    def from_uniforms(self, ux: np.ndarray, uy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        radii = self._circle.radius * np.sqrt(ux)
+        angles = 2.0 * math.pi * np.asarray(uy, dtype=float)
+        center = self._circle.center
+        return center.x + radii * np.cos(angles), center.y + radii * np.sin(angles)
 
     def to_dict(self) -> dict:
         return _tagged(

@@ -1,13 +1,17 @@
 # lint-fixture-path: repro/core/example.py
-"""All draws derive from draw-plan seeds via the Generator API."""
+"""Keyed draws come from the counter function; streams from seeded generators."""
 
 import numpy as np
 
+from repro.core.draws import row_keys, uniform_blocks
 
-def per_oid_rng(rng_seed, query_seq, oid):
-    return np.random.default_rng(
-        np.random.SeedSequence((int(rng_seed), int(query_seq), int(oid)))
-    )
+
+def keyed_means(rng_seed, token, oids, samples):
+    keys = row_keys(rng_seed, token, oids)
+    means = np.empty(len(keys))
+    for rows, u in uniform_blocks(keys, samples):
+        means[rows] = u.mean(axis=1)
+    return means
 
 
 def jitter(values, rng_seed):

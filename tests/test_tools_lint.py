@@ -117,6 +117,21 @@ def test_identity_rule_flags_an_issuer_id_key_in_the_planner():
     assert lint_source("key = id(object())\n", "repro/index/x.py", [get_rule("RPL011")]) == []
 
 
+def test_randomness_rule_flags_a_seed_sequence_in_the_kernels():
+    """A per-candidate ``SeedSequence`` in ``core/duality.py`` is caught."""
+    source = (REPO_ROOT / "src" / "repro" / "core" / "duality.py").read_text(encoding="utf-8")
+    lines = source.splitlines()
+    lines.append("def legacy_rng(rng_seed, token, oid):")
+    lines.append("    return np.random.default_rng(np.random.SeedSequence((rng_seed, token, oid)))")
+    diagnostics = lint_source(
+        "\n".join(lines) + "\n", "repro/core/duality.py", [get_rule("RPL002")]
+    )
+    assert [(d.rule, d.line) for d in diagnostics] == [("RPL002", len(lines))]
+    assert "repro.core.draws" in diagnostics[0].message
+    # The shipped kernels themselves are clean.
+    assert lint_source(source, "repro/core/duality.py", [get_rule("RPL002")]) == []
+
+
 def test_retired_rule_id_is_not_registered():
     assert "RPL003" not in RULE_IDS
 
