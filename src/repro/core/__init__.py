@@ -13,7 +13,7 @@ The package is organised around the paper's structure:
 * :mod:`repro.core.database` — live point / uncertain databases with epoch
   counters that invalidate every derived cache.
 * :mod:`repro.core.plan` — per-query execution plans (candidate window,
-  index probe, pruner, draw-plan slot, cache key).
+  index probe, pruner, draw token, cache key).
 * :mod:`repro.core.pipeline` — the staged
   plan → cache? → candidates → prune → evaluate → merge runner shared by
   the serial engine, per-shard execution and the shard daemons.
@@ -75,11 +75,9 @@ from repro.core.expansion import (
 from repro.core.columnar import ColumnarPoints, ColumnarUncertain
 from repro.core.duality import (
     ipq_probabilities,
-    ipq_probabilities_monte_carlo,
     ipq_probability,
     ipq_probability_monte_carlo,
     iuq_probabilities_exact_uniform,
-    iuq_probabilities_monte_carlo,
     iuq_probability,
     iuq_probability_exact_uniform,
     iuq_probability_monte_carlo,
@@ -155,11 +153,9 @@ __all__ = [
     "p_expanded_query",
     "p_expanded_query_from_catalog",
     "ipq_probabilities",
-    "ipq_probabilities_monte_carlo",
     "ipq_probability",
     "ipq_probability_monte_carlo",
     "iuq_probabilities_exact_uniform",
-    "iuq_probabilities_monte_carlo",
     "iuq_probability",
     "iuq_probability_exact_uniform",
     "iuq_probability_monte_carlo",

@@ -25,6 +25,9 @@ into the lookup key:
   by content share one entry however their objects were built, so a query
   decoded from the wire hits the entry of an equal in-process query.  A
   query whose pdf has no wire form has no fingerprint and is never cached.
+  Sampled answers are cached like closed-form ones: a query's Monte-Carlo
+  draws are keyed by the same content (:mod:`repro.core.draws`), so a hit
+  is bitwise the answer a recomputation would give.
 * a **config fingerprint** — every :class:`~repro.core.engine.EngineConfig`
   field that can influence an answer, so engines sharing one cache but
   running different configurations can never serve each other's results.
@@ -45,18 +48,6 @@ from typing import Any, Hashable
 from repro.core.queries import QueryAnswer, QueryResult
 from repro.core.statistics import EvaluationStatistics
 from repro.index.iostats import IOStatistics
-
-
-def fill_allowed(draw_plan: str, statistics: EvaluationStatistics) -> bool:
-    """May a freshly computed answer be stored for later replay?
-
-    The replay-determinism gate shared by the serial pipeline and the
-    parallel executor: draw-free evaluations are pure functions of the
-    database state (the epoch key covers that); sampled ones additionally
-    need draws that do not depend on the query's position in the workload,
-    which only the ``query_keyed`` plan guarantees.
-    """
-    return draw_plan == "query_keyed" or statistics.monte_carlo_samples == 0
 
 
 def copy_statistics(stats: EvaluationStatistics) -> EvaluationStatistics:

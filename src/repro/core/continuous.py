@@ -31,11 +31,10 @@ subscription surface:
   retained one, and ordered :class:`AnswerDelta` events (``JOIN`` /
   ``LEAVE`` / ``SCORE_CHANGE``) are queued for :meth:`Subscription.poll`.
 
-Bitwise safety rides on the ``query_keyed`` draw plan: the registry's
-evaluator always runs with ``draw_plan="query_keyed"``, whose Monte-Carlo
-draws are keyed by query *content* rather than stream position, so a
-subscription's maintained answer is — at every instant — bit-for-bit equal
-to a cold ``evaluate`` of the same query under the same configuration.
+Bitwise safety rides on content-keyed draws: every Monte-Carlo draw is
+keyed by query *content* rather than stream position, so a subscription's
+maintained answer is — at every instant — bit-for-bit equal to a cold
+``evaluate`` of the same query under the same configuration.
 Replaying the emitted delta stream on top of the initial answer
 reconstructs the maintained answer exactly (see :func:`replay_deltas`).
 """
@@ -175,7 +174,7 @@ class SubscriptionRegistry:
 
     The registry shares the session's database objects and observes their
     mutation stream; its own evaluator runs the shared staged machinery
-    under ``draw_plan="query_keyed"`` so every maintained answer equals a
+    under the session's configuration, so every maintained answer equals a
     cold evaluation of the same query.  Mutation events are buffered
     cheaply as they arrive and settled in :meth:`pump` (called by
     ``poll``/``answer``/``stats`` and by the owning session after each
@@ -208,11 +207,6 @@ class SubscriptionRegistry:
         self._point_db = point_db
         self._uncertain_db = uncertain_db
         self._sharded = any(sharded)
-        if config.draw_plan != "query_keyed":
-            # Content-keyed draws make maintained answers reproducible by
-            # any cold evaluation of the same query; position-keyed plans
-            # would tie them to an irrelevant stream position.
-            config = config.with_overrides(draw_plan="query_keyed")
         self.config = config
         self._parallel: ParallelEngine | None = None
         self._pipeline: QueryPipeline | None = None

@@ -1,13 +1,13 @@
 """Counter-based Monte-Carlo draws: one pure function of ``(seed, token, oid, j)``.
 
-Every keyed Monte-Carlo draw in the engines (the ``per_oid`` and
-``query_keyed`` draw plans) is the uniform
+Every Monte-Carlo draw in the engines is the uniform
 
     u(seed, token, oid, j) = finalise(row_key(seed, token, oid) + (j + 1)·γ) / 2⁶⁴
 
 where ``finalise`` is the SplitMix64 output finaliser (a bijection of 64-bit
 words with full avalanche), ``γ`` is the golden-ratio increment and the row
-key absorbs the engine seed, the plan's draw token and the oid — the oid
+key absorbs the engine seed, the query's draw token (a digest of its
+content, :func:`repro.core.plan.resolve_draw_token`) and the oid — the oid
 reinterpreted as ``uint64``, so any sign works — through the same
 finaliser.  The top 53 bits map the word to ``[0, 1)``.
 

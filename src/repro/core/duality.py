@@ -20,13 +20,14 @@ For other pdfs a "semi-analytic" path (closed-form ``Q`` from the issuer,
 sampled expectation over the object) and a fully sampled Monte-Carlo path
 (used by the paper's Gaussian experiments, Figure 13) are provided.
 
-The sampled kernels come in two draw plans.  The streaming plan consumes one
-batched draw from the engine's advancing generator.  The keyed plans
-(``per_oid`` / ``query_keyed``, which every sharded, distributed, served,
-cached and continuous path runs) hold no generator at all: candidate
-``oid``'s draws are the counter function ``u(seed, token, oid, j)`` of
-:mod:`repro.core.draws`, turned into positions by each pdf's inverse-CDF
-``from_uniforms`` and tested in chunked ``(candidates, samples)`` blocks.
+The engines' sampled kernels hold no generator: candidate ``oid``'s draws
+are the counter function ``u(seed, token, oid, j)`` of
+:mod:`repro.core.draws`, where ``token`` is keyed by the query's content
+(:func:`repro.core.plan.resolve_draw_token`), turned into positions by each
+pdf's inverse-CDF ``from_uniforms`` and tested in chunked
+``(candidates, samples)`` blocks.  The single-object ``*_monte_carlo``
+kernels taking a generator are reference implementations for the
+sensitivity study and the tests.
 """
 
 from __future__ import annotations
@@ -107,34 +108,8 @@ def ipq_probability_monte_carlo(
     return float(np.count_nonzero(inside)) / samples
 
 
-def ipq_probabilities_monte_carlo(
-    issuer_pdf: UncertaintyPdf,
-    spec: RangeQuerySpec,
-    locations: np.ndarray,
-    samples: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Batched Monte-Carlo IPQ probabilities for many point objects.
-
-    The draws come from the per-query draw plan
-    (:meth:`~repro.uncertainty.pdf.UncertaintyPdf.sample_batch` — one batched
-    issuer draw, object ``i`` owning the ``i``-th block) and the containment
-    test runs once over the whole ``(K, samples)`` batch.  A scalar loop over
-    the same plan produces bitwise-identical probabilities.
-    """
-    if samples <= 0:
-        raise InvalidQueryError(f"samples must be positive, got {samples}")
-    locations = np.asarray(locations, dtype=float)
-    k = locations.shape[0]
-    draws = issuer_pdf.sample_batch(rng, samples, k)
-    dx = np.abs(draws[:, :, 0] - locations[:, 0, None])
-    dy = np.abs(draws[:, :, 1] - locations[:, 1, None])
-    inside = (dx <= spec.half_width) & (dy <= spec.half_height)
-    return np.count_nonzero(inside, axis=1) / samples
-
-
 # --------------------------------------------------------------------------- #
-# Keyed draw plans (``per_oid`` / ``query_keyed``: every execution path)
+# Keyed sampled kernels (every execution path)
 # --------------------------------------------------------------------------- #
 def ipq_probabilities_monte_carlo_per_oid(
     issuer_pdf: UncertaintyPdf,
@@ -145,14 +120,15 @@ def ipq_probabilities_monte_carlo_per_oid(
     rng_seed: int,
     query_seq: int,
 ) -> np.ndarray:
-    """Monte-Carlo IPQ probabilities under the keyed draw plans.
+    """Monte-Carlo IPQ probabilities under counter-based draws.
 
     Object ``oid``'s ``n = samples`` issuer positions are
     ``issuer_pdf.from_uniforms`` of the counter draws
     ``u(rng_seed, query_seq, oid, j)`` (:mod:`repro.core.draws`): x from
-    columns ``[0, n)``, y from ``[n, 2n)``.  An estimate therefore depends
-    on nothing but its oid and the plan's token, so every execution path —
-    either backend, any shard count, any process — returns the same bits.
+    columns ``[0, n)``, y from ``[n, 2n)``; ``query_seq`` is the query's
+    draw token.  An estimate therefore depends on nothing but its oid and
+    that token, so every execution path — either backend, any shard count,
+    any process — returns the same bits.
     The containment test runs over blocks of at most
     :data:`~repro.core.draws.CHUNK_ROWS` candidates.
     """
@@ -179,7 +155,7 @@ def iuq_probabilities_monte_carlo_per_oid(
     rng_seed: int,
     query_seq: int,
 ) -> np.ndarray:
-    """Fully sampled IUQ probabilities under the keyed draw plans.
+    """Fully sampled IUQ probabilities under counter-based draws.
 
     Per target, the issuer's draws read columns ``[0, 2n)`` of the target
     oid's counter stream (as in the IPQ kernel) and the target's own draws
@@ -404,91 +380,6 @@ def iuq_probability_monte_carlo(
     dy = np.abs(target_draws[:, 1] - issuer_draws[:, 1])
     inside = (dx <= spec.half_width) & (dy <= spec.half_height)
     return float(np.count_nonzero(inside)) / samples
-
-
-def monte_carlo_iuq_draws(
-    issuer_pdf: UncertaintyPdf,
-    targets: "list[UncertainObject]",
-    samples: int,
-    rng: np.random.Generator,
-    *,
-    target_bounds: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The per-query IUQ draw plan: paired issuer/target draw tensors.
-
-    Issuer positions for all ``k`` targets come from one batched
-    :meth:`~repro.uncertainty.pdf.UncertaintyPdf.sample_batch` call; target
-    positions come from one flat standard-uniform draw when every target pdf
-    is uniform (scaled into each region), and from per-target
-    :meth:`~repro.uncertainty.pdf.UncertaintyPdf.sample_into` calls
-    otherwise.  Both evaluation backends consume this identical plan, which
-    is what keeps sampled probabilities bitwise comparable between them.
-
-    ``target_bounds`` optionally supplies the targets' region rectangles as a
-    pre-built ``(k, 4)`` array (e.g. a columnar-snapshot slice) so the
-    uniform fast path need not re-collect them; values must equal
-    ``target.region.as_tuple()`` row by row.
-    """
-    k = len(targets)
-    if k == 0:
-        empty = np.empty((0, samples, 2), dtype=float)
-        return empty, np.empty((0, samples, 2), dtype=float)
-    uniform_targets = all(type(target.pdf) is UniformPdf for target in targets)
-    if uniform_targets and type(issuer_pdf) is UniformPdf:
-        # Fully uniform batch: one flat standard-uniform draw covers issuer
-        # and target positions, scaled per region with the same
-        # low + (high - low) * u transform rng.uniform applies.
-        u = rng.random((4, k, samples))
-        issuer_region = issuer_pdf.region
-        issuer_draws = np.empty((k, samples, 2), dtype=float)
-        x_span = issuer_region.xmax - issuer_region.xmin
-        y_span = issuer_region.ymax - issuer_region.ymin
-        issuer_draws[:, :, 0] = issuer_region.xmin + x_span * u[0]
-        issuer_draws[:, :, 1] = issuer_region.ymin + y_span * u[1]
-        target_u = u[2:]
-    else:
-        issuer_draws = issuer_pdf.sample_batch(rng, samples, k)
-        target_u = rng.random((2, k, samples)) if uniform_targets else None
-    target_draws = np.empty((k, samples, 2), dtype=float)
-    if uniform_targets:
-        bounds = (
-            target_bounds
-            if target_bounds is not None
-            else np.array([target.region.as_tuple() for target in targets])
-        )
-        widths = (bounds[:, 2] - bounds[:, 0])[:, None]
-        heights = (bounds[:, 3] - bounds[:, 1])[:, None]
-        target_draws[:, :, 0] = bounds[:, 0, None] + widths * target_u[0]
-        target_draws[:, :, 1] = bounds[:, 1, None] + heights * target_u[1]
-    else:
-        for i, target in enumerate(targets):
-            target.pdf.sample_into(rng, target_draws[i])
-    return issuer_draws, target_draws
-
-
-def iuq_probabilities_monte_carlo(
-    issuer_pdf: UncertaintyPdf,
-    targets: "list[UncertainObject]",
-    spec: RangeQuerySpec,
-    samples: int,
-    rng: np.random.Generator,
-    *,
-    target_bounds: np.ndarray | None = None,
-) -> np.ndarray:
-    """Batched fully-sampled IUQ probabilities for many uncertain objects.
-
-    Consumes the :func:`monte_carlo_iuq_draws` plan and fuses the paired
-    containment test into one ``(K, samples)`` evaluation.  A scalar loop
-    over the same plan produces bitwise-identical probabilities.
-    """
-    if samples <= 0:
-        raise InvalidQueryError(f"samples must be positive, got {samples}")
-    issuer_draws, target_draws = monte_carlo_iuq_draws(
-        issuer_pdf, targets, samples, rng, target_bounds=target_bounds
-    )
-    d = np.abs(target_draws - issuer_draws)
-    inside = (d[:, :, 0] <= spec.half_width) & (d[:, :, 1] <= spec.half_height)
-    return np.count_nonzero(inside, axis=1) / samples
 
 
 # --------------------------------------------------------------------------- #

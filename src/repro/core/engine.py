@@ -8,7 +8,7 @@ layered architecture:
   :class:`UncertainDatabase` (live mutators, epoch counters, columnar
   snapshots); re-exported here for compatibility.
 * :mod:`repro.core.plan` — per-query :class:`~repro.core.plan.QueryPlan`
-  compilation (candidate window, index probe, pruner, draw-plan slot) and
+  compilation (candidate window, index probe, pruner, draw token) and
   the query fingerprint every key derives from.
 * :mod:`repro.core.pipeline` — the staged
   plan → cache? → candidates → prune → evaluate → merge runner shared
@@ -31,7 +31,7 @@ through ``engine.evaluate(query)`` (single-dispatched on
 from __future__ import annotations
 from repro.core.errors import ConfigurationError, EngineStateError, InvalidArgumentError
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import InitVar, dataclass, field, fields, replace
 from functools import singledispatchmethod
 from typing import Iterable, Literal
 
@@ -62,7 +62,6 @@ from repro.uncertainty.region import PointObject, UncertainObject
 
 __all__ = [
     "DEFAULT_NN_SAMPLES",
-    "DrawPlan",
     "EngineConfig",
     "ImpreciseQueryEngine",
     "IndexKind",
@@ -76,22 +75,6 @@ __all__ = [
 #: wherever an ``IndexKind`` is expected.
 IndexKind = Literal["rtree", "pti", "grid", "linear"]
 ProbabilityMethod = Literal["auto", "exact", "monte_carlo"]
-
-#: How Monte-Carlo draws are assigned to candidate objects.  ``"stream"`` is
-#: the historical plan: one batched draw per query consumed from the engine's
-#: shared, advancing generator.  ``"per_oid"`` makes each draw the counter
-#: function ``u(rng_seed, query sequence number, oid, j)`` of
-#: :mod:`repro.core.draws` (no generator state), so a survivor's draws are
-#: independent of batch composition — the property the sharded parallel
-#: executor needs for bitwise-identical results.
-#: ``"query_keyed"`` goes one step further and keys the draws by a stable
-#: fingerprint of the query's *content* instead of its position, so a
-#: repeated query samples the same draws wherever it appears — the property
-#: the result cache needs to serve sampled answers without breaking replay
-#: determinism.
-DrawPlan = Literal["stream", "per_oid", "query_keyed"]
-
-_DRAW_PLANS = ("stream", "per_oid", "query_keyed")
 
 
 @dataclass(frozen=True)
@@ -115,13 +98,6 @@ class EngineConfig:
     #: bitwise identical given the same seed); pdfs without array kernels
     #: transparently fall back to their scalar implementations.
     vectorized: bool = True
-    #: Monte-Carlo draw plan (see :data:`DrawPlan`).  ``"per_oid"`` makes
-    #: sampled probabilities a pure function of ``(rng_seed, query sequence
-    #: number, oid)`` — required by sharded execution; ``"query_keyed"``
-    #: makes them a pure function of ``(rng_seed, query content, oid)`` —
-    #: required for cached sampled answers; the default ``"stream"``
-    #: preserves the historical draw sequence.
-    draw_plan: DrawPlan = "stream"
     #: Shared :class:`~repro.core.cache.ResultCache` consulted and filled by
     #: the pipeline's cache stage (``None`` disables caching).  Excluded
     #: from equality/fingerprints: the cache is infrastructure, not
@@ -129,15 +105,20 @@ class EngineConfig:
     #: never see each other's entries, because every key embeds the
     #: :meth:`fingerprint` of the filling configuration.
     cache: ResultCache | None = field(default=None, compare=False)
+    #: Kept for the frozen suite (``benchmarks/suite/workloads.py`` passes
+    #: ``draw_plan="query_keyed"``); drop with the next ``benchmark`` issue.
+    #: Not stored: every Monte-Carlo draw is keyed by the query's content.
+    draw_plan: InitVar[str | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, draw_plan: str | None) -> None:
+        if draw_plan not in (None, "query_keyed"):
+            raise ConfigurationError(
+                f"draw_plan={draw_plan!r} is not supported: the draw plans were "
+                "removed and every Monte-Carlo draw is keyed by the query's content"
+            )
         if self.monte_carlo_samples < 1:
             raise ConfigurationError(
                 f"monte_carlo_samples must be >= 1, got {self.monte_carlo_samples}"
-            )
-        if self.draw_plan not in _DRAW_PLANS:
-            raise ConfigurationError(
-                f"draw_plan must be one of {_DRAW_PLANS}, got {self.draw_plan!r}"
             )
         if (
             isinstance(self.rng_seed, bool)
@@ -147,22 +128,12 @@ class EngineConfig:
             raise ConfigurationError(
                 f"rng_seed must be a non-negative integer, got {self.rng_seed!r}"
             )
-        if self.cache is not None:
-            if not isinstance(self.cache, ResultCache):
-                raise ConfigurationError(
-                    f"cache must be a repro.core.cache.ResultCache or None, "
-                    f"got {type(self.cache).__name__!r} (capacity must be a "
-                    "positive integer — build one with ResultCache(capacity=...))"
-                )
-            if self.draw_plan == "stream":
-                raise ConfigurationError(
-                    "cache + draw_plan='stream' would break replay determinism: "
-                    "the streaming plan ties Monte-Carlo draws to batch "
-                    "composition, so an answer served from the cache would "
-                    "desynchronise the shared generator for every later query. "
-                    "Use draw_plan='query_keyed' (cached sampled answers) or "
-                    "'per_oid' (only draw-free answers are cached)."
-                )
+        if self.cache is not None and not isinstance(self.cache, ResultCache):
+            raise ConfigurationError(
+                f"cache must be a repro.core.cache.ResultCache or None, "
+                f"got {type(self.cache).__name__!r} (capacity must be a "
+                "positive integer — build one with ResultCache(capacity=...))"
+            )
 
     def fingerprint(self) -> tuple:
         """A hashable digest of every field that can influence an answer.
@@ -223,10 +194,10 @@ class ImpreciseQueryEngine:
             point_db=point_db, uncertain_db=uncertain_db, config=self._config
         )
         # Monotonic query sequence number.  Every evaluated query consumes
-        # one (whatever its kind), so that under the per-oid draw plan the
-        # n-th query of any call pattern — evaluate() loop, evaluate_many(),
-        # or a sharded executor replaying explicit numbers through
-        # evaluate_many_at() — samples the same draws.
+        # one (whatever its kind); it keys the draws of a query without a
+        # fingerprint, so the n-th query of any call pattern — evaluate()
+        # loop, evaluate_many(), or a sharded executor replaying explicit
+        # numbers through evaluate_many_at() — samples the same draws.
         self._query_seq = 0
 
     @property
@@ -290,15 +261,15 @@ class ImpreciseQueryEngine:
         The batch path amortises work a per-query loop repeats (see
         :meth:`repro.core.pipeline.QueryPipeline.run_batch`); results —
         including Monte-Carlo draws — are identical to calling
-        :meth:`evaluate` on each query in order, because queries execute in
-        input order against the same random generator.
+        :meth:`evaluate` on each query in order, because every draw is keyed
+        by the query's content, never by its position in the batch.
 
         An :class:`~repro.core.updates.UpdateBatch` may be interleaved with
         the queries: it is applied at exactly its position in the stream
         (earlier queries see the old data, later ones the new) and produces
         no :class:`Evaluation` of its own.  Updates consume no query sequence
-        numbers, so under the per-oid draw plan the surrounding queries'
-        Monte-Carlo draws are unaffected.
+        numbers, so the surrounding queries' Monte-Carlo draws are
+        unaffected.
         """
         evaluations: list[Evaluation] = []
         for kind, payload in partition_workload(queries):
@@ -314,12 +285,12 @@ class ImpreciseQueryEngine:
 
         ``items`` is an iterable of ``(query_seq, query)`` pairs.  This is the
         replay entry point of the sharded executor: a shard engine evaluates
-        only the queries routed to it, but under the per-oid draw plan each
-        query must carry the sequence number it holds in the *global*
-        workload so that its Monte-Carlo draws match the single-shard
-        engine's.  The engine's own sequence counter is left untouched.
-        Everything else — pruner caching, columnar batch filtering — behaves
-        exactly like :meth:`evaluate_many`.
+        only the queries routed to it, but each query must carry the
+        sequence number it holds in the *global* workload so that a query
+        without a fingerprint (whose draws are keyed by that number) draws
+        like the single-shard engine.  The engine's own sequence counter is
+        left untouched.  Everything else — pruner caching, columnar batch
+        filtering — behaves exactly like :meth:`evaluate_many`.
         """
         materialised = list(items)
         batch = [query for _, query in materialised]

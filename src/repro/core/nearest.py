@@ -9,12 +9,12 @@ the issuer's nearest neighbour.
 
 Evaluation samples the issuer's pdf, finds the nearest point object for every
 sampled position with a best-first R-tree search, and normalises the win
-counts.  The samples come from the engine's own generator, or, under the
-keyed draw plans, from the query's counter stream (:func:`nn_query_draws`),
-which holds no generator state.  The candidate set is first narrowed with a
-conservative geometric filter: an object whose minimum possible distance to
-the issuer region exceeds the smallest maximum distance of some other object
-can never win.
+counts.  The standalone :class:`ImpreciseNearestNeighborEngine` samples
+from its own generator; the query engines hand it the query's counter
+stream (:func:`nn_query_draws`), which holds no generator state.  The
+candidate set is first narrowed with a conservative geometric filter: an
+object whose minimum possible distance to the issuer region exceeds the
+smallest maximum distance of some other object can never win.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import time
 def nn_query_draws(
     issuer_pdf: UncertaintyPdf, samples: int, rng_seed: int, query_seq: int
 ) -> np.ndarray:
-    """The keyed draw plan for nearest-neighbour queries: ``(samples, 2)`` positions.
+    """The keyed draws of a nearest-neighbour query: ``(samples, 2)`` positions.
 
     The issuer draws are the counter draws of the query's own stream
     (:func:`repro.core.draws.query_stream_key` of ``(engine seed, draw

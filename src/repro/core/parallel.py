@@ -24,13 +24,13 @@ shards (plus the sharded database's structure version), so a mutation in one
 shard does not evict answers that only touched others.
 
 Results are **identical** to a single-shard
-:class:`~repro.core.engine.ImpreciseQueryEngine` under a
-position-independent draw plan (``"per_oid"``, forced when handed the
-streaming plan, or ``"query_keyed"``): the shards partition the objects,
-pruning decisions are per-object, and every Monte-Carlo draw is a pure
-function of ``(rng_seed, draw token, oid)``.  Updates consume no query
-sequence numbers, so a live-mutated sharded database answers
-bitwise-identically to a from-scratch rebuild of the same final collection.
+:class:`~repro.core.engine.ImpreciseQueryEngine` under the same
+configuration: the shards partition the objects, pruning decisions are
+per-object, and every Monte-Carlo draw is a pure function of
+``(rng_seed, draw token, oid)``, the token keyed by the query's content.
+Updates consume no query sequence numbers, so a live-mutated sharded
+database answers bitwise-identically to a from-scratch rebuild of the same
+final collection.
 One caveat for nearest-neighbour queries: when two objects are at *exactly*
 the same distance from a sampled position, the merge breaks the tie towards
 the smaller oid while the single-shard engine keeps whichever its R-tree
@@ -46,7 +46,7 @@ from typing import Hashable, Iterable
 
 import numpy as np
 
-from repro.core.cache import copy_statistics, fill_allowed
+from repro.core.cache import copy_statistics
 from repro.core.engine import EngineConfig
 from repro.core.errors import ConfigurationError, EngineStateError, InvalidArgumentError
 from repro.core.expansion import minkowski_expanded_query
@@ -159,15 +159,8 @@ class ParallelEngine:
             raise ConfigurationError("uncertain_db must be a ShardedDatabase of kind 'uncertain'")
         self._point_db = point_db
         self._uncertain_db = uncertain_db
-        config = config if config is not None else EngineConfig()
-        if config.draw_plan == "stream":
-            # Sharded execution is only well-defined under a position- or
-            # content-keyed plan: the streaming plan ties draws to batch
-            # composition, which no shard can reproduce.  (stream + cache is
-            # already rejected by EngineConfig itself.)
-            config = config.with_overrides(draw_plan="per_oid")
-        self._config = config
-        self._config_fingerprint = config.fingerprint()
+        self._config = config if config is not None else EngineConfig()
+        self._config_fingerprint = self._config.fingerprint()
         self._query_seq = 0
 
     # ------------------------------------------------------------------ #
@@ -175,7 +168,7 @@ class ParallelEngine:
     # ------------------------------------------------------------------ #
     @property
     def config(self) -> EngineConfig:
-        """The engine configuration (draw plan never ``"stream"``)."""
+        """The engine configuration."""
         return self._config
 
     @property
@@ -232,7 +225,7 @@ class ParallelEngine:
         the queries: it is applied at exactly its position in the stream
         (earlier queries see the old data, later ones the new) and produces
         no :class:`Evaluation`.  Updates consume no query sequence numbers,
-        so the surrounding queries' per-oid Monte-Carlo draws are unaffected
+        so the surrounding queries' Monte-Carlo draws are unaffected
         — a live-updated sharded database answers bitwise-identically to a
         from-scratch rebuild of the same final collection.
         """
@@ -306,7 +299,7 @@ class ParallelEngine:
                 continue
             merged = self._merge(query, partials.get(position, []))
             key = fill_keys.get(position)
-            if key is not None and fill_allowed(self._config.draw_plan, merged.statistics):
+            if key is not None:
                 cache.store(key, None, merged.result, merged.statistics)
             evaluations[position] = merged
         return evaluations
@@ -412,7 +405,7 @@ class ParallelEngine:
                 results.append((position, (sid, payload)))
         for position, seq, query in nn_items:
             samples = query.samples if query.samples is not None else DEFAULT_NN_SAMPLES
-            token = resolve_draw_token(self._config, query_fingerprint(query), seq)
+            token = resolve_draw_token(query_fingerprint(query), seq)
             draws = nn_query_draws(
                 query.issuer.pdf, samples, self._config.rng_seed, token
             )

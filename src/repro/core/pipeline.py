@@ -12,7 +12,7 @@ running the exact same stages over a :class:`~repro.core.plan.QueryPlan`:
                               miss: fill after ranking
 
 * **plan** compiles the query (:func:`repro.core.plan.plan_query`): window,
-  probe choice, pruner, draw-plan slot.
+  probe choice, pruner, draw token.
 * **cache** consults the shared epoch-keyed
   :class:`~repro.core.cache.ResultCache` (when the configuration carries
   one) under the query's content fingerprint; a hit skips every later
@@ -28,15 +28,14 @@ running the exact same stages over a :class:`~repro.core.plan.QueryPlan`:
   the duality formulas — closed form where possible, Monte-Carlo under the
   plan's draw token otherwise.
 * **merge/rank** sorts answers by decreasing probability, applies the
-  threshold, and (when the plan is replay-deterministic) fills the cache.
+  threshold, and fills the cache.
 
 One :class:`QueryPipeline` instance wraps one pair of databases plus a
 configuration; engines own a pipeline instead of re-implementing the flow.
-A cache fill only happens when replaying the query later is guaranteed to
-reproduce the stored answer bitwise: always for draw-free (closed-form)
-evaluations, and for sampled ones only under ``draw_plan="query_keyed"``,
-where draws are a pure function of the query's content rather than its
-position in the workload.
+Every answer is cacheable: a query's Monte-Carlo draws are a pure function
+of its content (:func:`repro.core.plan.resolve_draw_token`), never of its
+position in the workload, so replaying it reproduces the stored answer
+bitwise.
 """
 
 from __future__ import annotations
@@ -55,17 +54,13 @@ from repro.core.columnar import (
 )
 from repro.core.duality import (
     ipq_probabilities,
-    ipq_probabilities_monte_carlo,
     ipq_probabilities_monte_carlo_per_oid,
     ipq_probability,
     iuq_probabilities_exact_uniform,
-    iuq_probabilities_monte_carlo,
     iuq_probabilities_monte_carlo_per_oid,
     iuq_probability,
     iuq_probability_exact_uniform,
-    monte_carlo_iuq_draws,
 )
-from repro.core.cache import fill_allowed
 from repro.core.database import PointDatabase, UncertainDatabase
 from repro.core.nearest import ImpreciseNearestNeighborEngine, nn_query_draws
 from repro.core.plan import (
@@ -128,14 +123,14 @@ class QueryPipeline:
     """Runs compiled query plans against one pair of databases.
 
     The pipeline is the single owner of the evaluation machinery the
-    engines share: the stream random generator, the cached
-    nearest-neighbour samplers, the columnar batch filtering and the
-    result-cache stage.  ``cache`` defaults to the configuration's
-    :class:`~repro.core.cache.ResultCache`; pass ``cache=None`` to disable
-    the stage for this pipeline regardless of the configuration — the
-    parallel executor does this for its per-shard pipelines, because a
-    shard's partial answers must never be cached as whole-query answers
-    (the parent consults the cache instead, with per-shard epoch keys).
+    engines share: the cached nearest-neighbour samplers, the columnar
+    batch filtering and the result-cache stage.  ``cache`` defaults to the
+    configuration's :class:`~repro.core.cache.ResultCache`; pass
+    ``cache=None`` to disable the stage for this pipeline regardless of the
+    configuration — the parallel executor does this for its per-shard
+    pipelines, because a shard's partial answers must never be cached as
+    whole-query answers (the parent consults the cache instead, with
+    per-shard epoch keys).
     """
 
     _CONFIG_CACHE = object()  # sentinel: "use config.cache"
@@ -155,18 +150,7 @@ class QueryPipeline:
         self._config = config
         self._cache = config.cache if cache is self._CONFIG_CACHE else cache
         self._config_fingerprint = config.fingerprint()
-        self._stream_rng: np.random.Generator | None = None
         self._nn_engines: dict[tuple[int, int], ImpreciseNearestNeighborEngine] = {}
-
-    @property
-    def _rng(self) -> np.random.Generator:
-        """The streaming plan's advancing generator, built on first use.
-
-        Keyed draw plans never touch it: their draws are counter functions.
-        """
-        if self._stream_rng is None:
-            self._stream_rng = np.random.default_rng(self._config.rng_seed)
-        return self._stream_rng
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -261,8 +245,8 @@ class QueryPipeline:
         every path; only ``statistics.io`` differs.
 
         Results — including Monte-Carlo draws — are identical to running the
-        queries one at a time with the same sequence numbers, because
-        queries execute in input order against the same random generator.
+        queries one at a time, because every draw is keyed by the query's
+        content (see :func:`repro.core.plan.resolve_draw_token`).
         """
         # Fail fast, before any query runs, when a required database is absent.
         targets = {query.target for query in batch if isinstance(query, RangeQuery)}
@@ -330,7 +314,7 @@ class QueryPipeline:
                 result, stats = self._run_uncertain_range(
                     plan, columnar=uncertain_snapshot
                 )
-            if key is not None and fill_allowed(self._config.draw_plan, stats):
+            if key is not None:
                 self._cache.store(key, None, result, stats)
             evaluations.append(
                 Evaluation(
@@ -375,12 +359,10 @@ class QueryPipeline:
     def _run_nearest(self, plan: QueryPlan) -> tuple[QueryResult, EvaluationStatistics]:
         query = plan.query
         engine = self.nearest_engine(plan.samples)
-        if plan.draw_token is not None:
-            draws = nn_query_draws(
-                query.issuer.pdf, plan.samples, self._config.rng_seed, plan.draw_token
-            )
-            return engine.evaluate(query.issuer, threshold=query.threshold, draws=draws)
-        return engine.evaluate(query.issuer, threshold=query.threshold)
+        draws = nn_query_draws(
+            query.issuer.pdf, plan.samples, self._config.rng_seed, plan.draw_token
+        )
+        return engine.evaluate(query.issuer, threshold=query.threshold, draws=draws)
 
     # ------------------------------------------------------------------ #
     # Range-query stage runners
@@ -450,18 +432,12 @@ class QueryPipeline:
             if survivors:
                 stats.probability_computations += len(survivors)
                 if self._use_monte_carlo(issuer):
-                    samples = self._config.monte_carlo_samples
-                    stats.monte_carlo_samples += samples * len(survivors)
-                    if plan.draw_token is not None:
-                        # The snapshot's rows are set only when no re-check
-                        # ran, so they line up with the survivors.
-                        probabilities = self._keyed_point_probabilities(
-                            plan, survivors, survivor_xy, columnar, candidate_rows
-                        )
-                    else:
-                        probabilities = ipq_probabilities_monte_carlo(
-                            issuer.pdf, spec, survivor_xy, samples, self._rng
-                        )
+                    stats.monte_carlo_samples += self._config.monte_carlo_samples * len(survivors)
+                    # The snapshot's rows are set only when no re-check ran,
+                    # so they line up with the survivors.
+                    probabilities = self._keyed_point_probabilities(
+                        plan, survivors, survivor_xy, columnar, candidate_rows
+                    )
                 else:
                     probabilities = ipq_probabilities(issuer.pdf, spec, survivor_xy)
                 for obj, probability in zip(survivors, probabilities):
@@ -477,29 +453,13 @@ class QueryPipeline:
                     continue
                 survivors.append(obj)
             if survivors and self._use_monte_carlo(issuer):
-                samples = self._config.monte_carlo_samples
-                if plan.draw_token is not None:
-                    stats.probability_computations += len(survivors)
-                    stats.monte_carlo_samples += samples * len(survivors)
-                    probabilities = self._keyed_point_probabilities(plan, survivors)
-                    for obj, probability in zip(survivors, probabilities):
-                        probability = float(probability)
-                        if probability > 0.0 and probability >= threshold:
-                            result.add(obj.oid, probability)
-                else:
-                    # Same per-query draw plan as the vectorized backend (one
-                    # batched issuer draw), evaluated with a scalar per-object
-                    # loop — probabilities are bitwise identical across backends.
-                    draws = issuer.pdf.sample_batch(self._rng, samples, len(survivors))
-                    for i, obj in enumerate(survivors):
-                        stats.probability_computations += 1
-                        stats.monte_carlo_samples += samples
-                        dx = np.abs(draws[i, :, 0] - obj.location.x)
-                        dy = np.abs(draws[i, :, 1] - obj.location.y)
-                        inside = (dx <= spec.half_width) & (dy <= spec.half_height)
-                        probability = float(np.count_nonzero(inside)) / samples
-                        if probability > 0.0 and probability >= threshold:
-                            result.add(obj.oid, probability)
+                stats.probability_computations += len(survivors)
+                stats.monte_carlo_samples += self._config.monte_carlo_samples * len(survivors)
+                probabilities = self._keyed_point_probabilities(plan, survivors)
+                for obj, probability in zip(survivors, probabilities):
+                    probability = float(probability)
+                    if probability > 0.0 and probability >= threshold:
+                        result.add(obj.oid, probability)
             else:
                 for obj in survivors:
                     stats.probability_computations += 1
@@ -730,7 +690,7 @@ class QueryPipeline:
         survivors: list[UncertainObject],
         spec,
         stats: EvaluationStatistics,
-        draw_token: int | None,
+        draw_token: int,
         *,
         bounds: np.ndarray | None = None,
     ) -> list[tuple[int, float]]:
@@ -740,10 +700,9 @@ class QueryPipeline:
         for uniform issuer/target pairs, batched Monte-Carlo for sampled
         pairs, the deterministic grid fallback for ``exact`` without a closed
         form — and each batch runs as one NumPy kernel.  Monte-Carlo draws
-        come from the plan's draw token (or the shared per-query streaming
-        plan), so sampled probabilities are bitwise identical to the scalar
-        backend given the same seed.  Returns ``(oid, probability)`` pairs in
-        survivor order.
+        come from the plan's draw token, so sampled probabilities are
+        bitwise identical to the scalar backend given the same seed.
+        Returns ``(oid, probability)`` pairs in survivor order.
         """
         if not survivors:
             return []
@@ -753,28 +712,10 @@ class QueryPipeline:
         if mc_rows:
             samples = self._config.monte_carlo_samples
             stats.monte_carlo_samples += samples * len(mc_rows)
-            all_mc = len(mc_rows) == len(survivors)
-            targets = survivors if all_mc else [survivors[row] for row in mc_rows]
-            if draw_token is not None:
-                probabilities[mc_rows] = iuq_probabilities_monte_carlo_per_oid(
-                    issuer.pdf,
-                    targets,
-                    spec,
-                    samples,
-                    self._config.rng_seed,
-                    draw_token,
-                )
-            else:
-                probabilities[mc_rows] = iuq_probabilities_monte_carlo(
-                    issuer.pdf,
-                    targets,
-                    spec,
-                    samples,
-                    self._rng,
-                    target_bounds=(
-                        bounds if all_mc else bounds[mc_rows]
-                    ) if bounds is not None else None,
-                )
+            targets = [survivors[row] for row in mc_rows]
+            probabilities[mc_rows] = iuq_probabilities_monte_carlo_per_oid(
+                issuer.pdf, targets, spec, samples, self._config.rng_seed, draw_token
+            )
         if exact_rows:
             if bounds is not None:
                 exact_bounds = bounds[exact_rows]
@@ -802,11 +743,11 @@ class QueryPipeline:
         survivors: list[UncertainObject],
         spec,
         stats: EvaluationStatistics,
-        draw_token: int | None,
+        draw_token: int,
     ) -> list[tuple[int, float]]:
         """Scalar-reference twin of :meth:`_uncertain_probabilities_vectorized`.
 
-        Same routing and the same Monte-Carlo draw plan, but every
+        Same routing and the same Monte-Carlo draws, but every closed-form
         probability is evaluated with a per-object loop — this is the oracle
         the parity suite compares the batched kernels against.
         """
@@ -819,19 +760,9 @@ class QueryPipeline:
             samples = self._config.monte_carlo_samples
             stats.monte_carlo_samples += samples * len(mc_rows)
             targets = [survivors[row] for row in mc_rows]
-            if draw_token is not None:
-                probabilities[mc_rows] = iuq_probabilities_monte_carlo_per_oid(
-                    issuer.pdf, targets, spec, samples, self._config.rng_seed, draw_token
-                )
-            else:
-                issuer_draws, target_draws = monte_carlo_iuq_draws(
-                    issuer.pdf, targets, samples, self._rng
-                )
-                for i, row in enumerate(mc_rows):
-                    dx = np.abs(target_draws[i, :, 0] - issuer_draws[i, :, 0])
-                    dy = np.abs(target_draws[i, :, 1] - issuer_draws[i, :, 1])
-                    inside = (dx <= spec.half_width) & (dy <= spec.half_height)
-                    probabilities[row] = float(np.count_nonzero(inside)) / samples
+            probabilities[mc_rows] = iuq_probabilities_monte_carlo_per_oid(
+                issuer.pdf, targets, spec, samples, self._config.rng_seed, draw_token
+            )
         for row in exact_rows:
             probabilities[row] = iuq_probability_exact_uniform(
                 issuer.pdf, survivors[row], spec

@@ -13,10 +13,9 @@ through the engine monolith:
 * the **pruner** (:class:`~repro.core.pruning.CIPQPruner` /
   :class:`~repro.core.pruning.CIUQPruner`) owning the expanded-region
   construction, shared across queries with equal fingerprints, and
-* the **draw-plan slot** — the token Monte-Carlo draws are keyed by (the
-  query's sequence number under ``draw_plan="per_oid"``, a digest of the
-  query's fingerprint under ``draw_plan="query_keyed"``, or ``None`` for
-  the historical streaming plan).
+* the **draw token** — the integer every Monte-Carlo draw of the query is
+  keyed by: a digest of the query's fingerprint (the query's sequence
+  number only when it has no fingerprint).
 
 A query has one identity, its content: :func:`query_fingerprint` (issuer
 oid, pdf wire form and catalog levels, shape, threshold, target).  The
@@ -128,12 +127,11 @@ def relevance_window(query: Query) -> Rect | None:
 
 
 def query_draw_token(fingerprint: str) -> int:
-    """A stable 63-bit draw-plan token hashed from a query's fingerprint.
+    """A stable 63-bit draw token hashed from a query's fingerprint.
 
     Deterministic across processes and Python hash randomisation (it goes
     through :mod:`hashlib`, not builtin ``hash``), and equal whenever the
-    :func:`query_fingerprint` the caller already holds is equal.  Passed to
-    the keyed draw kernels in place of the query sequence number; the
+    :func:`query_fingerprint` the caller already holds is equal.  The
     counter function of :mod:`repro.core.draws` accepts any integer token.
     """
     digest = hashlib.blake2b(fingerprint.encode(), digest_size=8).digest()
@@ -169,8 +167,8 @@ class QueryPlan:
     query_seq: int
     #: Which evaluation core runs the plan.
     target: PlanTarget
-    #: Token the Monte-Carlo draws are keyed by (``None`` = streaming plan).
-    draw_token: int | None
+    #: Token the Monte-Carlo draws are keyed by (see :func:`resolve_draw_token`).
+    draw_token: int
     #: Pruner owning the expanded regions (``None`` for nearest-neighbour).
     pruner: CIPQPruner | CIUQPruner | None
     #: Candidate window the probe retrieves from (``None`` for nearest).
@@ -268,21 +266,17 @@ class PlanToken:
         )
 
 
-def resolve_draw_token(config, fingerprint: str | None, query_seq: int) -> int | None:
-    """The draw-plan slot for one query: what Monte-Carlo draws are keyed by.
+def resolve_draw_token(fingerprint: str | None, query_seq: int) -> int:
+    """What one query's Monte-Carlo draws are keyed by.
 
-    ``None`` selects the streaming plan (draws consumed from the engine's
-    shared advancing generator); the query's sequence number keys the
-    position-independent ``per_oid`` plan; the digest of the query's
-    fingerprint keys the ``query_keyed`` plan that the result cache relies
-    on.  A query without a fingerprint (see :func:`query_fingerprint`) is
-    never cached, so under ``query_keyed`` it draws by position instead.
+    The digest of the query's content (:func:`query_draw_token`), so a
+    query samples the same draws however the session was built and
+    wherever the query sits in a workload — the property the result cache,
+    the shards and the server all rely on.  A query without a fingerprint
+    (see :func:`query_fingerprint`) is never cached, so it draws by its
+    sequence number instead.
     """
-    if config.draw_plan == "per_oid":
-        return query_seq
-    if config.draw_plan == "query_keyed":
-        return query_seq if fingerprint is None else query_draw_token(fingerprint)
-    return None
+    return query_seq if fingerprint is None else query_draw_token(fingerprint)
 
 
 def plan_query(
@@ -310,7 +304,7 @@ def plan_query(
         )
     if fingerprint is None:
         fingerprint = query_fingerprint(query)
-    draw_token = resolve_draw_token(config, fingerprint, query_seq)
+    draw_token = resolve_draw_token(fingerprint, query_seq)
     if isinstance(query, NearestNeighborQuery):
         return QueryPlan(
             query=query,

@@ -133,9 +133,8 @@ class Session:
         :class:`~repro.core.parallel.ParallelEngine`: routed to the shards
         their window can touch, run shard by shard in this process, merged.
         Every existing workload runs unchanged on the sharded session;
-        results are identical to a single-shard engine configured with the
-        per-oid draw plan (``EngineConfig(draw_plan="per_oid")``), which
-        sharded execution forces — Monte-Carlo probabilities match bitwise.
+        results are identical to this session's — Monte-Carlo probabilities
+        match bitwise, because every draw is keyed by the query's content.
         To run the shards on other cores or hosts use :meth:`distributed`.
 
         ``hot_threshold`` arms in-place re-splitting: a shard that grows past
@@ -149,22 +148,22 @@ class Session:
                 f"sharded() runs its shards in-process (workers={workers} is not "
                 "supported); use Session.distributed(k) for multi-process execution"
             )
-        sharded_points, sharded_uncertain, config = self._reshard(
+        sharded_points, sharded_uncertain = self._reshard(
             k, partitioner=partitioner, hot_threshold=hot_threshold
         )
         engine = ParallelEngine(
-            point_db=sharded_points, uncertain_db=sharded_uncertain, config=config
+            point_db=sharded_points,
+            uncertain_db=sharded_uncertain,
+            config=self._engine.config,
         )
         return Session(engine=engine)
 
     def _reshard(
         self, k: int, *, partitioner: str, hot_threshold: int | None
-    ) -> tuple[ShardedDatabase | None, ShardedDatabase | None, EngineConfig]:
+    ) -> tuple[ShardedDatabase | None, ShardedDatabase | None]:
         """Partition this session's data into ``k`` shards per database.
 
-        Shared by :meth:`sharded` and :meth:`distributed`.  Also resolves
-        the engine configuration: the streaming draw plan is replaced with
-        the position-independent per-oid plan sharded execution requires.
+        Shared by :meth:`sharded` and :meth:`distributed`.
         """
         point_db = self._engine.point_db
         uncertain_db = self._engine.uncertain_db
@@ -199,10 +198,7 @@ class Session:
                 catalog_levels=None,
                 hot_threshold=hot_threshold,
             )
-        config = self._engine.config
-        if config.draw_plan == "stream":
-            config = config.with_overrides(draw_plan="per_oid")
-        return sharded_points, sharded_uncertain, config
+        return sharded_points, sharded_uncertain
 
     def distributed(
         self,
@@ -219,7 +215,7 @@ class Session:
         :class:`~repro.rpc.engine.RemoteEngine`: routed plan-token batches
         scatter over persistent pipelined connections, the packed answer
         arrays gather back, and the merge is the parallel engine's —
-        answers are bitwise-identical to the serial per-oid engine.
+        answers are bitwise-identical to this session's.
 
         ``addrs`` connects to already-running daemons (``(host, port)``
         pairs, one per shard, in shard-id order; ``k`` defaults to their
@@ -245,7 +241,7 @@ class Session:
             raise ConfigurationError(
                 "distributed() needs a shard count k or an explicit addrs list"
             )
-        sharded_points, sharded_uncertain, config = self._reshard(
+        sharded_points, sharded_uncertain = self._reshard(
             k, partitioner=partitioner, hot_threshold=None
         )
         cluster = None
@@ -258,7 +254,7 @@ class Session:
             engine = RemoteEngine(
                 point_db=sharded_points,
                 uncertain_db=sharded_uncertain,
-                config=config,
+                config=self._engine.config,
                 pool=RemoteShardPool(addrs),
                 cluster=cluster,
                 owns_pool=True,
@@ -276,29 +272,22 @@ class Session:
         through either session are seen by both — the epoch counters keep
         every consumer consistent) but runs with a fresh
         :class:`~repro.core.cache.ResultCache` of the given ``capacity``
-        threaded through the query pipeline.  Sessions on the default
-        streaming draw plan are switched to ``draw_plan="query_keyed"`` so
-        that *sampled* answers are cacheable too: under that plan a query's
-        Monte-Carlo draws depend only on its content, never on its position
-        in the workload, so a cache hit is bitwise-identical to recomputing.
-        A session already on ``"per_oid"`` keeps its plan (preserving
-        sharded-parity replay semantics); there only draw-free answers are
-        cached.
+        threaded through the query pipeline.  *Sampled* answers are cached
+        too: a query's Monte-Carlo draws depend only on its content, never
+        on its position in the workload, so a cache hit is bitwise-identical
+        to recomputing.
 
         Monitor hit rates via :meth:`stats`.
         """
-        overrides: dict[str, Any] = {"cache": ResultCache(capacity=capacity)}
-        if self._engine.config.draw_plan == "stream":
-            overrides["draw_plan"] = "query_keyed"
-        return self.with_config(**overrides)
+        return self.with_config(cache=ResultCache(capacity=capacity))
 
     def with_config(self, **overrides: Any) -> "Session":
         """A new session sharing this session's databases under a tweaked config.
 
         ``overrides`` are :class:`~repro.core.engine.EngineConfig` field
-        overrides (``draw_plan=...``, ``cache=...``, ...).  Both sessions see
-        each other's mutations — the databases are the same objects — but
-        each evaluates with its own configuration.
+        overrides (``probability_method=...``, ``cache=...``, ...).  Both
+        sessions see each other's mutations — the databases are the same
+        objects — but each evaluates with its own configuration.
         """
         config = self._engine.config.with_overrides(**overrides)
         if isinstance(self._engine, ParallelEngine):
@@ -361,7 +350,6 @@ class Session:
                 "use_pti_pruning": config.use_pti_pruning,
                 "ciuq_strategies": [s.value for s in config.ciuq_strategies],
                 "vectorized": config.vectorized,
-                "draw_plan": config.draw_plan,
                 "cache_capacity": config.cache.capacity if config.cache else None,
             },
             "databases": databases,

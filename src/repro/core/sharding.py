@@ -388,9 +388,9 @@ class ShardedDatabase(MutationObservable):
         """Run routed ``(query_seq, query)`` pairs through one shard's pipeline.
 
         The sequence numbers are the queries' positions in the *global*
-        workload, so position-keyed draw plans sample the same Monte-Carlo
-        draws on every shard — the bitwise-parity contract of the parallel
-        executor.
+        workload, so a query without a fingerprint (whose draws are keyed by
+        that number) samples the same Monte-Carlo draws on every shard — the
+        bitwise-parity contract of the parallel executor.
         """
         batch = [query for _, query in items]
         seqs = [int(seq) for seq, _ in items]

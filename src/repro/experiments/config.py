@@ -93,8 +93,8 @@ class ExperimentConfig:
     #: pipeline (``0`` disables caching — the paper's figures always run
     #: uncached so that work counters keep their meaning).  When positive,
     #: :meth:`engine_config` attaches a fresh
-    #: :class:`~repro.core.cache.ResultCache` and switches the draw plan to
-    #: ``"query_keyed"`` so sampled answers are cacheable too.
+    #: :class:`~repro.core.cache.ResultCache`; sampled answers are cached
+    #: too, since every draw is keyed by the query's content.
     cache_capacity: int = 0
     defaults: PaperDefaults = field(default_factory=PaperDefaults)
 
@@ -121,8 +121,8 @@ class ExperimentConfig:
         The Monte-Carlo sample count stays at the paper's value: the sampled
         probability work is what the threshold-aware methods save, so
         shrinking it (unlike the dataset or the query count) changes the
-        figures' qualitative shapes, and the batched draw plan keeps even
-        250-sample runs fast at this scale.
+        figures' qualitative shapes, and the batched counter-based draws
+        keep even 250-sample runs fast at this scale.
         """
         return ExperimentConfig(
             dataset_scale=0.01,
@@ -176,8 +176,7 @@ class ExperimentConfig:
         """An :class:`~repro.core.engine.EngineConfig` on the experiment's backend.
 
         ``vectorized`` defaults to :attr:`engine_vectorized`; a positive
-        :attr:`cache_capacity` attaches a fresh result cache (and the
-        ``query_keyed`` draw plan it needs for sampled answers); every other
+        :attr:`cache_capacity` attaches a fresh result cache; every other
         engine field can be overridden per experiment.
         """
         from repro.core.cache import ResultCache
@@ -186,7 +185,6 @@ class ExperimentConfig:
         overrides.setdefault("vectorized", self.engine_vectorized)
         if self.cache_capacity > 0:
             overrides.setdefault("cache", ResultCache(capacity=self.cache_capacity))
-            overrides.setdefault("draw_plan", "query_keyed")
         return EngineConfig(**overrides)
 
 

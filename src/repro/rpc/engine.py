@@ -7,8 +7,8 @@ inherited unchanged — only ``_execute`` (one pipelined scatter-gather round
 over :class:`~repro.rpc.pool.RemoteShardPool`), the cache key (the
 daemon-reported epoch vector joins the scope) and the mutators (which
 mirror every primitive to the owning shard's daemon) are overridden.
-Answers are therefore bitwise-identical to the serial engine under any
-position-independent draw plan, exactly like the in-process shards.
+Answers are therefore bitwise-identical to the serial engine, exactly like
+the in-process shards.
 
 **Coherence protocol.**  The parent keeps, per ``(kind, sid)``, the local
 shard database's ``(uid, epoch)`` recorded at the last moment parent and

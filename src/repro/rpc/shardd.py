@@ -97,7 +97,7 @@ def execute_token_items(
     for position, seq, token in nn_items:
         query = token.to_query()
         samples = token.samples if token.samples is not None else DEFAULT_NN_SAMPLES
-        draw_token = resolve_draw_token(config, query_fingerprint(query), seq)
+        draw_token = resolve_draw_token(query_fingerprint(query), seq)
         draws = nn_query_draws(query.issuer.pdf, samples, config.rng_seed, draw_token)
         nn_engine = pipeline.nearest_engine(samples)
         oids, distances, stats = nn_engine.per_draw_winners(draws)

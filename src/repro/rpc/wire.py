@@ -125,7 +125,6 @@ def config_to_dict(config: EngineConfig) -> dict:
             "use_pti_pruning": config.use_pti_pruning,
             "ciuq_strategies": [strategy.value for strategy in config.ciuq_strategies],
             "vectorized": config.vectorized,
-            "draw_plan": config.draw_plan,
         },
     )
 
@@ -148,7 +147,6 @@ def config_from_dict(payload: Any) -> EngineConfig:
             for value in require(payload, ENGINE_CONFIG_SCHEMA, "ciuq_strategies")
         ),
         vectorized=bool(require(payload, ENGINE_CONFIG_SCHEMA, "vectorized")),
-        draw_plan=require(payload, ENGINE_CONFIG_SCHEMA, "draw_plan"),
         cache=None,
     )
 

@@ -19,10 +19,8 @@ cache invalidation stay consistent with single-client semantics.
 Two properties make coalesced answers **bitwise identical** to calling
 ``Session.evaluate`` directly on the same session:
 
-* the server forces the ``query_keyed`` draw plan (when the session is on
-  the default ``stream`` plan), making a query's Monte-Carlo draws a pure
-  function of its content rather than its position in whatever wave it
-  landed in, and
+* a query's Monte-Carlo draws are a pure function of its content, never of
+  its position in whatever wave it landed in, and
 * ``evaluate_many`` runs the same staged pipeline per query as ``evaluate``.
 
 Backpressure is applied at submission: once ``max_pending`` requests are
@@ -92,10 +90,6 @@ class QueryServer:
             raise ConfigurationError(f"max_pending must be >= 1, got {max_pending}")
         if max_wave is not None and max_wave < 1:
             raise ConfigurationError(f"max_wave must be >= 1, got {max_wave}")
-        if session.engine.config.draw_plan == "stream":
-            # Position-independent draws: a query answers identically whether
-            # it is evaluated alone or inside any coalesced wave.
-            session = session.with_config(draw_plan="query_keyed")
         self._session = session
         self._window = float(window)
         self._max_pending = int(max_pending)
@@ -112,7 +106,7 @@ class QueryServer:
 
     @property
     def session(self) -> Session:
-        """The served session (with the server's draw-plan override applied)."""
+        """The served session."""
         return self._session
 
     # ------------------------------------------------------------------ #

@@ -1,4 +1,4 @@
-"""RPL002 — all sampling in ``repro/core`` flows through draw-plan keys.
+"""RPL002 — all sampling in ``repro/core`` flows through content-keyed draws.
 
 The engines promise *bitwise parity*: the same query against the same data
 yields the same Monte-Carlo draws in serial, parallel and replayed runs,
@@ -34,7 +34,7 @@ _GENERATOR_API = {"default_rng", "Generator", "PCG64", "Philox", "SFC64"}
 
 _STDLIB_RANDOM = (
     "stdlib 'random' uses interpreter-global state; derive draws from the "
-    "draw-plan key with repro.core.draws (row_keys / uniform_blocks)"
+    "query's draw token with repro.core.draws (row_keys / uniform_blocks)"
 )
 
 

@@ -1,9 +1,9 @@
 """RPL006 — no wall-clock / process-identity calls in replayed pipeline code.
 
 Query evaluation runs identically in three contexts: in-process, in shard
-daemons, and replayed from a recorded draw-plan.  Any value read from the
-environment — ``time.time()``, ``datetime.now()``, ``os.getpid()``,
-``os.urandom()``, ``uuid.uuid4()`` — differs between those contexts and
+daemons, and on replay.  Any value read from the environment —
+``time.time()``, ``datetime.now()``, ``os.getpid()``, ``os.urandom()``,
+``uuid.uuid4()`` — differs between those contexts and
 poisons the bitwise-parity contract the parallel engine's merge step relies
 on.  (PR 7's shard merge was debugged against exactly this: a worker-side
 value that could never be reproduced parent-side.)

@@ -14,7 +14,7 @@ Every pdf exposes:
 * per-axis marginal CDFs and quantiles (used to compute p-bounds),
 * ``sample(rng, n)`` — draws for Monte-Carlo evaluation,
 * ``from_uniforms(ux, uy)`` — the inverse-CDF transform of given uniforms,
-  which the counter-based draw plans (:mod:`repro.core.draws`) sample with,
+  which the engines' counter-based draws (:mod:`repro.core.draws`) sample with,
 * ``density(x, y)`` — the raw density value.
 
 Two batched counterparts back the vectorized evaluation backend:
@@ -98,40 +98,11 @@ class UncertaintyPdf(abc.ABC):
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw ``n`` locations; returns an ``(n, 2)`` array of ``(x, y)`` pairs."""
 
-    def sample_into(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        """Draw ``len(out)`` locations into a preallocated ``(n, 2)`` view.
-
-        Generator consumption and values are identical to :meth:`sample`;
-        batch kernels use this to fill one contiguous draw tensor without a
-        per-object stack-and-copy.  The base implementation delegates to
-        :meth:`sample`; closed-form pdfs override it to write in place.
-        """
-        out[:] = self.sample(rng, out.shape[0])
-
-    def sample_batch(self, rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-        """``k`` independent groups of ``n`` draws as a ``(k, n, 2)`` tensor.
-
-        This is the per-query Monte-Carlo *draw plan*: one call provides the
-        draws for a whole candidate batch, and both the scalar and the
-        vectorized evaluation backends consume the identical tensor — which
-        is what keeps sampled probabilities bitwise comparable between them.
-        The base implementation loops :meth:`sample_into` per group; pdfs
-        with batchable transforms override it with one flat draw for the
-        whole batch.  Each override is deterministic given the generator
-        state, but the stream-to-group layout is implementation-defined, so
-        different pdf classes (or the base fallback) produce different —
-        equally valid — plans.
-        """
-        out = np.empty((k, n, 2), dtype=float)
-        for i in range(k):
-            self.sample_into(rng, out[i])
-        return out
-
     @abc.abstractmethod
     def from_uniforms(self, ux: np.ndarray, uy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Locations ``(xs, ys)`` transformed from given uniforms in ``[0, 1)``.
 
-        The counter-based draw plans (:mod:`repro.core.draws`) hand each pdf
+        The engines' counter-based draws (:mod:`repro.core.draws`) hand each pdf
         its uniforms instead of a generator; every pdf applies an
         inverse-CDF transform element-wise, so ``xs``/``ys`` have the shape
         of ``ux``/``uy``.  Both are new arrays (the kernels reuse them in
@@ -297,24 +268,8 @@ class UniformPdf(UncertaintyPdf):
         ys = rng.uniform(self._region.ymin, self._region.ymax, size=n)
         return np.column_stack([xs, ys])
 
-    def sample_into(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        n = out.shape[0]
-        out[:, 0] = rng.uniform(self._region.xmin, self._region.xmax, size=n)
-        out[:, 1] = rng.uniform(self._region.ymin, self._region.ymax, size=n)
-
-    def sample_batch(self, rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-        # One flat standard-uniform draw scaled into the region: the same
-        # low + (high - low) * u transform rng.uniform applies, but with a
-        # single generator call for the whole batch.
-        u = rng.random((2, k, n))
-        region = self._region
-        out = np.empty((k, n, 2), dtype=float)
-        out[:, :, 0] = region.xmin + (region.xmax - region.xmin) * u[0]
-        out[:, :, 1] = region.ymin + (region.ymax - region.ymin) * u[1]
-        return out
-
     def from_uniforms(self, ux: np.ndarray, uy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # low + span·u, the stream plan's arithmetic, with one new array per
+        # low + span·u, the arithmetic of rng.uniform, with one new array per
         # axis (the sum is taken in place; addition commutes bitwise).
         region = self._region
         xs = (region.xmax - region.xmin) * ux
@@ -487,27 +442,6 @@ class TruncatedGaussianPdf(UncertaintyPdf):
         xs = np.clip(xs, self._region.xmin, self._region.xmax)
         ys = np.clip(ys, self._region.ymin, self._region.ymax)
         return np.column_stack([xs, ys])
-
-    def sample_into(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        n = out.shape[0]
-        ux = rng.uniform(0.0, 1.0, size=n)
-        uy = rng.uniform(0.0, 1.0, size=n)
-        xs = self._x_dist.ppf(self._x_lo_cdf + ux * self._x_mass)
-        ys = self._y_dist.ppf(self._y_lo_cdf + uy * self._y_mass)
-        np.clip(xs, self._region.xmin, self._region.xmax, out=out[:, 0])
-        np.clip(ys, self._region.ymin, self._region.ymax, out=out[:, 1])
-
-    def sample_batch(self, rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-        # One vectorized ppf evaluation for the whole batch — the ppf call
-        # overhead, not the draw itself, dominates per-group sampling.
-        ux = rng.uniform(0.0, 1.0, size=(k, n))
-        uy = rng.uniform(0.0, 1.0, size=(k, n))
-        xs = self._x_dist.ppf(self._x_lo_cdf + ux * self._x_mass)
-        ys = self._y_dist.ppf(self._y_lo_cdf + uy * self._y_mass)
-        out = np.empty((k, n, 2), dtype=float)
-        np.clip(xs, self._region.xmin, self._region.xmax, out=out[:, :, 0])
-        np.clip(ys, self._region.ymin, self._region.ymax, out=out[:, :, 1])
-        return out
 
     def from_uniforms(self, ux: np.ndarray, uy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         xs = self._x_dist.ppf(self._x_lo_cdf + ux * self._x_mass)

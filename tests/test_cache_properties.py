@@ -5,9 +5,9 @@ mutations, run against two independently built engine stacks over the same
 data — one with the cache enabled, one without — must produce bitwise
 identical answers at every position.  The cache can never serve a stale
 answer (mutations bump the epoch embedded in every key) nor a cross-config
-answer (the configuration fingerprint is embedded too), and under the
-``query_keyed`` draw plan even Monte-Carlo answers are cacheable because a
-query's draws depend only on its content.
+answer (the configuration fingerprint is embedded too), and even
+Monte-Carlo answers are cacheable because a query's draws depend only on
+its content.
 
 A second property pins the cache's notion of "the same query": queries
 equal by content — one of them decoded from the other's wire form — share
@@ -104,7 +104,7 @@ _ops = st.one_of(
 
 
 def _build_engine(cache: ResultCache | None) -> ImpreciseQueryEngine:
-    config = EngineConfig(draw_plan="query_keyed", cache=cache, monte_carlo_samples=48)
+    config = EngineConfig(cache=cache, monte_carlo_samples=48)
     return ImpreciseQueryEngine(
         point_db=PointDatabase.build(_base_points()),
         uncertain_db=UncertainDatabase.build(_base_uncertain()),
@@ -251,7 +251,7 @@ def identity_sessions():
     serial = Session.from_objects(
         points=_base_points(),
         uncertain=_base_uncertain(),
-        config=EngineConfig(draw_plan="query_keyed", monte_carlo_samples=48),
+        config=EngineConfig(monte_carlo_samples=48),
     )
     distributed = serial.distributed(2)
     try:

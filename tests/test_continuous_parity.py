@@ -4,8 +4,8 @@ Acceptance criteria of the subscription subsystem, as a Hypothesis property:
 under interleaved insert/delete/move streams with parity checkpoints, every
 standing subscription's maintained answer is **bitwise identical** to a
 from-scratch ``evaluate`` of the same query over the database's current
-state (the registry always runs ``draw_plan="query_keyed"``, so a cold
-evaluation is reproducible regardless of stream position) — for a single
+state (every draw is keyed by query content, so a cold evaluation is
+reproducible regardless of stream position) — for a single
 database and for sharded databases with K ∈ {2, 4} — and replaying each
 subscription's emitted delta stream over its initial answer reconstructs
 the final answer exactly.  A deterministic companion test pins down the
@@ -62,7 +62,7 @@ def _build_database(k: int):
 
 
 def _cold_answers(database, queries) -> list[dict[int, float]]:
-    config = EngineConfig(draw_plan="query_keyed")
+    config = EngineConfig()
     if isinstance(database, ShardedDatabase):
         engine = ParallelEngine(point_db=database, config=config)
     else:

@@ -19,7 +19,8 @@ from repro.core.engine import (
     PointDatabase,
     UncertainDatabase,
 )
-from repro.core.nearest import ImpreciseNearestNeighborEngine
+from repro.core.nearest import ImpreciseNearestNeighborEngine, nn_query_draws
+from repro.core.plan import query_draw_token, query_fingerprint
 from repro.core.queries import (
     Evaluation,
     NearestNeighborQuery,
@@ -117,14 +118,18 @@ class TestEvaluateParity:
         self, point_db, small_points, uniform_issuer
     ):
         engine = ImpreciseQueryEngine(point_db=point_db)
-        unified = engine.evaluate(NearestNeighborQuery(issuer=uniform_issuer, samples=512))
+        query = NearestNeighborQuery(issuer=uniform_issuer, samples=512)
+        unified = engine.evaluate(query)
         standalone = ImpreciseNearestNeighborEngine(
             small_points,
             index=point_db.index,
             samples=512,
             rng_seed=engine.config.rng_seed,
         )
-        expected, _ = standalone.evaluate(uniform_issuer)
+        # The engine samples the query's content-keyed draws.
+        token = query_draw_token(query_fingerprint(query))
+        draws = nn_query_draws(uniform_issuer.pdf, 512, engine.config.rng_seed, token)
+        expected, _ = standalone.evaluate(uniform_issuer, draws=draws)
         assert len(unified) > 0
         assert unified.probabilities() == expected.probabilities()
 

@@ -89,28 +89,26 @@ class TestResultCacheUnit:
 class TestEngineConfigCacheValidation:
     def test_cache_must_be_result_cache(self):
         with pytest.raises(ValueError, match="ResultCache"):
-            EngineConfig(cache=128, draw_plan="query_keyed")
+            EngineConfig(cache=128)
 
     def test_cache_with_stream_plan_rejected(self):
-        with pytest.raises(ValueError, match="replay determinism"):
+        with pytest.raises(ValueError, match="draw plans were removed"):
             EngineConfig(cache=ResultCache(capacity=8), draw_plan="stream")
 
     def test_cache_with_deterministic_plans_accepted(self):
-        for plan in ("per_oid", "query_keyed"):
-            config = EngineConfig(cache=ResultCache(capacity=8), draw_plan=plan)
-            assert config.cache is not None
+        # Every draw is keyed by query content, so any configuration caches.
+        config = EngineConfig(cache=ResultCache(capacity=8))
+        assert config.cache is not None
 
     def test_unknown_draw_plan_rejected(self):
         with pytest.raises(ValueError, match="draw_plan"):
             EngineConfig(draw_plan="chaotic")
 
     def test_fingerprint_excludes_cache(self):
-        base = EngineConfig(draw_plan="query_keyed")
-        cached = EngineConfig(draw_plan="query_keyed", cache=ResultCache(capacity=8))
+        base = EngineConfig()
+        cached = EngineConfig(cache=ResultCache(capacity=8))
         assert base.fingerprint() == cached.fingerprint()
-        assert base.fingerprint() != EngineConfig(
-            draw_plan="query_keyed", monte_carlo_samples=99
-        ).fingerprint()
+        assert base.fingerprint() != EngineConfig(monte_carlo_samples=99).fingerprint()
 
 
 @pytest.fixture()
@@ -143,7 +141,7 @@ class TestSerialEngineCaching:
         plain = Session.from_objects(
             points=small_points,
             uncertain=small_uncertain,
-            config=EngineConfig(draw_plan="query_keyed"),
+            config=EngineConfig(),
         )
         cached = Session.from_objects(
             points=small_points, uncertain=small_uncertain
@@ -171,13 +169,11 @@ class TestSerialEngineCaching:
         assert stats.epochs["points"] == 1
         assert stats.epochs["uncertain"] == 0
 
-    def test_per_oid_plan_caches_only_draw_free_answers(
-        self, small_points, default_spec
-    ):
+    def test_sampled_and_draw_free_answers_are_both_cached(self, small_points, default_spec):
         from repro.geometry.circle import Circle
         from repro.uncertainty.pdf import UniformCirclePdf
 
-        config = EngineConfig(draw_plan="per_oid", cache=ResultCache(capacity=32))
+        config = EngineConfig(cache=ResultCache(capacity=32))
         engine = ImpreciseQueryEngine(
             point_db=PointDatabase.build(small_points), config=config
         )
@@ -186,11 +182,14 @@ class TestSerialEngineCaching:
             oid=5, pdf=UniformCirclePdf(Circle(Point(5_000.0, 5_000.0), 250.0))
         )
         sampled_query = RangeQuery.ipq(circular, default_spec)  # no closed form → MC
-        engine.evaluate_many([exact_query, sampled_query] * 2)
-        # Only the draw-free answer was stored; the sampled one recomputed
-        # both times (its draws are position-keyed, so a replay would differ).
-        assert config.cache.stats.hits == 1
-        assert len(config.cache) == 1
+        first, second = [e.probabilities() for e in engine.evaluate_many([sampled_query] * 2)]
+        engine.evaluate(exact_query)
+        engine.evaluate(exact_query)
+        # Both answers were stored: sampled draws are keyed by query content,
+        # so the replayed sampled answer equals the computed one bitwise.
+        assert config.cache.stats.hits == 2
+        assert len(config.cache) == 2
+        assert first == second
 
     def test_nn_default_samples_spellings_share_one_identity(self, small_points):
         """``samples=None`` and an explicit default are the *same* request.
@@ -215,13 +214,13 @@ class TestSerialEngineCaching:
         )
         # End to end: serving either spelling from an entry filled by the
         # other equals uncached evaluation.
-        config = EngineConfig(draw_plan="query_keyed", cache=ResultCache(capacity=8))
+        config = EngineConfig(cache=ResultCache(capacity=8))
         cached_engine = ImpreciseQueryEngine(
             point_db=PointDatabase.build(small_points), config=config
         )
         plain_engine = ImpreciseQueryEngine(
             point_db=PointDatabase.build(small_points),
-            config=EngineConfig(draw_plan="query_keyed"),
+            config=EngineConfig(),
         )
         cached_engine.evaluate(implicit)
         served = cached_engine.evaluate(explicit)  # hit on implicit's entry
@@ -238,11 +237,11 @@ class TestSerialEngineCaching:
 
         region = _issuer().region
         query = RangeQuery.ipq(UncertainObject(oid=3, pdf=NoWirePdf(region)), default_spec)
-        config = EngineConfig(draw_plan="query_keyed", cache=ResultCache(capacity=8))
+        config = EngineConfig(cache=ResultCache(capacity=8))
         engine = ImpreciseQueryEngine(point_db=PointDatabase.build(small_points), config=config)
         plain = ImpreciseQueryEngine(
             point_db=PointDatabase.build(small_points),
-            config=EngineConfig(draw_plan="query_keyed"),
+            config=EngineConfig(),
         )
         served = engine.evaluate_many([query, query])
         assert len(config.cache) == 0
@@ -256,7 +255,7 @@ class TestSerialEngineCaching:
 
         engine = ImpreciseQueryEngine(
             point_db=PointDatabase.build(small_points),
-            config=EngineConfig(draw_plan="query_keyed", cache=ResultCache(capacity=8)),
+            config=EngineConfig(cache=ResultCache(capacity=8)),
         )
         query = RangeQuery.cipq(_issuer(), default_spec, 0.4)
         engine.evaluate(query)
@@ -281,7 +280,7 @@ class TestSerialEngineCaching:
         not just its epoch — both databases below sit at epoch 0, and the
         second must not be served the first one's answer.
         """
-        config = EngineConfig(draw_plan="query_keyed", cache=ResultCache(capacity=8))
+        config = EngineConfig(cache=ResultCache(capacity=8))
         issuer = _issuer()
         inside = PointObject.at(1, 5_010.0, 5_010.0)
         elsewhere = PointObject.at(2, 9_900.0, 9_900.0)
@@ -302,7 +301,6 @@ class TestSerialEngineCaching:
         results = {}
         for samples in (32, 64):
             config = EngineConfig(
-                draw_plan="query_keyed",
                 cache=cache,
                 probability_method="monte_carlo",
                 monte_carlo_samples=samples,
@@ -353,21 +351,21 @@ class TestShardedCaching:
         ] * 2
         expected = [e.probabilities() for e in uncached.evaluate_many(queries)]
         actual = [e.probabilities() for e in cached.evaluate_many(queries)]
-        # NN draws differ between plans (per_oid vs query_keyed), so compare
-        # like-for-like: the cached session against itself re-run uncached.
-        replay = Session.from_objects(
-            points=[PointObject.at(i, 100.0 + i, 100.0 + (i % 7)) for i in range(40)]
-            + [PointObject.at(100 + i, 9_000.0 + i, 9_000.0 + (i % 7)) for i in range(40)]
-        ).sharded(2, partitioner="median")
-        replay = Session(
-            engine=type(replay.engine)(
-                point_db=replay.engine.point_db,
-                config=cached.engine.config.with_overrides(cache=None),
-            )
-        )
-        assert actual == [e.probabilities() for e in replay.evaluate_many(queries)]
-        # The range query's closed-form answers also match the per-oid run.
-        assert actual[0] == expected[0]
+        assert actual == expected
+
+    def test_sharded_cached_session_caches_sampled_answers(self, small_points, default_spec):
+        session = Session.from_objects(
+            points=small_points,
+            config=EngineConfig(probability_method="monte_carlo", monte_carlo_samples=64),
+        ).sharded(2).cached()
+        near = small_points[0].location
+        query = RangeQuery.cipq(_gaussian_issuer(near.x, near.y), default_spec, 0.2)
+        first = session.evaluate(query)
+        second = session.evaluate(query)
+        assert first.statistics.monte_carlo_samples > 0
+        assert second.probabilities() == first.probabilities()
+        cache = session.stats().cache
+        assert (cache["hits"], cache["entries"]) == (1, 1)
 
 
 class TestSessionSurface:
@@ -378,17 +376,11 @@ class TestSessionSurface:
         assert stats.hit_rate == 0.0
         assert stats.epochs == {"points": 0}
 
-    def test_cached_switches_stream_to_query_keyed(self, small_points):
+    def test_cached_attaches_a_cache_of_the_given_capacity(self, small_points):
         session = Session.from_objects(points=small_points)
         cached = session.cached(capacity=16)
-        assert cached.engine.config.draw_plan == "query_keyed"
         assert cached.engine.config.cache.capacity == 16
-
-    def test_cached_preserves_per_oid_plan(self, small_points):
-        session = Session.from_objects(
-            points=small_points, config=EngineConfig(draw_plan="per_oid")
-        )
-        assert session.cached().engine.config.draw_plan == "per_oid"
+        assert cached.engine.config == session.engine.config
 
     def test_cached_shares_live_databases(self, small_points, default_spec):
         session = Session.from_objects(points=small_points)
@@ -405,5 +397,4 @@ class TestSessionSurface:
             ExperimentConfig(cache_capacity=-1)
         config = ExperimentConfig(cache_capacity=64).engine_config()
         assert config.cache.capacity == 64
-        assert config.draw_plan == "query_keyed"
         assert ExperimentConfig().engine_config().cache is None

@@ -13,14 +13,14 @@ from repro.core.basic import (
     issuer_grid_arrays,
 )
 from repro.core.columnar import ColumnarPoints, ColumnarUncertain
+from repro.core.draws import row_keys, uniforms
 from repro.core.duality import (
     ipq_probabilities,
-    ipq_probabilities_monte_carlo,
+    ipq_probabilities_monte_carlo_per_oid,
     ipq_probability,
     iuq_probabilities_exact_uniform,
-    iuq_probabilities_monte_carlo,
+    iuq_probabilities_monte_carlo_per_oid,
     iuq_probability_exact_uniform,
-    monte_carlo_iuq_draws,
 )
 from repro.core.engine import PointDatabase, UncertainDatabase
 from repro.core.queries import RangeQuerySpec
@@ -425,57 +425,49 @@ class TestDualityKernels:
 
     @pytest.mark.parametrize("pdf_cls", [UniformPdf, TruncatedGaussianPdf])
     def test_ipq_monte_carlo_batch_bitwise(self, pdf_cls):
-        """The batch kernel equals a scalar loop over the same draw plan."""
+        """The blocked batch kernel equals a scalar loop over the same draws."""
         issuer_pdf = pdf_cls(ISSUER_REGION)
-        locations = np.array([[1_250.0, 1_150.0], [1_500.0, 1_400.0], [1_800.0, 1_000.0]])
-        batched = ipq_probabilities_monte_carlo(
-            issuer_pdf, SPEC, locations, 128, np.random.default_rng(17)
+        # 45 candidates: more than one CHUNK_ROWS block.
+        locations = np.array([[1_250.0, 1_150.0], [1_500.0, 1_400.0], [1_800.0, 1_000.0]] * 15)
+        oids = np.arange(len(locations)) - 5
+        batched = ipq_probabilities_monte_carlo_per_oid(
+            issuer_pdf, SPEC, locations, oids, 128, 7, 17
         )
-        draws = issuer_pdf.sample_batch(np.random.default_rng(17), 128, len(locations))
         for row, (x, y) in enumerate(locations):
-            dx = np.abs(draws[row, :, 0] - x)
-            dy = np.abs(draws[row, :, 1] - y)
-            inside = (dx <= SPEC.half_width) & (dy <= SPEC.half_height)
+            u = uniforms(row_keys(7, 17, [oids[row]]), 256)[0]
+            xs, ys = issuer_pdf.from_uniforms(u[:128], u[128:])
+            inside = (np.abs(xs - x) <= SPEC.half_width) & (np.abs(ys - y) <= SPEC.half_height)
             assert batched[row] == float(np.count_nonzero(inside)) / 128
 
     def test_iuq_monte_carlo_batch_bitwise(self):
-        """The batch kernel equals a scalar loop over the same draw plan."""
-        issuer_pdf = UniformPdf(ISSUER_REGION)
-        targets = _uncertain(8, seed=19, with_catalog=False)
-        batched = iuq_probabilities_monte_carlo(
-            issuer_pdf, targets, SPEC, 96, np.random.default_rng(23)
-        )
-        issuer_draws, target_draws = monte_carlo_iuq_draws(
-            issuer_pdf, targets, 96, np.random.default_rng(23)
-        )
-        for row in range(len(targets)):
-            dx = np.abs(target_draws[row, :, 0] - issuer_draws[row, :, 0])
-            dy = np.abs(target_draws[row, :, 1] - issuer_draws[row, :, 1])
+        """The blocked batch kernel equals a scalar loop over the same draws."""
+        issuer_pdf = TruncatedGaussianPdf(ISSUER_REGION)
+        targets = _uncertain(40, seed=19, with_catalog=False)
+        batched = iuq_probabilities_monte_carlo_per_oid(issuer_pdf, targets, SPEC, 96, 7, 23)
+        for row, target in enumerate(targets):
+            u = uniforms(row_keys(7, 23, [target.oid]), 4 * 96)[0]
+            xs, ys = issuer_pdf.from_uniforms(u[:96], u[96:192])
+            txs, tys = target.pdf.from_uniforms(u[192:288], u[288:])
+            dx = np.abs(txs - xs)
+            dy = np.abs(tys - ys)
             inside = (dx <= SPEC.half_width) & (dy <= SPEC.half_height)
             assert batched[row] == float(np.count_nonzero(inside)) / 96
 
     def test_iuq_draw_plan_deterministic_and_in_region(self):
-        """The plan is reproducible and every draw lies in its target region."""
+        """The draws are keyed per oid, and every target draw lies in its region."""
         issuer_pdf = UniformPdf(ISSUER_REGION)
         targets = _uncertain(6, seed=31, with_catalog=False)
-        first = monte_carlo_iuq_draws(issuer_pdf, targets, 64, np.random.default_rng(5))
-        second = monte_carlo_iuq_draws(issuer_pdf, targets, 64, np.random.default_rng(5))
-        assert np.array_equal(first[0], second[0])
-        assert np.array_equal(first[1], second[1])
+        first = iuq_probabilities_monte_carlo_per_oid(issuer_pdf, targets, SPEC, 64, 7, 5)
+        again = iuq_probabilities_monte_carlo_per_oid(issuer_pdf, targets, SPEC, 64, 7, 5)
+        reordered = iuq_probabilities_monte_carlo_per_oid(issuer_pdf, targets[::-1], SPEC, 64, 7, 5)
+        assert np.array_equal(first, again)
+        assert np.array_equal(first, reordered[::-1])
+        u = uniforms(row_keys(7, 5, [target.oid for target in targets]), 4 * 64)
         for row, target in enumerate(targets):
+            xs, ys = target.pdf.from_uniforms(u[row, 128:192], u[row, 192:])
             region = target.region
-            assert np.all(first[1][row, :, 0] >= region.xmin)
-            assert np.all(first[1][row, :, 0] <= region.xmax)
-            assert np.all(first[1][row, :, 1] >= region.ymin)
-            assert np.all(first[1][row, :, 1] <= region.ymax)
-
-    def test_sample_batch_matches_sample_into_for_gaussian(self):
-        """Gaussian batch draws: one ppf call, same uniforms per block."""
-        pdf = TruncatedGaussianPdf(ISSUER_REGION)
-        batched = pdf.sample_batch(np.random.default_rng(41), 32, 1)
-        single = np.empty((32, 2), dtype=float)
-        pdf.sample_into(np.random.default_rng(41), single)
-        assert np.array_equal(batched[0], single)
+            assert np.all((xs >= region.xmin) & (xs <= region.xmax))
+            assert np.all((ys >= region.ymin) & (ys <= region.ymax))
 
 
 class TestBasicKernels:

@@ -56,13 +56,9 @@ def _registry(database=None, **kwargs) -> SubscriptionRegistry:
 def _cold_answer(database, query) -> dict[int, float]:
     """A from-scratch evaluation of ``query`` over the database's live state."""
     if isinstance(database, ShardedDatabase):
-        engine = ParallelEngine(
-            point_db=database, config=EngineConfig(draw_plan="query_keyed")
-        )
+        engine = ParallelEngine(point_db=database, config=EngineConfig())
     else:
-        engine = ImpreciseQueryEngine(
-            point_db=database, config=EngineConfig(draw_plan="query_keyed")
-        )
+        engine = ImpreciseQueryEngine(point_db=database, config=EngineConfig())
     return engine.evaluate(query).probabilities()
 
 
@@ -81,14 +77,10 @@ class TestRegistryConstruction:
                 config=EngineConfig(),
             )
 
-    def test_forces_content_keyed_draws(self):
-        registry = _registry()
-        assert registry.config.draw_plan == "query_keyed"
-        explicit = SubscriptionRegistry(
-            point_db=PointDatabase.build(_points()),
-            config=EngineConfig(draw_plan="query_keyed"),
-        )
-        assert explicit.config.draw_plan == "query_keyed"
+    def test_runs_the_given_config(self):
+        config = EngineConfig(monte_carlo_samples=64)
+        registry = SubscriptionRegistry(point_db=PointDatabase.build(_points()), config=config)
+        assert registry.config is config
 
     def test_subscribe_rejects_non_query_objects(self):
         with pytest.raises(TypeError, match="RangeQuery or NearestNeighborQuery"):

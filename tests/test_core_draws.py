@@ -1,13 +1,13 @@
 """Counter-based Monte-Carlo draws: statistics, layout and every execution path.
 
-Keyed draw plans (``per_oid`` / ``query_keyed``) draw
-``u(seed, token, oid, j)`` from :mod:`repro.core.draws` — a pure function,
-no generator.  These tests check the function is a good uniform source, that
-each pdf's ``from_uniforms`` transform reproduces its distribution, that the
-sampled kernels converge to the closed forms, that the column layout is
-pinned, and that every execution path (serial, sharded, distributed; both
-backends) answers bitwise-identically without ever building a generator —
-including over negative oids.
+Every Monte-Carlo draw is ``u(seed, token, oid, j)`` from
+:mod:`repro.core.draws` — a pure function, no generator.  These tests check
+the function is a good uniform source, that each pdf's ``from_uniforms``
+transform reproduces its distribution, that the sampled kernels converge to
+the closed forms, that the column layout is pinned, and that every execution
+path (serial, cached, sharded, distributed; both backends) answers
+bitwise-identically without ever building a generator — including over
+negative oids.
 """
 
 from __future__ import annotations
@@ -302,7 +302,6 @@ def _answers(evaluations):
 def _serial(vectorized: bool) -> Session:
     points, uncertain = _negative_oid_data()
     config = EngineConfig(
-        draw_plan="query_keyed",
         probability_method="monte_carlo",
         monte_carlo_samples=96,
         vectorized=vectorized,
@@ -332,12 +331,12 @@ class TestKeyedPaths:
         queries = _sampled_queries()
         expected = _answers(_serial(vectorized).evaluate_many(queries))
         serial = _serial(vectorized)
-        sharded = serial.sharded(2)
+        sessions = [serial, serial.cached(), serial.sharded(2), serial.sharded(2).cached()]
 
         def forbidden(*args, **kwargs):
             raise AssertionError("keyed draws must not build a generator")
 
         monkeypatch.setattr(np.random, "default_rng", forbidden)
         monkeypatch.setattr(np.random, "SeedSequence", forbidden)
-        assert _answers(serial.evaluate_many(queries)) == expected
-        assert _answers(sharded.evaluate_many(queries)) == expected
+        for session in sessions:
+            assert _answers(session.evaluate_many(queries)) == expected

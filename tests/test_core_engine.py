@@ -1,5 +1,7 @@
 """Unit and integration tests for the end-to-end query engine."""
 
+import dataclasses
+
 import pytest
 
 from repro.geometry.rect import Rect
@@ -10,6 +12,7 @@ from repro.core.engine import (
     PointDatabase,
     UncertainDatabase,
 )
+from repro.core.errors import ConfigurationError
 from repro.core.pruning import PruningStrategy
 from repro.core.queries import (
     NearestNeighborQuery,
@@ -40,6 +43,31 @@ class TestEngineConfig:
         config = EngineConfig().with_overrides(monte_carlo_samples=99)
         assert config.monte_carlo_samples == 99
         assert EngineConfig().monte_carlo_samples != 99
+
+    def test_draw_plan_shim_accepts_only_query_keyed(self, small_points):
+        # The keyword survives only for the frozen benchmark suite; nothing
+        # stores it, so it reaches neither the fingerprint nor the wire.
+        from repro.core.session import Session
+        from repro.rpc.wire import config_from_dict, config_to_dict
+
+        config = EngineConfig(draw_plan="query_keyed")
+        assert config == EngineConfig()
+        assert config.fingerprint() == EngineConfig().fingerprint()
+        assert "draw_plan" not in {f.name for f in dataclasses.fields(EngineConfig)}
+        payload = config_to_dict(config)
+        assert "draw_plan" not in payload
+        assert config_from_dict(payload) == config
+        described = Session.from_objects(points=small_points, config=config).describe()
+        assert "draw_plan" not in described["config"]
+
+    @pytest.mark.parametrize("plan", ["stream", "per_oid", "banana"])
+    def test_removed_draw_plans_rejected(self, plan):
+        with pytest.raises(ConfigurationError, match="draw plans were removed"):
+            EngineConfig(draw_plan=plan)
+
+    def test_draw_plan_is_not_an_override(self):
+        with pytest.raises(ConfigurationError, match="unknown EngineConfig field"):
+            EngineConfig().with_overrides(draw_plan="query_keyed")
 
 
 class TestDatabaseConstruction:

@@ -39,7 +39,7 @@ class TestQueryPlan:
         assert plan.window == plan.pruner.filter_region
         assert not plan.use_pti
         assert plan.prefer_columnar
-        assert plan.draw_token is None  # stream plan
+        assert plan.draw_token == _token(query)
 
     def test_uncertain_plan_engages_pti(self, uncertain_db, default_spec):
         query = RangeQuery.ciuq(_issuer(), default_spec, 0.4)
@@ -94,11 +94,13 @@ def _token(query):
 
 class TestDrawTokens:
     def test_token_per_plan(self, default_spec):
-        fingerprint = query_fingerprint(RangeQuery.ipq(_issuer(), default_spec))
-        assert resolve_draw_token(EngineConfig(), fingerprint, 9) is None
-        assert resolve_draw_token(EngineConfig(draw_plan="per_oid"), fingerprint, 9) == 9
-        keyed = resolve_draw_token(EngineConfig(draw_plan="query_keyed"), fingerprint, 9)
-        assert keyed == query_draw_token(fingerprint)
+        query = RangeQuery.ipq(_issuer(), default_spec)
+        fingerprint = query_fingerprint(query)
+        assert resolve_draw_token(fingerprint, 9) == query_draw_token(fingerprint)
+        assert resolve_draw_token(None, 9) == 9
+        # Every plan of the query carries its content token, whatever its position.
+        for seq in (0, 9):
+            assert plan_query(query, seq, EngineConfig()).draw_token == _token(query)
 
     def test_content_token_position_independent(self, default_spec):
         issuer = _issuer()
@@ -135,7 +137,7 @@ class TestDrawTokens:
         assert _token(a) != _token(b)
 
     def test_pdf_without_wire_form_has_no_identity(self, default_spec):
-        """No fingerprint, and under query_keyed the draws fall back to position."""
+        """No fingerprint, so the draws fall back to position."""
 
         class NoWirePdf(UniformPdf):
             to_dict = UncertaintyPdf.to_dict
@@ -143,7 +145,7 @@ class TestDrawTokens:
         issuer = UncertainObject(oid=0, pdf=NoWirePdf(_issuer().region))
         query = RangeQuery.ipq(issuer, default_spec)
         assert query_fingerprint(query) is None
-        plan = plan_query(query, 7, EngineConfig(draw_plan="query_keyed"), pruner_cache={})
+        plan = plan_query(query, 7, EngineConfig(), pruner_cache={})
         assert plan.draw_token == 7
 
 
@@ -174,7 +176,7 @@ class TestSharedStageRunner:
         assert engine.pipeline.uncertain_db is uncertain_db
 
     def test_pipeline_run_batch_matches_engine(self, point_db, default_spec):
-        config = EngineConfig(draw_plan="per_oid")
+        config = EngineConfig()
         engine = ImpreciseQueryEngine(point_db=point_db, config=config)
         pipeline = QueryPipeline(point_db=point_db, config=config)
         queries = [RangeQuery.cipq(_issuer(i), default_spec, 0.2) for i in range(4)]
@@ -186,7 +188,7 @@ class TestSharedStageRunner:
 
     def test_shard_pipelines_share_runner_without_cache(self, small_points):
         database = ShardedDatabase.build_points(small_points, 2, partitioner="median")
-        config = EngineConfig(draw_plan="per_oid")
+        config = EngineConfig()
         shard = database.non_empty_shards()[0]
         pipeline = database.shard_pipeline(shard.sid, config)
         assert isinstance(pipeline, QueryPipeline)
@@ -198,7 +200,7 @@ class TestSharedStageRunner:
 
     def test_execute_on_shard_equals_serial_slice(self, small_points, default_spec):
         database = ShardedDatabase.build_points(small_points, 1, partitioner="median")
-        config = EngineConfig(draw_plan="per_oid")
+        config = EngineConfig()
         serial = ImpreciseQueryEngine(
             point_db=database.shards[0].database, config=config
         )
@@ -212,8 +214,8 @@ class TestSharedStageRunner:
     def test_shard_pipelines_cached_per_config(self, small_points):
         """Engines sharing one sharded database keep their pipelines warm."""
         database = ShardedDatabase.build_points(small_points, 2, partitioner="median")
-        config_a = EngineConfig(draw_plan="per_oid")
-        config_b = EngineConfig(draw_plan="query_keyed")
+        config_a = EngineConfig()
+        config_b = EngineConfig(monte_carlo_samples=64)
         sid = database.non_empty_shards()[0].sid
         a = database.shard_pipeline(sid, config_a)
         b = database.shard_pipeline(sid, config_b)
@@ -226,8 +228,8 @@ class TestSharedStageRunner:
         """Shard pipelines are keyed by configuration content, not object identity."""
         database = ShardedDatabase.build_points(small_points, 2, partitioner="median")
         sid = database.non_empty_shards()[0].sid
-        first = EngineConfig(draw_plan="query_keyed", monte_carlo_samples=64)
-        second = EngineConfig(draw_plan="query_keyed", monte_carlo_samples=64)
+        first = EngineConfig(monte_carlo_samples=64)
+        second = EngineConfig(monte_carlo_samples=64)
         assert first is not second
         assert database.shard_pipeline(sid, first) is database.shard_pipeline(sid, second)
 
@@ -238,7 +240,7 @@ class TestSharedStageRunner:
 
         database = ShardedDatabase.build_points(small_points, 2, partitioner="median")
         shard = database.non_empty_shards()[0]
-        configs = [EngineConfig(draw_plan="per_oid", rng_seed=i) for i in range(8)]
+        configs = [EngineConfig(rng_seed=i) for i in range(8)]
         for config in configs:
             database.shard_pipeline(shard.sid, config)
         per_sid = [key for key in database._pipelines if key[0] == shard.sid]
@@ -258,4 +260,4 @@ class TestSharedStageRunner:
         )
         empty = next(shard for shard in database.shards if shard.is_empty)
         with pytest.raises(ValueError, match="empty"):
-            database.shard_pipeline(empty.sid, EngineConfig(draw_plan="per_oid"))
+            database.shard_pipeline(empty.sid, EngineConfig())

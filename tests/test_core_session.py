@@ -1,11 +1,18 @@
 """Tests for the fluent Session facade."""
 
+import asyncio
+
 import pytest
 
 from repro.core.engine import EngineConfig, ImpreciseQueryEngine
-from repro.core.queries import Evaluation, NearestNeighborQuery, RangeQuery
+from repro.core.queries import Evaluation, NearestNeighborQuery, RangeQuery, RangeQuerySpec
 from repro.core.session import Session
 from repro.datasets.workload import QueryWorkload
+from repro.geometry.point import Point
+from repro.geometry.rect import Rect
+from repro.serve import QueryServer, ServeClient
+from repro.uncertainty.pdf import TruncatedGaussianPdf
+from repro.uncertainty.region import UncertainObject
 
 from tests.conftest import TEST_SPACE
 
@@ -244,3 +251,60 @@ class TestStatsAfterMutations:
         assert 9402 in near.answer()
         session.unsubscribe(near)
         assert session.stats().subscriptions["active"] == 1
+
+
+def _answers(evaluation: Evaluation) -> list[tuple[int, float]]:
+    return [(answer.oid, answer.probability) for answer in evaluation.result.answers]
+
+
+def _gaussian_issuer(center: Point, oid: int) -> UncertainObject:
+    region = Rect.from_center(center, 300.0, 300.0)
+    return UncertainObject(oid=oid, pdf=TruncatedGaussianPdf(region)).with_catalog()
+
+
+async def _served_answers(session: Session, queries) -> list[list[tuple[int, float]]]:
+    server = QueryServer(session, window=0.0)
+    tcp = await server.serve("127.0.0.1", 0)
+    port = tcp.sockets[0].getsockname()[1]
+    try:
+        async with await ServeClient.connect("127.0.0.1", port) as client:
+            return [_answers(await client.query(query)) for query in queries]
+    finally:
+        tcp.close()
+        await tcp.wait_closed()
+        await server.stop()
+
+
+class TestOneQueryOneSampledAnswer:
+    """A sampled query has one answer, however its session was built.
+
+    Every Monte-Carlo draw is keyed by the query's content, so repeating a
+    query, moving it within a batch, caching, sharding or serving it never
+    changes a bit of its answer.
+    """
+
+    def test_every_session_kind_agrees(self, small_points, small_uncertain):
+        session = Session.from_objects(
+            points=small_points,
+            uncertain=small_uncertain,
+            config=EngineConfig(probability_method="monte_carlo", monte_carlo_samples=64),
+        )
+        spec = RangeQuerySpec.square(400.0)
+        point_issuer = _gaussian_issuer(small_points[0].location, oid=-1)
+        uncertain_issuer = _gaussian_issuer(small_uncertain[0].region.center, oid=-2)
+        queries = [
+            RangeQuery.cipq(point_issuer, spec, 0.1),
+            RangeQuery.ciuq(uncertain_issuer, spec, 0.1),
+            NearestNeighborQuery(issuer=point_issuer, samples=64),
+        ]
+        expected = [_answers(session.evaluate(query)) for query in queries]
+        assert all(expected)
+
+        assert [_answers(session.evaluate(query)) for query in queries] == expected
+        # Each query at two positions of one batch.
+        batch = session.evaluate_many(queries + queries[::-1])
+        assert [_answers(e) for e in batch] == expected + expected[::-1]
+        for built in (session.cached(), session.sharded(2), session.sharded(2).cached()):
+            for _ in range(2):
+                assert [_answers(built.evaluate(query)) for query in queries] == expected
+        assert asyncio.run(_served_answers(session, queries)) == expected

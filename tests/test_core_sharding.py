@@ -169,7 +169,7 @@ class TestRoutingThroughTheEngine:
         assert evaluation.shard_timings == ()
 
     def test_k_one_matches_the_plain_engine(self, small_points):
-        config = EngineConfig(draw_plan="per_oid")
+        config = EngineConfig()
         plain = ImpreciseQueryEngine(
             point_db=PointDatabase.build(small_points), config=config
         )

@@ -260,7 +260,7 @@ class TestUnknownOidErrors:
 
         engine = ParallelEngine(
             point_db=ShardedDatabase.build_points(_point_objects(), 2),
-            config=EngineConfig(draw_plan="per_oid"),
+            config=EngineConfig(),
         )
         with pytest.raises(ValueError, match=r"cannot delete oid 999"):
             engine.apply_updates(UpdateBatch().delete(999))

@@ -4,9 +4,9 @@ Acceptance criteria of the sharded-execution change: for all four paper
 query kinds (IPQ, C-IPQ, IUQ, C-IUQ) plus the nearest-neighbour extension,
 ``ParallelEngine.evaluate_many`` over K ∈ {2, 4} shards returns answer sets
 and probabilities identical — Monte-Carlo bitwise-identical — to the
-single-shard vectorized engine running the per-oid draw plan, for both
-partitioners.  (``tests/test_rpc_parity.py`` holds the shard daemons to the
-same contract.)
+single-shard vectorized engine, for both partitioners.
+(``tests/test_rpc_parity.py`` holds the shard daemons to the same
+contract.)
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def _queries(count, *, target=None, threshold=0.0, pdf="uniform", seed=99, nn_ev
 
 
 def _single_engine(small_points, small_uncertain, **overrides):
-    config = EngineConfig(draw_plan="per_oid").with_overrides(**overrides)
+    config = EngineConfig(**overrides)
     return ImpreciseQueryEngine(
         point_db=PointDatabase.build(small_points),
         uncertain_db=UncertainDatabase.build(small_uncertain),
@@ -58,7 +58,7 @@ def _single_engine(small_points, small_uncertain, **overrides):
 def _parallel_engine(
     small_points, small_uncertain, k, *, partitioner="grid", **overrides
 ):
-    config = EngineConfig(draw_plan="per_oid").with_overrides(**overrides)
+    config = EngineConfig(**overrides)
     return ParallelEngine(
         point_db=ShardedDatabase.build_points(small_points, k, partitioner=partitioner),
         uncertain_db=ShardedDatabase.build_uncertain(
@@ -169,7 +169,7 @@ class TestParallelEvaluationEnvelope:
 
 class TestShardedSession:
     def test_session_sharded_matches_per_oid_session(self, small_points, small_uncertain):
-        config = EngineConfig(draw_plan="per_oid")
+        config = EngineConfig()
         session = Session.from_objects(
             points=small_points, uncertain=small_uncertain, config=config
         )
@@ -186,10 +186,10 @@ class TestShardedSession:
         for expected, got in zip(reference, evaluations):
             assert got.probabilities() == expected.probabilities()
 
-    def test_sharded_session_forces_per_oid_plan(self, small_points):
+    def test_sharded_session_keeps_the_config(self, small_points):
         session = Session.from_objects(points=small_points)
         sharded = session.sharded(2)
-        assert sharded.engine.config.draw_plan == "per_oid"
+        assert sharded.engine.config is session.engine.config
         assert sharded.point_db.k == 2
 
     def test_workers_above_one_point_at_distributed(self, small_points):
@@ -199,9 +199,7 @@ class TestShardedSession:
             session.sharded(2, workers=2)
 
     def test_nearest_builder_on_sharded_session(self, small_points):
-        plain = Session.from_objects(
-            points=small_points, config=EngineConfig(draw_plan="per_oid")
-        )
+        plain = Session.from_objects(points=small_points, config=EngineConfig())
         sharded = plain.sharded(4)
         issuer = next(QueryWorkload(bounds=TEST_SPACE, seed=95).issuers(1))
         expected = plain.nearest(samples=32).issued_by(issuer).run()
@@ -214,9 +212,7 @@ class TestExperimentConfigSharding:
         from repro.experiments.config import ExperimentConfig
         from repro.experiments.runner import run_session_batch
 
-        session = Session.from_objects(
-            points=small_points, config=EngineConfig(draw_plan="per_oid")
-        )
+        session = Session.from_objects(points=small_points, config=EngineConfig())
         workload = QueryWorkload(bounds=TEST_SPACE, range_half_size=400.0, seed=97)
         plain = run_session_batch(session, workload, 5, target="points")
         sharded = run_session_batch(
@@ -241,7 +237,7 @@ class TestExperimentConfigSharding:
 
 
 class TestPerOidPlanBackendParity:
-    """Under the per-oid plan the scalar oracle equals the vectorized backend."""
+    """Under keyed draws the scalar oracle equals the vectorized backend."""
 
     def test_scalar_vectorized_parity(self, small_points, small_uncertain):
         overrides = {"probability_method": "monte_carlo", "monte_carlo_samples": 40}
@@ -256,8 +252,3 @@ class TestPerOidPlanBackendParity:
             scalar.evaluate_many(workload), vectorized.evaluate_many(workload)
         ):
             assert got.probabilities() == expected.probabilities()
-
-    def test_stream_plan_remains_the_default(self):
-        assert EngineConfig().draw_plan == "stream"
-        with pytest.raises(ValueError, match="draw_plan"):
-            EngineConfig(draw_plan="banana")

@@ -16,8 +16,8 @@ two halves of that contract against spawned ``shardd`` processes:
 
 The layout is two well-separated point clusters under a median
 partitioner, so every query and mutation routes to exactly one knowable
-shard.  The ``query_keyed`` draw plan makes sampled answers depend only on
-query content, which is what lets a serial engine act as the cold oracle.
+shard.  Content-keyed draws make sampled answers depend only on query
+content, which is what lets a serial engine act as the cold oracle.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def _remote(cluster, cache: ResultCache) -> tuple[RemoteShardPool, RemoteEngine]
         point_db=ShardedDatabase.build_points(
             _two_cluster_points(), 2, partitioner="median"
         ),
-        config=EngineConfig(draw_plan="query_keyed", cache=cache),
+        config=EngineConfig(cache=cache),
         pool=pool,
         owns_pool=False,
     )
@@ -88,7 +88,7 @@ def _remote(cluster, cache: ResultCache) -> tuple[RemoteShardPool, RemoteEngine]
 def _serial_mirror() -> ImpreciseQueryEngine:
     return ImpreciseQueryEngine(
         point_db=PointDatabase.build(_two_cluster_points()),
-        config=EngineConfig(draw_plan="query_keyed"),
+        config=EngineConfig(),
     )
 
 

@@ -4,8 +4,8 @@ Acceptance criteria of the RPC shard-service change: for all four paper
 query kinds (IPQ, C-IPQ, IUQ, C-IUQ) plus the nearest-neighbour extension,
 ``RemoteEngine.evaluate_many`` over K ∈ {2, 4} shards — each shard hosted
 by a live spawned ``shardd`` process — returns answer sets and
-probabilities bitwise-identical to the single-shard vectorized engine on
-the per-oid draw plan, including after interleaved
+probabilities bitwise-identical to the single-shard vectorized engine,
+including after interleaved
 :class:`~repro.core.updates.UpdateBatch` mutations, with the scatter hot
 path averaging under the 2 KiB/query transport budget.
 
@@ -54,7 +54,7 @@ def cluster():
 
 
 def _single_engine(small_points, small_uncertain, **overrides):
-    config = EngineConfig(draw_plan="per_oid").with_overrides(**overrides)
+    config = EngineConfig(**overrides)
     return ImpreciseQueryEngine(
         point_db=PointDatabase.build(small_points),
         uncertain_db=UncertainDatabase.build(small_uncertain),
@@ -64,7 +64,7 @@ def _single_engine(small_points, small_uncertain, **overrides):
 
 @contextlib.contextmanager
 def _remote_engine(cluster, small_points, small_uncertain, k, **overrides):
-    config = EngineConfig(draw_plan="per_oid").with_overrides(**overrides)
+    config = EngineConfig(**overrides)
     pool = RemoteShardPool(cluster.addrs[:k])
     try:
         engine = RemoteEngine(

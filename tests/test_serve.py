@@ -2,8 +2,8 @@
 
 Concurrent clients against a live TCP server must receive answers bitwise
 identical to calling ``Session.evaluate`` directly on the served session
-(the ``query_keyed`` draw plan the server forces makes a query's draws a
-pure function of its content, so coalescing cannot change them), updates
+(a query's draws are a pure function of its content, so coalescing cannot
+change them), updates
 must be observed in submission order, backpressure must reject cleanly with
 the typed error, and the protocol envelopes must round-trip losslessly.
 
@@ -337,14 +337,20 @@ class TestConfiguration:
             QueryServer(session, max_wave=0)
 
     def test_server_forces_query_keyed_draw_plan(self):
-        server = QueryServer(make_session())
-        assert server.session.engine.config.draw_plan == "query_keyed"
+        # Nothing to force any more: every draw is keyed by the query's
+        # content, so a sampled answer is the same alone or amid a wave.
+        server = QueryServer(make_session().with_config(probability_method="monte_carlo"))
+        queries = [range_query(i) for i in range(6)]
+        alone = server.session.evaluate(queries[3]).probabilities()
+        amid = server.session.evaluate_many(queries)[3].probabilities()
+        assert alone == amid
+        assert any(0.0 < p < 1.0 for p in alone.values())
 
     def test_per_oid_sessions_keep_their_plan(self):
-        session = make_session().with_config(draw_plan="per_oid")
+        session = make_session().with_config(monte_carlo_samples=64)
         server = QueryServer(session)
-        assert server.session.engine.config.draw_plan == "per_oid"
         assert server.session is session
+        assert server.session.engine.config.monte_carlo_samples == 64
 
 
 class TestCommandLine:

@@ -2,7 +2,7 @@
 
 Acceptance criteria of the incremental-update change: a shard-routed
 ``insert``/``delete``/``move`` stream followed by ``evaluate_many`` returns
-results bitwise-identical (per-oid draw plan) to a from-scratch rebuild of
+results bitwise-identical to a from-scratch rebuild of
 the same final collection, for all four paper query kinds (IPQ, C-IPQ, IUQ,
 C-IUQ) plus the nearest-neighbour extension, for K ∈ {1, 4} shards.
 Updates consume no query sequence numbers, so interleaving them with queries
@@ -82,7 +82,7 @@ def _mutation_batch():
 
 
 def _parallel_engine(small_points, small_uncertain, k, **overrides):
-    config = EngineConfig(draw_plan="per_oid").with_overrides(**overrides)
+    config = EngineConfig(**overrides)
     return ParallelEngine(
         point_db=ShardedDatabase.build_points(small_points, k),
         uncertain_db=ShardedDatabase.build_uncertain(
@@ -94,7 +94,7 @@ def _parallel_engine(small_points, small_uncertain, k, **overrides):
 
 def _rebuilt_engine(parallel, **overrides):
     """A single-shard engine over the parallel engine's *final* collections."""
-    config = EngineConfig(draw_plan="per_oid").with_overrides(**overrides)
+    config = EngineConfig(**overrides)
     return ImpreciseQueryEngine(
         point_db=PointDatabase.build(list(parallel.point_db.objects)),
         uncertain_db=UncertainDatabase.build(
@@ -170,7 +170,7 @@ class TestInterleavedUpdateParity:
         pristine = ImpreciseQueryEngine(
             point_db=PointDatabase.build(small_points),
             uncertain_db=UncertainDatabase.build(small_uncertain),
-            config=EngineConfig(draw_plan="per_oid"),
+            config=EngineConfig(),
         )
         _assert_identical(pristine.evaluate_many(head), evaluations[: len(head)])
 
@@ -191,7 +191,7 @@ class TestInterleavedUpdateParity:
         single = ImpreciseQueryEngine(
             point_db=PointDatabase.build(small_points),
             uncertain_db=UncertainDatabase.build(small_uncertain),
-            config=EngineConfig(draw_plan="per_oid"),
+            config=EngineConfig(),
         )
         parallel = _parallel_engine(small_points, small_uncertain, 4)
         _assert_identical(single.evaluate_many(workload), parallel.evaluate_many(workload))
@@ -204,7 +204,7 @@ class TestHotShardResplitParity:
             uncertain_db=ShardedDatabase.build_uncertain(
                 small_uncertain, 4, catalog_levels=None
             ),
-            config=EngineConfig(draw_plan="per_oid"),
+            config=EngineConfig(),
         )
         k_before = parallel.point_db.k
         batch = UpdateBatch()
@@ -224,7 +224,7 @@ class TestHotShardResplitParity:
 
 class TestShardedSessionUpdates:
     def test_session_mutators_route_through_shards(self, small_points, small_uncertain):
-        config = EngineConfig(draw_plan="per_oid")
+        config = EngineConfig()
         session = Session.from_objects(
             points=small_points, uncertain=small_uncertain, config=config
         ).sharded(4)
@@ -256,7 +256,7 @@ class TestSnapshotsCarriedAcrossUpdates:
             point_db=ShardedDatabase.build_points(small_points, k),
             uncertain_db=ShardedDatabase.build_uncertain(small_uncertain, k),
             # Content-keyed draws: the workload is evaluated twice below.
-            config=EngineConfig(draw_plan="query_keyed"),
+            config=EngineConfig(),
         )
         workload = _all_kind_workload()
         parallel.evaluate_many(workload)  # builds every routed shard's snapshot
@@ -283,6 +283,6 @@ class TestSnapshotsCarriedAcrossUpdates:
             assert_same_snapshot(snapshot, type(snapshot)(database.objects))
         assert [len(snapshot) for snapshot in handed_out] == rows_before
         _assert_identical(
-            _rebuilt_engine(parallel, draw_plan="query_keyed").evaluate_many(workload),
+            _rebuilt_engine(parallel).evaluate_many(workload),
             parallel.evaluate_many(workload),
         )
