@@ -166,9 +166,8 @@ class ColumnarPoints:
         return np.flatnonzero(points_in_window_mask(self.xy, window))
 
 
-def _fill_catalog_row(table: np.ndarray, row: int, catalog) -> None:
-    for li, (_, rect) in enumerate(catalog.level_rects()):
-        table[row, li] = rect.as_tuple()
+def _catalog_row(catalog) -> list[tuple[float, float, float, float]]:
+    return [rect.as_tuple() for rect in catalog.rects]
 
 
 class ColumnarUncertain:
@@ -248,13 +247,13 @@ class ColumnarUncertain:
         if first is None:
             return None, None
         levels = first.levels
-        n = len(self.objects)
-        table = np.empty((n, len(levels), 4), dtype=float)
-        for row, obj in enumerate(self.objects):
+        rows = []
+        for obj in self.objects:
             catalog = obj.catalog
             if catalog is None or catalog.levels != levels:
                 return None, None
-            _fill_catalog_row(table, row, catalog)
+            rows.append(_catalog_row(catalog))
+        table = np.array(rows, dtype=float)
         table.setflags(write=False)
         level_array = np.asarray(levels, dtype=float)
         level_array.setflags(write=False)
@@ -298,10 +297,7 @@ class ColumnarUncertain:
         if not self._accepts(obj):
             return None
         n = len(self.objects)
-        catalog_bounds = np.concatenate(
-            [self.catalog_bounds, np.empty((1,) + self.catalog_bounds.shape[1:])]
-        )
-        _fill_catalog_row(catalog_bounds, n, obj.catalog)
+        catalog_bounds = np.concatenate([self.catalog_bounds, [_catalog_row(obj.catalog)]])
         row_of_oid = dict(self._row_of_oid)
         row_of_oid[obj.oid] = n
         return self._derived(
@@ -338,7 +334,7 @@ class ColumnarUncertain:
         bounds = self.bounds.copy()
         bounds[row] = obj.region.as_tuple()
         catalog_bounds = self.catalog_bounds.copy()
-        _fill_catalog_row(catalog_bounds, row, obj.catalog)
+        catalog_bounds[row] = _catalog_row(obj.catalog)
         return self._derived(
             _replaced(self.objects, row, obj),
             self.oids,

@@ -30,11 +30,14 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
+import numpy as np
+
 from repro.geometry.rect import Rect
+from repro.core import heap
 from repro.core.columnar import ColumnarPoints, ColumnarUncertain
 from repro.core.updates import MutationObservable, UpdateEvent, UpdateOp
 from repro.index.registry import build_index, get_index_backend
-from repro.uncertainty.catalog import DEFAULT_CATALOG_LEVELS
+from repro.uncertainty.catalog import DEFAULT_CATALOG_LEVELS, UCatalog
 from repro.uncertainty.region import PointObject, UncertainObject
 
 _DATABASE_UIDS = itertools.count(1)
@@ -345,14 +348,15 @@ class PointDatabase(_MutableDatabaseMixin):
         ``index_kind`` resolves through the index registry; backends whose
         capabilities exclude point objects (e.g. the PTI) are rejected.
         """
-        materialised = list(objects)
         backend = get_index_backend(index_kind)
         if not backend.capabilities.supports_points:
             raise ConfigurationError(
                 f"index kind {index_kind!r} only stores uncertain objects"
             )
-        index = build_index(materialised, index_kind, bounds=bounds, **index_kwargs)
-        return cls(objects=materialised, index=index, kind=index_kind)
+        with heap.paused():
+            materialised = list(objects)
+            index = build_index(materialised, index_kind, bounds=bounds, **index_kwargs)
+            return cls(objects=materialised, index=index, kind=index_kind)
 
     # ------------------------------------------------------------------ #
     # Live mutation
@@ -405,6 +409,35 @@ class PointDatabase(_MutableDatabaseMixin):
         return new
 
 
+def _attach_catalogs(objects: list[UncertainObject], levels: Sequence[float]) -> np.ndarray | None:
+    """Give every catalog-less object a catalog at ``levels``, in place.
+
+    Returns the batch's ``(N, L, 4)`` rectangle table when it covers every
+    object (row ``i`` is ``objects[i]``'s catalog), else ``None``.
+    """
+    missing = [row for row, obj in enumerate(objects) if obj.catalog is None]
+    if not missing:
+        return None
+    catalogs, table = UCatalog.build_many([objects[row].pdf for row in missing], levels)
+    for row, catalog in zip(missing, catalogs):
+        obj = objects[row]
+        objects[row] = UncertainObject(oid=obj.oid, pdf=obj.pdf, catalog=catalog)
+    return table if len(missing) == len(objects) else None
+
+
+def _columnar_from_table(objects: list[UncertainObject], table: np.ndarray) -> ColumnarUncertain:
+    """The columnar snapshot of ``objects``, adopting their catalog table."""
+    oids = np.fromiter((obj.oid for obj in objects), dtype=np.int64, count=len(objects))
+    bounds = np.array([obj.region.as_tuple() for obj in objects], dtype=float)
+    return ColumnarUncertain.from_arrays(
+        objects,
+        oids,
+        bounds,
+        catalog_levels=np.asarray(objects[0].catalog.levels, dtype=float),
+        catalog_bounds=table,
+    )
+
+
 @dataclass
 class UncertainDatabase(_MutableDatabaseMixin):
     """A collection of uncertain objects plus the index built over them."""
@@ -448,27 +481,32 @@ class UncertainDatabase(_MutableDatabaseMixin):
 
         When ``catalog_levels`` is given, every object missing a U-catalog
         gets one built at those levels (the PTI requires catalogs; the plain
-        R-tree merely benefits from them during object-level pruning).
-        ``index_kind`` resolves through the index registry.
+        R-tree merely benefits from them during object-level pruning), all
+        in one :meth:`UCatalog.build_many` batch.  When the batch covers the
+        whole collection, its rectangle table becomes the columnar
+        snapshot's catalog table directly.  ``index_kind`` resolves through
+        the index registry.
         """
-        materialised = list(objects)
         backend = get_index_backend(index_kind)
         if not backend.capabilities.supports_uncertain:
             raise ConfigurationError(
                 f"index kind {index_kind!r} cannot store uncertain objects"
             )
-        if catalog_levels is not None:
-            materialised = [
-                obj if obj.catalog is not None else obj.with_catalog(catalog_levels)
-                for obj in materialised
-            ]
-        index = build_index(materialised, index_kind, bounds=bounds, **index_kwargs)
-        return cls(
-            objects=materialised,
-            index=index,
-            kind=index_kind,
-            catalog_levels=tuple(catalog_levels) if catalog_levels is not None else None,
-        )
+        with heap.paused():
+            materialised = list(objects)
+            table = None
+            if catalog_levels is not None:
+                table = _attach_catalogs(materialised, catalog_levels)
+            index = build_index(materialised, index_kind, bounds=bounds, **index_kwargs)
+            database = cls(
+                objects=materialised,
+                index=index,
+                kind=index_kind,
+                catalog_levels=tuple(catalog_levels) if catalog_levels is not None else None,
+            )
+            if table is not None:
+                database._adopt_columnar(_columnar_from_table(materialised, table))
+            return database
 
     # ------------------------------------------------------------------ #
     # Live mutation

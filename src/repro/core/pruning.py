@@ -241,17 +241,16 @@ class CIUQPruner:
             return None
         if overlap.is_empty:
             return 0.0
-        level_rects = obj.catalog.level_rects()
+        levels, rects = obj.catalog.levels, obj.catalog.rects
         # Bound rectangles shrink as the level grows.  If the overlap region
         # still intersects the *tightest* stored bound, it intersects every
         # looser one as well and no level can bound the mass — a single check
         # settles the common case.
-        tightest_level, tightest_rect = level_rects[-1]
-        if tightest_level >= self._threshold and overlap.overlaps(tightest_rect):
+        if levels[-1] >= self._threshold and overlap.overlaps(rects[-1]):
             return None
         # Otherwise the first (smallest) qualifying level whose bound misses
         # the overlap region is the tightest valid upper bound.
-        for level, rect in level_rects:
+        for level, rect in zip(levels, rects):
             if level < self._threshold:
                 continue
             if not overlap.overlaps(rect):

@@ -10,7 +10,8 @@ from __future__ import annotations
 from repro.errors import GeometryError
 
 from dataclasses import dataclass
-from typing import Iterator
+from operator import attrgetter, gt
+from typing import Iterable, Iterator, Sequence
 
 from repro.geometry.interval import Interval
 from repro.geometry.point import Point
@@ -67,12 +68,45 @@ class Rect:
         return Rect(point.x, point.y, point.x, point.y)
 
     @staticmethod
+    def from_rows(rows: "Iterable[Sequence[float]]") -> "list[Rect]":
+        """Rectangles from ``(xmin, ymin, xmax, ymax)`` rows, as ``Rect(*row)``.
+
+        Bulk builders (U-catalogs) make hundreds of thousands of rectangles;
+        filling the slots directly skips the frozen-dataclass ``__init__``,
+        which has nothing else to do.
+        """
+        rects = []
+        for xmin, ymin, xmax, ymax in rows:
+            rect = _new_rect(Rect)
+            _set_xmin(rect, xmin)
+            _set_ymin(rect, ymin)
+            _set_xmax(rect, xmax)
+            _set_ymax(rect, ymax)
+            rects.append(rect)
+        return rects
+
+    @staticmethod
     def bounding(rects: "list[Rect]") -> "Rect":
-        """Return the minimum bounding rectangle of a list of rectangles."""
-        result = Rect.empty()
-        for rect in rects:
-            result = result.union_bounds(rect)
-        return result
+        """Return the minimum bounding rectangle of a list of rectangles.
+
+        Empty rectangles are skipped (all empty: the last one is returned,
+        none at all: :meth:`empty`).  One ``min``/``max`` pass per side over
+        the rest keeps the first of equal values, exactly like folding
+        :meth:`union_bounds` from the left, so the result is bitwise that
+        fold's.
+        """
+        if len(rects) <= 1:
+            return rects[0] if rects else Rect.empty()
+        xmins = list(map(_XMIN, rects))
+        ymins = list(map(_YMIN, rects))
+        xmaxs = list(map(_XMAX, rects))
+        ymaxs = list(map(_YMAX, rects))
+        if any(map(gt, xmins, xmaxs)) or any(map(gt, ymins, ymaxs)):
+            live = [rect for rect in rects if not rect.is_empty]
+            if not live:
+                return rects[-1]
+            return Rect.bounding(live)
+        return Rect(min(xmins), min(ymins), max(xmaxs), max(ymaxs))
 
     # ------------------------------------------------------------------ #
     # Basic properties
@@ -279,3 +313,14 @@ class Rect:
     def as_tuple(self) -> tuple[float, float, float, float]:
         """Return ``(xmin, ymin, xmax, ymax)``."""
         return (self.xmin, self.ymin, self.xmax, self.ymax)
+
+
+_XMIN = attrgetter("xmin")
+_YMIN = attrgetter("ymin")
+_XMAX = attrgetter("xmax")
+_YMAX = attrgetter("ymax")
+_new_rect = object.__new__
+_set_xmin = Rect.xmin.__set__  # type: ignore[attr-defined]
+_set_ymin = Rect.ymin.__set__  # type: ignore[attr-defined]
+_set_xmax = Rect.xmax.__set__  # type: ignore[attr-defined]
+_set_ymax = Rect.ymax.__set__  # type: ignore[attr-defined]

@@ -10,11 +10,20 @@ the subtree's ``m``-bound MBR for the largest stored ``m ≤ Qp``: in that case
 every object in the subtree has at most ``m ≤ Qp`` probability mass inside
 the query region, so by Lemma 4 its qualification probability cannot exceed
 ``Qp``.
+
+Layout: a node's augmentation ``node.aug`` is a tuple of rectangles indexed
+by level *position* (``aug[i]`` belongs to ``levels[i]``, the levels every
+stored catalog shares), and each rectangle is exactly the bounding rectangle
+of the children's ``i``-th rectangles — a leaf entry contributes its
+object's ``catalog.rects[i]``.  A node update reads each entry's rectangle
+tuple once and takes one ``min``/``max`` pass per level
+(:meth:`Rect.bounding`); a threshold query resolves its level position once.
 """
 
 from __future__ import annotations
 from repro.errors import InvalidArgumentError, SpatialIndexError
 
+from operator import is_
 from typing import Iterable
 
 from repro.geometry.rect import Rect
@@ -95,26 +104,32 @@ class ProbabilityThresholdIndex(RTree):
     # ------------------------------------------------------------------ #
     # Augmentation maintenance
     # ------------------------------------------------------------------ #
-    def _entry_level_rect(self, entry: _Entry, level: float) -> Rect:
-        if entry.child is not None:
-            aug = entry.child.aug
-            if aug is None:
-                return entry.child.mbr()
-            return aug.get(level, entry.child.mbr())
-        item: UncertainObject = entry.item
-        assert item.catalog is not None
-        return item.catalog.bound_at(level).rect
+    def _entry_rects(self, entry: _Entry) -> tuple[Rect, ...]:
+        """The per-level rectangles one entry contributes to its node."""
+        child = entry.child
+        if child is None:
+            return entry.item.catalog.rects
+        if child.aug is None:
+            return (child.mbr(),) * len(self._levels or ())
+        return child.aug
 
     def _on_node_updated(self, node: _Node) -> None:
         if self._levels is None or not node.entries:
             node.aug = None
             return
-        aug: dict[float, Rect] = {}
-        for level in self._levels:
-            aug[level] = Rect.bounding(
-                [self._entry_level_rect(entry, level) for entry in node.entries]
-            )
-        node.aug = aug
+        rows = [self._entry_rects(entry) for entry in node.entries]
+        aug: list[Rect] = []
+        previous: tuple[Rect, ...] = ()
+        for column in zip(*rows):
+            # Levels that clamp to one p-bound share their rectangles (see
+            # UCatalog.build_many), and so do the node bounds built from
+            # them: a column of the very same objects has the same bound.
+            if aug and all(map(is_, column, previous)):
+                aug.append(aug[-1])
+            else:
+                aug.append(Rect.bounding(column))
+            previous = column
+        node.aug = tuple(aug)
 
     # ------------------------------------------------------------------ #
     # Threshold-aware search
@@ -157,6 +172,7 @@ class ProbabilityThresholdIndex(RTree):
         level = self.pruning_level_for(threshold)
         if level is None and p_expanded_query is None:
             return self.range_search(expanded_query)
+        position = None if level is None else self._levels.index(level)  # type: ignore[union-attr]
 
         def node_filter(entry: _Entry) -> bool:
             # entry.mbr is the subtree's bounding box (maintained by the tree),
@@ -165,18 +181,16 @@ class ProbabilityThresholdIndex(RTree):
                 return False
             child = entry.child
             assert child is not None
-            if level is None or child.aug is None:
+            if position is None or child.aug is None:
                 return True
-            return child.aug[level].overlaps(expanded_query)
+            return child.aug[position].overlaps(expanded_query)
 
         def entry_filter(entry: _Entry) -> bool:
             if p_expanded_query is not None and not entry.mbr.overlaps(p_expanded_query):
                 return False
-            if level is None:
+            if position is None:
                 return True
-            item: UncertainObject = entry.item
-            assert item.catalog is not None
-            return item.catalog.rect_at(level).overlaps(expanded_query)
+            return entry.item.catalog.rects[position].overlaps(expanded_query)
 
         return self.range_search_filtered(
             expanded_query, node_filter=node_filter, entry_filter=entry_filter
@@ -186,19 +200,26 @@ class ProbabilityThresholdIndex(RTree):
     # Validation
     # ------------------------------------------------------------------ #
     def check_augmentation(self) -> None:
-        """Verify that every node's level bounds cover its descendants' bounds."""
+        """Verify that every node's level bounds are exact.
+
+        ``aug[i]`` must cover the entries' ``i``-th rectangles and equal their
+        bounding rectangle (no looser than it has to be).
+        """
         if self._levels is None or len(self) == 0:
             return
 
         def visit(node: _Node) -> None:
             assert node.aug is not None, "non-empty PTI node without augmentation"
-            for level in self._levels or ():
-                node_rect = node.aug[level]
-                for entry in node.entries:
-                    child_rect = self._entry_level_rect(entry, level)
-                    assert node_rect.contains_rect(child_rect), (
-                        f"node {level}-bound does not cover a child's bound"
-                    )
+            assert len(node.aug) == len(self._levels or ()), "augmentation/level mismatch"
+            rows = [self._entry_rects(entry) for entry in node.entries]
+            for position, node_rect in enumerate(node.aug):
+                children = [row[position] for row in rows]
+                assert all(node_rect.contains_rect(child) for child in children), (
+                    f"node {self._levels[position]}-bound does not cover a child's bound"
+                )
+                assert node_rect == Rect.bounding(children), (
+                    f"node {self._levels[position]}-bound is looser than its children's"
+                )
             for entry in node.entries:
                 if entry.child is not None:
                     visit(entry.child)

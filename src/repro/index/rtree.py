@@ -75,8 +75,8 @@ class _Node:
         self.is_leaf = is_leaf
         self.entries: list[_Entry] = []
         # Optional augmentation payload maintained by subclasses (e.g. the
-        # PTI's per-probability-level bounding rectangles).
-        self.aug: dict[float, Rect] | None = None
+        # PTI's per-probability-level bounding rectangles, by level position).
+        self.aug: tuple[Rect, ...] | None = None
 
     def mbr(self) -> Rect:
         """Minimum bounding rectangle of all entries in this node."""
@@ -574,16 +574,22 @@ class RTree:
         slice_count = max(1, math.ceil(math.sqrt(node_estimate)))
         slice_size = slice_count * capacity
 
-        by_x = sorted(entries, key=lambda e: (e.mbr.center.x, e.mbr.center.y))
+        # Sort positions by centre (as Rect.center computes it, without
+        # building the Points): stable sorts on equal keys, as before.
+        mbrs = [entry.mbr for entry in entries]
+        centres = [((mbr.xmin + mbr.xmax) / 2.0, (mbr.ymin + mbr.ymax) / 2.0) for mbr in mbrs]
+        by_x = sorted(range(n), key=centres.__getitem__)
         nodes: list[_Node] = []
         for start in range(0, n, slice_size):
             chunk = sorted(
                 by_x[start : start + slice_size],
-                key=lambda e: (e.mbr.center.y, e.mbr.center.x),
+                key=lambda position: (centres[position][1], centres[position][0]),
             )
             for node_start in range(0, len(chunk), capacity):
                 node = _Node(is_leaf=is_leaf)
-                node.entries = chunk[node_start : node_start + capacity]
+                node.entries = [
+                    entries[position] for position in chunk[node_start : node_start + capacity]
+                ]
                 self._on_node_updated(node)
                 nodes.append(node)
         return nodes

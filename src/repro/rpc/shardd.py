@@ -41,6 +41,7 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.core import heap
 from repro.core.database import PointDatabase, UncertainDatabase
 from repro.core.engine import EngineConfig
 from repro.core.errors import EngineStateError, SchemaError
@@ -54,6 +55,8 @@ from repro.errors import ReproError
 from repro.rpc import wire
 from repro.serve.framing import encode_frame, read_frame
 from repro.serve.schemas import error_to_dict
+from repro.uncertainty.catalog import catalog_levels
+from repro.uncertainty.region import UncertainObject
 
 RPC_SCHEMA = wire.RPC_SCHEMA
 
@@ -112,6 +115,31 @@ def execute_token_items(
             )
         )
     return answers
+
+
+def _decode_uncertain(payloads: list, levels: list[float] | None) -> list[UncertainObject]:
+    """Decode a shard's uncertain objects for a database build at ``levels``.
+
+    An object shipped with the shard's own catalog levels (every object, in
+    practice) is decoded without its catalog: the database build then makes
+    all of them in one batch, bitwise equal to a per-object rebuild.  Any
+    other object rebuilds its catalog on decoding, as before.
+    """
+    shard_levels = catalog_levels(levels) if levels is not None else None
+    objects = []
+    for payload in payloads:
+        shipped = payload.get("catalog_levels") if isinstance(payload, Mapping) else None
+        if (
+            shard_levels is not None
+            and shipped is not None
+            and catalog_levels(shipped) == shard_levels
+        ):
+            payload = {**payload, "catalog_levels": None}
+        obj = wire.object_from_dict(payload)
+        if not isinstance(obj, UncertainObject):
+            raise SchemaError(f"uncertain shard got a {type(obj).__name__} payload")
+        objects.append(obj)
+    return objects
 
 
 class _LoadedShard:
@@ -202,23 +230,20 @@ class ShardHost:
         sid = int(require(header, RPC_SCHEMA, "sid"))
         index_kind = require(header, RPC_SCHEMA, "index_kind")
         levels = require(header, RPC_SCHEMA, "catalog_levels")
+        levels = [float(level) for level in levels] if levels is not None else None
         config = wire.config_from_dict(require(header, RPC_SCHEMA, "config"))
-        objects = [
-            wire.object_from_dict(payload)
-            for payload in require(header, RPC_SCHEMA, "objects")
-        ]
-        if kind == "points":
-            database: PointDatabase | UncertainDatabase = PointDatabase.build(
-                objects, index_kind=index_kind
-            )
-        else:
-            database = UncertainDatabase.build(
-                objects,
-                index_kind=index_kind,
-                catalog_levels=(
-                    [float(level) for level in levels] if levels is not None else None
-                ),
-            )
+        payloads = require(header, RPC_SCHEMA, "objects")
+        with heap.paused():
+            if kind == "points":
+                objects = [wire.object_from_dict(payload) for payload in payloads]
+                database: PointDatabase | UncertainDatabase = PointDatabase.build(
+                    objects, index_kind=index_kind
+                )
+            else:
+                objects = _decode_uncertain(payloads, levels)
+                database = UncertainDatabase.build(
+                    objects, index_kind=index_kind, catalog_levels=levels
+                )
         shard = _LoadedShard(kind, database)
         digest = shard.register(config)
         self._shards[(kind, sid)] = shard

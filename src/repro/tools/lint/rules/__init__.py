@@ -13,6 +13,7 @@
 | RPL009 | statistics      | merged ``EvaluationStatistics`` are copied, not aliased |
 | RPL010 | rpc             | no pickle on the RPC shard-protocol hot path          |
 | RPL011 | identity        | no ``id()`` keys in ``repro/core/`` or ``repro/rpc/`` |
+| RPL012 | heap            | ``gc`` is called only from ``repro/core/heap.py``     |
 
 ``RPL000`` is the engine itself (unused suppressions, parse failures).
 """
@@ -20,6 +21,7 @@
 from repro.tools.lint.rules import (  # noqa: F401  (import = register)
     caching,
     exceptions,
+    heap,
     identity,
     observability,
     raises,

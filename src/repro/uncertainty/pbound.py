@@ -11,16 +11,20 @@ on the *outer* side of each line is exactly ``p``:
 
 The 0-bound coincides with the uncertainty region's boundary.  p-bounds are
 pre-computed at a handful of probability levels and stored in a
-:class:`~repro.uncertainty.catalog.UCatalog`.
+:class:`~repro.uncertainty.catalog.UCatalog`; :func:`pbound_table` computes
+them for a whole collection at once.
 """
 
 from __future__ import annotations
 from repro.errors import DistributionError
 
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from repro.geometry.rect import Rect
-from repro.uncertainty.pdf import UncertaintyPdf
+from repro.uncertainty.pdf import UncertaintyPdf, marginal_quantiles
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,3 +78,23 @@ def compute_pbound(pdf: UncertaintyPdf, p: float) -> PBound:
 def pbound_rect(pdf: UncertaintyPdf, p: float) -> Rect:
     """Convenience wrapper returning only the rectangle of the p-bound."""
     return compute_pbound(pdf, p).rect
+
+
+def pbound_table(pdfs: Sequence[UncertaintyPdf], ps: Sequence[float]) -> np.ndarray:
+    """The p-bound rectangles of many pdfs at many levels, as ``(N, P, 4)``.
+
+    Row ``[i, j]`` holds ``(left, bottom, right, top)`` — the layout of
+    :meth:`Rect.as_tuple` — and is bitwise ``compute_pbound(pdfs[i], ps[j])``:
+    the same clamp, the same quantiles, taken by
+    :func:`~repro.uncertainty.pdf.marginal_quantiles` in one pass per pdf
+    class.
+    """
+    clamped = []
+    for p in ps:
+        p = float(p)
+        if not 0.0 <= p <= 1.0:
+            raise DistributionError(f"p must lie in [0, 1], got {p}")
+        clamped.append(min(p, 0.5))
+    qx, qy = marginal_quantiles(pdfs, clamped + [1.0 - p for p in clamped])
+    k = len(clamped)
+    return np.stack([qx[:, :k], qy[:, :k], qx[:, k:], qy[:, k:]], axis=-1)

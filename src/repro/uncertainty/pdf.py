@@ -26,6 +26,18 @@ vectorized engine.  The uniform and truncated-Gaussian pdfs override
 values to their scalar counterparts; the histogram and circle pdfs keep the
 per-rectangle fallback (their rectangle masses need per-rect bin/segment
 work), so batched calls against them run at scalar speed.
+
+The truncated Gaussian holds plain floats (means, sigmas, truncation CDFs
+and masses), no frozen SciPy distribution object: its normal CDF, quantile
+and density are ``scipy.special.ndtr``/``ndtri`` and
+``exp(-z**2/2)/sqrt(2*pi)``, the very operations SciPy's frozen ``norm``
+applies, so the values are bitwise those of the frozen distribution at a
+fraction of the construction cost, and SciPy's statistics package is never
+imported.  :func:`marginal_quantiles` takes the marginal quantiles of a whole
+collection at once (U-catalog construction), bitwise like the scalar
+methods.  Every shipped pdf rejects non-finite parameters (region
+coordinates, sigmas, bin weights, circle centre and radius) with
+:class:`~repro.errors.DistributionError`.
 """
 
 from __future__ import annotations
@@ -36,7 +48,7 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr, ndtri
 
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
@@ -55,6 +67,32 @@ def _tagged(payload: dict) -> dict:
     from repro.core.wire import tagged
 
     return tagged(PDF_SCHEMA, payload)
+
+
+def _require_finite(what: str, *values: float) -> None:
+    """Raise unless every value is a finite float (JSON can carry NaN/inf)."""
+    if not all(map(math.isfinite, values)):
+        raise DistributionError(f"{what} must be finite, got {values}")
+
+
+#: ``sqrt(2*pi)`` as SciPy's ``norm`` rounds it (its ``_norm_pdf_C``).
+_SQRT_2PI = 2.5066282746310002
+
+
+# The normal CDF, quantile and density in the exact operation order of the
+# frozen SciPy ``norm(loc=mu, scale=sigma)``: standardise, apply the
+# ``scipy.special`` kernel, rescale.  They take floats or arrays alike.
+def _norm_cdf(x, mu: float, sigma: float):
+    return ndtr((x - mu) / sigma)
+
+
+def _norm_ppf(q, mu: float, sigma: float):
+    return ndtri(q) * sigma + mu
+
+
+def _norm_pdf(x, mu: float, sigma: float):
+    z = np.asarray((x - mu) / sigma)
+    return np.exp(-z**2 / 2.0) / _SQRT_2PI / sigma
 
 
 class UncertaintyPdf(abc.ABC):
@@ -204,6 +242,7 @@ class UniformPdf(UncertaintyPdf):
     has_closed_form = True
 
     def __init__(self, region: Rect) -> None:
+        _require_finite("region coordinates", *region.as_tuple())
         if region.is_empty:
             raise DistributionError("uncertainty region must be non-empty")
         if region.area == 0.0:
@@ -305,6 +344,7 @@ class TruncatedGaussianPdf(UncertaintyPdf):
         sigma_x: float | None = None,
         sigma_y: float | None = None,
     ) -> None:
+        _require_finite("region coordinates", *region.as_tuple())
         if region.is_empty or region.area == 0.0:
             raise DistributionError("uncertainty region must have positive area")
         self._region = region
@@ -312,18 +352,17 @@ class TruncatedGaussianPdf(UncertaintyPdf):
         self._mu_y = region.center.y
         self._sigma_x = sigma_x if sigma_x is not None else max(region.width / 6.0, 1e-12)
         self._sigma_y = sigma_y if sigma_y is not None else max(region.height / 6.0, 1e-12)
+        _require_finite("standard deviations", self._sigma_x, self._sigma_y)
         if self._sigma_x <= 0 or self._sigma_y <= 0:
             raise DistributionError("standard deviations must be positive")
 
         # Per-axis truncation masses (the Gaussian mass that falls inside the
         # region); used to renormalise CDFs so that the pdf integrates to one
         # over the region.
-        self._x_dist = stats.norm(loc=self._mu_x, scale=self._sigma_x)
-        self._y_dist = stats.norm(loc=self._mu_y, scale=self._sigma_y)
-        self._x_lo_cdf = float(self._x_dist.cdf(region.xmin))
-        self._x_hi_cdf = float(self._x_dist.cdf(region.xmax))
-        self._y_lo_cdf = float(self._y_dist.cdf(region.ymin))
-        self._y_hi_cdf = float(self._y_dist.cdf(region.ymax))
+        self._x_lo_cdf = float(_norm_cdf(region.xmin, self._mu_x, self._sigma_x))
+        self._x_hi_cdf = float(_norm_cdf(region.xmax, self._mu_x, self._sigma_x))
+        self._y_lo_cdf = float(_norm_cdf(region.ymin, self._mu_y, self._sigma_y))
+        self._y_hi_cdf = float(_norm_cdf(region.ymax, self._mu_y, self._sigma_y))
         self._x_mass = self._x_hi_cdf - self._x_lo_cdf
         self._y_mass = self._y_hi_cdf - self._y_lo_cdf
         if self._x_mass <= 0 or self._y_mass <= 0:
@@ -346,14 +385,16 @@ class TruncatedGaussianPdf(UncertaintyPdf):
         high = min(high, self._region.xmax)
         if high <= low:
             return 0.0
-        return (float(self._x_dist.cdf(high)) - float(self._x_dist.cdf(low))) / self._x_mass
+        cdf_high = float(_norm_cdf(high, self._mu_x, self._sigma_x))
+        return (cdf_high - float(_norm_cdf(low, self._mu_x, self._sigma_x))) / self._x_mass
 
     def _axis_prob_y(self, low: float, high: float) -> float:
         low = max(low, self._region.ymin)
         high = min(high, self._region.ymax)
         if high <= low:
             return 0.0
-        return (float(self._y_dist.cdf(high)) - float(self._y_dist.cdf(low))) / self._y_mass
+        cdf_high = float(_norm_cdf(high, self._mu_y, self._sigma_y))
+        return (cdf_high - float(_norm_cdf(low, self._mu_y, self._sigma_y))) / self._y_mass
 
     def probability_in_rect(self, rect: Rect) -> float:
         if rect.is_empty:
@@ -369,12 +410,14 @@ class TruncatedGaussianPdf(UncertaintyPdf):
         hiy = np.minimum(bounds[:, 3], region.ymax)
         px = np.where(
             hix > lox,
-            (self._x_dist.cdf(hix) - self._x_dist.cdf(lox)) / self._x_mass,
+            (_norm_cdf(hix, self._mu_x, self._sigma_x) - _norm_cdf(lox, self._mu_x, self._sigma_x))
+            / self._x_mass,
             0.0,
         )
         py = np.where(
             hiy > loy,
-            (self._y_dist.cdf(hiy) - self._y_dist.cdf(loy)) / self._y_mass,
+            (_norm_cdf(hiy, self._mu_y, self._sigma_y) - _norm_cdf(loy, self._mu_y, self._sigma_y))
+            / self._y_mass,
             0.0,
         )
         return px * py
@@ -382,8 +425,8 @@ class TruncatedGaussianPdf(UncertaintyPdf):
     def density(self, x: float, y: float) -> float:
         if not self._region.contains_point(Point(x, y)):
             return 0.0
-        fx = float(self._x_dist.pdf(x)) / self._x_mass
-        fy = float(self._y_dist.pdf(y)) / self._y_mass
+        fx = float(_norm_pdf(x, self._mu_x, self._sigma_x)) / self._x_mass
+        fy = float(_norm_pdf(y, self._mu_y, self._sigma_y)) / self._y_mass
         return fx * fy
 
     def density_array(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -396,8 +439,8 @@ class TruncatedGaussianPdf(UncertaintyPdf):
             & (ys >= region.ymin)
             & (ys <= region.ymax)
         )
-        fx = self._x_dist.pdf(xs) / self._x_mass
-        fy = self._y_dist.pdf(ys) / self._y_mass
+        fx = _norm_pdf(xs, self._mu_x, self._sigma_x) / self._x_mass
+        fy = _norm_pdf(ys, self._mu_y, self._sigma_y) / self._y_mass
         return np.where(inside, fx * fy, 0.0)
 
     def marginal_cdf_x(self, x: float) -> float:
@@ -405,14 +448,14 @@ class TruncatedGaussianPdf(UncertaintyPdf):
             return 0.0
         if x >= self._region.xmax:
             return 1.0
-        return (float(self._x_dist.cdf(x)) - self._x_lo_cdf) / self._x_mass
+        return (float(_norm_cdf(x, self._mu_x, self._sigma_x)) - self._x_lo_cdf) / self._x_mass
 
     def marginal_cdf_y(self, y: float) -> float:
         if y <= self._region.ymin:
             return 0.0
         if y >= self._region.ymax:
             return 1.0
-        return (float(self._y_dist.cdf(y)) - self._y_lo_cdf) / self._y_mass
+        return (float(_norm_cdf(y, self._mu_y, self._sigma_y)) - self._y_lo_cdf) / self._y_mass
 
     def marginal_quantile_x(self, p: float) -> float:
         self._validate_probability(p)
@@ -421,7 +464,7 @@ class TruncatedGaussianPdf(UncertaintyPdf):
         if p >= 1.0:
             return self._region.xmax
         target = self._x_lo_cdf + p * self._x_mass
-        return float(self._x_dist.ppf(target))
+        return float(_norm_ppf(target, self._mu_x, self._sigma_x))
 
     def marginal_quantile_y(self, p: float) -> float:
         self._validate_probability(p)
@@ -430,22 +473,22 @@ class TruncatedGaussianPdf(UncertaintyPdf):
         if p >= 1.0:
             return self._region.ymax
         target = self._y_lo_cdf + p * self._y_mass
-        return float(self._y_dist.ppf(target))
+        return float(_norm_ppf(target, self._mu_y, self._sigma_y))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # Inverse-transform sampling on the truncated marginals keeps the draw
         # count deterministic (rejection sampling would not).
         ux = rng.uniform(0.0, 1.0, size=n)
         uy = rng.uniform(0.0, 1.0, size=n)
-        xs = self._x_dist.ppf(self._x_lo_cdf + ux * self._x_mass)
-        ys = self._y_dist.ppf(self._y_lo_cdf + uy * self._y_mass)
+        xs = _norm_ppf(self._x_lo_cdf + ux * self._x_mass, self._mu_x, self._sigma_x)
+        ys = _norm_ppf(self._y_lo_cdf + uy * self._y_mass, self._mu_y, self._sigma_y)
         xs = np.clip(xs, self._region.xmin, self._region.xmax)
         ys = np.clip(ys, self._region.ymin, self._region.ymax)
         return np.column_stack([xs, ys])
 
     def from_uniforms(self, ux: np.ndarray, uy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        xs = self._x_dist.ppf(self._x_lo_cdf + ux * self._x_mass)
-        ys = self._y_dist.ppf(self._y_lo_cdf + uy * self._y_mass)
+        xs = _norm_ppf(self._x_lo_cdf + ux * self._x_mass, self._mu_x, self._sigma_x)
+        ys = _norm_ppf(self._y_lo_cdf + uy * self._y_mass, self._mu_y, self._sigma_y)
         np.clip(xs, self._region.xmin, self._region.xmax, out=xs)
         np.clip(ys, self._region.ymin, self._region.ymax, out=ys)
         return xs, ys
@@ -486,11 +529,14 @@ class HistogramPdf(UncertaintyPdf):
     has_closed_form = True
 
     def __init__(self, region: Rect, weights: Sequence[Sequence[float]]) -> None:
+        _require_finite("region coordinates", *region.as_tuple())
         if region.is_empty or region.area == 0.0:
             raise DistributionError("uncertainty region must have positive area")
         grid = np.asarray(weights, dtype=float)
         if grid.ndim != 2 or grid.size == 0:
             raise DistributionError("weights must be a non-empty 2-D array (rows = y bins)")
+        if not np.all(np.isfinite(grid)):
+            raise DistributionError("bin weights must be finite")
         if np.any(grid < 0):
             raise DistributionError("bin weights must be non-negative")
         total = float(grid.sum())
@@ -648,6 +694,7 @@ class UniformCirclePdf(UncertaintyPdf):
     has_closed_form = False
 
     def __init__(self, circle: Circle, *, resolution: int = 256) -> None:
+        _require_finite("circle centre and radius", circle.center.x, circle.center.y, circle.radius)
         if circle.radius <= 0:
             raise DistributionError("circle radius must be positive")
         self._circle = circle
@@ -741,6 +788,85 @@ class UniformCirclePdf(UncertaintyPdf):
                 "resolution": self._resolution,
             },
         )
+
+
+# --------------------------------------------------------------------------- #
+# Batched marginal quantiles (U-catalog construction)
+# --------------------------------------------------------------------------- #
+def _uniform_quantiles(pdfs: Sequence[UniformPdf], ps: np.ndarray):
+    # ``min + p·width`` per axis, as marginal_quantile_x/y compute it.
+    bounds = np.array([pdf.region.as_tuple() for pdf in pdfs], dtype=float)
+    low_x, low_y = bounds[:, 0:1], bounds[:, 1:2]
+    width = bounds[:, 2:3] - low_x
+    height = bounds[:, 3:4] - low_y
+    return low_x + ps * width, low_y + ps * height
+
+
+def _gaussian_axis(params: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    # params columns: low, high, lower-tail CDF, mass, mu, sigma.
+    low, high, lo_cdf, mass, mu, sigma = (params[:, k : k + 1] for k in range(6))
+    values = _norm_ppf(lo_cdf + ps * mass, mu, sigma)
+    values = np.where(ps <= 0.0, low, values)
+    return np.where(ps >= 1.0, high, values)
+
+
+def _gaussian_quantiles(pdfs: Sequence[TruncatedGaussianPdf], ps: np.ndarray):
+    # ``ndtri(lo + p·mass)·σ + μ`` with the scalar path's end-point cases.
+    x_params = np.array(
+        [
+            (g._region.xmin, g._region.xmax, g._x_lo_cdf, g._x_mass, g._mu_x, g._sigma_x)
+            for g in pdfs
+        ],
+        dtype=float,
+    )
+    y_params = np.array(
+        [
+            (g._region.ymin, g._region.ymax, g._y_lo_cdf, g._y_mass, g._mu_y, g._sigma_y)
+            for g in pdfs
+        ],
+        dtype=float,
+    )
+    return _gaussian_axis(x_params, ps), _gaussian_axis(y_params, ps)
+
+
+#: Array kernels by *exact* pdf type: a subclass may override its quantiles,
+#: so it takes the per-pdf loop like every other pdf.
+_QUANTILE_KERNELS = {
+    UniformPdf: _uniform_quantiles,
+    TruncatedGaussianPdf: _gaussian_quantiles,
+}
+
+
+def marginal_quantiles(
+    pdfs: Sequence[UncertaintyPdf], ps: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Marginal quantiles of many pdfs at many probabilities, ``(N, P)`` per axis.
+
+    Entry ``[i, j]`` is bitwise ``pdfs[i].marginal_quantile_x(ps[j])`` (resp.
+    ``_y``): uniform and truncated-Gaussian pdfs run one array kernel per
+    class with the scalar path's IEEE operations, every other pdf calls its
+    own scalar quantiles.  The probabilities are validated once.
+    """
+    ps = [float(p) for p in ps]
+    for p in ps:
+        if not 0.0 <= p <= 1.0:
+            raise DistributionError(f"probability must lie in [0, 1], got {p}")
+    xs = np.empty((len(pdfs), len(ps)), dtype=float)
+    ys = np.empty((len(pdfs), len(ps)), dtype=float)
+    groups: dict[type, list[int]] = {}
+    for row, pdf in enumerate(pdfs):
+        groups.setdefault(type(pdf), []).append(row)
+    probabilities = np.asarray(ps, dtype=float)
+    for cls, rows in groups.items():
+        kernel = _QUANTILE_KERNELS.get(cls)
+        if kernel is not None:
+            xs[rows], ys[rows] = kernel([pdfs[row] for row in rows], probabilities)
+            continue
+        for row in rows:
+            pdf = pdfs[row]
+            xs[row] = [pdf.marginal_quantile_x(p) for p in ps]
+            ys[row] = [pdf.marginal_quantile_y(p) for p in ps]
+    return xs, ys
 
 
 # --------------------------------------------------------------------------- #

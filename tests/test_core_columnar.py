@@ -206,6 +206,28 @@ def assert_same_snapshot(derived, rebuilt):
         )
 
 
+class TestBuiltSnapshotAdoption:
+    """A build that makes every catalog hands its table to the snapshot."""
+
+    @pytest.mark.parametrize("index_kind", ["pti", "rtree"])
+    def test_adopted_snapshot_equals_a_rebuild(self, index_kind):
+        database = UncertainDatabase.build(_uncertain(with_catalog=False), index_kind=index_kind)
+        adopted = database._fresh_columnar()
+        assert adopted is not None and database.columnar() is adopted
+        assert_same_snapshot(adopted, ColumnarUncertain(database.objects))
+        # Bitwise, not merely equal: the table is the catalogs' rectangles.
+        rebuilt = ColumnarUncertain(database.objects)
+        assert adopted.catalog_bounds.tobytes() == rebuilt.catalog_bounds.tobytes()
+        assert adopted.bounds.tobytes() == rebuilt.bounds.tobytes()
+
+    def test_partly_catalogued_collection_snapshots_lazily(self):
+        objects = _uncertain(with_catalog=False)
+        objects[3] = objects[3].with_catalog()
+        database = UncertainDatabase.build(objects, index_kind="rtree")
+        assert database._columnar is None
+        assert_same_snapshot(database.columnar(), ColumnarUncertain(database.objects))
+
+
 def _point_mutations(database):
     oids = [obj.oid for obj in database.objects]
     return [

@@ -1,5 +1,9 @@
 """Unit tests for :mod:`repro.geometry.rect`."""
 
+import math
+import random
+import struct
+
 import pytest
 
 from repro.geometry.interval import Interval
@@ -35,6 +39,28 @@ class TestConstruction:
 
     def test_bounding_empty_list(self):
         assert Rect.bounding([]).is_empty
+
+    def test_bounding_is_bitwise_the_union_fold(self):
+        """One min/max pass equals folding ``union_bounds`` from the left,
+        bit for bit: signed zeros, infinities, NaN and empty members too."""
+        rng = random.Random(39)
+        values = [0.0, -0.0, 1.0, -1.0, 2.5, 3.0, math.inf, -math.inf, math.nan]
+        for _ in range(20_000):
+            rects = [
+                Rect(*(rng.choice(values) for _ in range(4))) for _ in range(rng.randrange(7))
+            ]
+            folded = Rect.empty()
+            for rect in rects:
+                folded = folded.union_bounds(rect)
+            assert struct.pack("<4d", *Rect.bounding(rects).as_tuple()) == struct.pack(
+                "<4d", *folded.as_tuple()
+            )
+
+    def test_from_rows_equals_the_constructor(self):
+        rows = [(0.0, 1.0, 2.0, 3.0), (-0.0, -5.5, math.inf, 7.0)]
+        built = Rect.from_rows(rows)
+        assert built == [Rect(*row) for row in rows]
+        assert [hash(rect) for rect in built] == [hash(Rect(*row)) for row in rows]
 
 
 class TestProperties:

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.columnar import ColumnarUncertain, bounds_overlap_window_mask
 from repro.geometry.rect import Rect
 from repro.index.pti import ProbabilityThresholdIndex
 from repro.index.rtree import RTree
+from repro.uncertainty.catalog import DEFAULT_CATALOG_LEVELS, PAPER_CATALOG_LEVELS
 from repro.uncertainty.region import UncertainObject
 
 
@@ -181,3 +183,92 @@ class TestMoves:
             tree.update(old.mbr, new.mbr, old, replacement=new)
             current[old.oid] = new
         self._assert_matches_rebuilt(tree, current)
+
+
+class TestExactBounds:
+    """Node level bounds are exact, and threshold search is a plain filter."""
+
+    @staticmethod
+    def _descendant_items(node) -> list[UncertainObject]:
+        if node.is_leaf:
+            return [entry.item for entry in node.entries]
+        items = []
+        for entry in node.entries:
+            items.extend(TestExactBounds._descendant_items(entry.child))
+        return items
+
+    def _assert_exact(self, tree: ProbabilityThresholdIndex) -> None:
+        """``aug[i]`` is the flat min/max of every descendant's ``i``-th rectangle."""
+        tree.check_augmentation()
+        for node in tree._iter_nodes():
+            items = self._descendant_items(node)
+            rects = np.array([[r.as_tuple() for r in o.catalog.rects] for o in items])
+            assert len(node.aug) == rects.shape[1]
+            for position, bound in enumerate(node.aug):
+                column = rects[:, position]
+                expected = (
+                    column[:, 0].min(),
+                    column[:, 1].min(),
+                    column[:, 2].max(),
+                    column[:, 3].max(),
+                )
+                assert bound.as_tuple() == expected
+
+    def _assert_matches_scan(self, tree, current, seed: int) -> None:
+        """Threshold search returns exactly the columnar scan's rows."""
+        snapshot = ColumnarUncertain(list(current.values()))
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            x, y = rng.uniform(-100.0, 1900.0, size=2)
+            w, h = rng.uniform(10.0, 700.0, size=2)
+            query = Rect(x, y, x + w, y + h)
+            window = None
+            if rng.uniform() < 0.5:
+                wx, wy = rng.uniform(x, x + w, size=2)
+                window = Rect(wx, wy, wx + w / 2.0, wy + h / 2.0)
+            threshold = float(rng.choice([0.0, 0.05, 0.1, 0.25, 0.3, 0.5, 0.8, 1.0]))
+            found = tree.range_search_with_threshold(query, threshold, window)
+            mask = bounds_overlap_window_mask(snapshot.bounds, query)
+            if window is not None:
+                mask &= bounds_overlap_window_mask(snapshot.bounds, window)
+            level = tree.pruning_level_for(threshold)
+            if level is not None:
+                position = list(snapshot.catalog_levels).index(level)
+                mask &= bounds_overlap_window_mask(snapshot.catalog_bounds[:, position], query)
+            assert sorted(obj.oid for obj in found) == sorted(snapshot.oids[mask].tolist())
+
+    @pytest.mark.parametrize("levels", [DEFAULT_CATALOG_LEVELS, PAPER_CATALOG_LEVELS], ids=len)
+    def test_bounds_exact_after_bulk_load_and_mutations(self, levels):
+        base = [obj.with_catalog(levels) for obj in _uncertain_objects(400, seed=21)]
+        tree = ProbabilityThresholdIndex.bulk_load(base, max_entries=6)
+        current = {obj.oid: obj for obj in base}
+        self._assert_exact(tree)
+        self._assert_matches_scan(tree, current, seed=1)
+
+        rng = np.random.default_rng(5)
+        fresh = iter(_uncertain_objects(300, seed=22))
+        next_oid = 10_000
+        for step in range(300):
+            action = rng.choice(["insert", "delete", "move"])
+            if action == "insert" or len(current) < 50:
+                template = next(fresh)
+                obj = UncertainObject(oid=next_oid, pdf=template.pdf).with_catalog(levels)
+                next_oid += 1
+                tree.insert(obj.mbr, obj)
+                current[obj.oid] = obj
+            elif action == "delete":
+                oid = int(rng.choice(sorted(current)))
+                tree.delete(current[oid].mbr, current.pop(oid))
+            else:
+                oid = int(rng.choice(sorted(current)))
+                old = current[oid]
+                x, y = rng.uniform(0.0, 1900.0, size=2)
+                w, h = rng.uniform(5.0, 80.0, size=2)
+                new = UncertainObject.uniform(oid, Rect(x, y, x + w, y + h)).with_catalog(levels)
+                tree.update(old.mbr, new.mbr, old, replacement=new)
+                current[oid] = new
+            if step % 50 == 49:
+                self._assert_exact(tree)
+        tree.check_invariants()
+        self._assert_exact(tree)
+        self._assert_matches_scan(tree, current, seed=2)

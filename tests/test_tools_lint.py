@@ -117,6 +117,25 @@ def test_identity_rule_flags_an_issuer_id_key_in_the_planner():
     assert lint_source("key = id(object())\n", "repro/index/x.py", [get_rule("RPL011")]) == []
 
 
+def test_heap_rule_flags_a_collector_call_in_a_bulk_build():
+    """A hand-rolled ``gc.disable()`` in ``core/database.py`` is caught."""
+    source = (REPO_ROOT / "src" / "repro" / "core" / "database.py").read_text(encoding="utf-8")
+    lines = source.splitlines()
+    lines.append("def legacy_build(objects):")
+    lines.append("    gc.disable()")
+    diagnostics = lint_source(
+        "\n".join(lines) + "\n", "repro/core/database.py", [get_rule("RPL012")]
+    )
+    assert [(d.rule, d.line) for d in diagnostics] == [("RPL012", len(lines))]
+    assert "heap.paused()" in diagnostics[0].message
+    # The shipped build is clean, heap.py itself is exempt, tests may observe.
+    assert lint_source(source, "repro/core/database.py", [get_rule("RPL012")]) == []
+    heap_source = (REPO_ROOT / "src" / "repro" / "core" / "heap.py").read_text(encoding="utf-8")
+    assert "gc.disable()" in heap_source
+    assert lint_source(heap_source, "repro/core/heap.py", [get_rule("RPL012")]) == []
+    assert lint_source("gc.isenabled()\n", "tests/test_x.py", [get_rule("RPL012")]) == []
+
+
 def test_randomness_rule_flags_a_seed_sequence_in_the_kernels():
     """A per-candidate ``SeedSequence`` in ``core/duality.py`` is caught."""
     source = (REPO_ROOT / "src" / "repro" / "core" / "duality.py").read_text(encoding="utf-8")

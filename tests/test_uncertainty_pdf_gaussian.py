@@ -104,3 +104,55 @@ class TestSampling:
         draws = pdf.sample(rng, 20_000)
         # Truncation at ±3σ slightly shrinks the standard deviation.
         assert float(draws[:, 0].std()) == pytest.approx(100.0, rel=0.1)
+
+
+class TestStatelessNormal:
+    """The float-only Gaussian is bitwise the frozen ``scipy.stats.norm``."""
+
+    @staticmethod
+    def _bits(values) -> np.ndarray:
+        return np.asarray(values, dtype=np.float64).view(np.int64)
+
+    @pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (300.0, 100.0), (-1234.5, 0.37), (5e4, 8e3)])
+    def test_cdf_ppf_pdf_match_frozen_norm(self, mu, sigma):
+        from scipy import stats
+
+        from repro.uncertainty.pdf import _norm_cdf, _norm_pdf, _norm_ppf
+
+        frozen = stats.norm(loc=mu, scale=sigma)
+        rng = np.random.default_rng(2007)
+        xs = mu + sigma * rng.uniform(-9.0, 9.0, size=100_000)
+        qs = np.concatenate([rng.uniform(size=99_998), [0.0, 1.0]])
+        assert np.array_equal(self._bits(_norm_cdf(xs, mu, sigma)), self._bits(frozen.cdf(xs)))
+        assert np.array_equal(self._bits(_norm_ppf(qs, mu, sigma)), self._bits(frozen.ppf(qs)))
+        assert np.array_equal(self._bits(_norm_pdf(xs, mu, sigma)), self._bits(frozen.pdf(xs)))
+        for x, q in zip(xs[:500].tolist(), qs[:500].tolist()):
+            assert float(_norm_cdf(x, mu, sigma)) == float(frozen.cdf(x))
+            assert float(_norm_ppf(q, mu, sigma)) == float(frozen.ppf(q))
+            assert float(_norm_pdf(x, mu, sigma)) == float(frozen.pdf(x))
+
+    def test_pdf_methods_match_the_frozen_formulas(self, pdf):
+        from scipy import stats
+
+        fx = stats.norm(loc=300.0, scale=100.0)
+        lo, hi = float(fx.cdf(REGION.xmin)), float(fx.cdf(REGION.xmax))
+        mass = hi - lo
+        for p in (0.05, 0.1, 0.3, 0.5, 0.77):
+            assert pdf.marginal_quantile_x(p) == float(fx.ppf(lo + p * mass))
+        for x in (12.5, 150.0, 300.0, 599.0):
+            assert pdf.marginal_cdf_x(x) == (float(fx.cdf(x)) - lo) / mass
+        xs = np.linspace(1.0, 599.0, 257)
+        expected = fx.pdf(xs) / mass * (fx.pdf(xs) / mass)
+        assert np.array_equal(pdf.density_array(xs, xs), expected)
+
+    def test_serving_never_imports_scipy_stats(self):
+        import os
+        import subprocess
+        import sys
+
+        code = "import sys, repro.serve.server; print('scipy.stats' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
