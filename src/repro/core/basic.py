@@ -252,7 +252,6 @@ class BasicEvaluator:
         started = time.perf_counter()
         stats = EvaluationStatistics()
         expanded = minkowski_expanded_query(query.issuer_region, query.spec)
-        result = QueryResult()
         if self._vectorized:
             candidates = objects
             xy = np.empty((len(objects), 2), dtype=float)
@@ -268,11 +267,10 @@ class BasicEvaluator:
             probabilities = basic_ipq_probabilities(
                 query.issuer.pdf, query.spec, xy, issuer_samples=self._issuer_samples
             )
-            for obj, probability in zip(candidates, probabilities):
-                probability = float(probability)
-                if probability > 0.0 and probability >= query.threshold:
-                    result.add(obj.oid, probability)
+            oids = np.fromiter((obj.oid for obj in candidates), dtype=np.int64)
+            result = QueryResult.qualifying(oids, probabilities, query.threshold)
         else:
+            result = QueryResult()
             for obj in objects:
                 if self._use_expansion_filter and not expanded.contains_point(obj.location):
                     continue
@@ -284,7 +282,7 @@ class BasicEvaluator:
                 )
                 if probability > 0.0 and probability >= query.threshold:
                     result.add(obj.oid, probability)
-        result.sort()
+            result.sort()
         stats.results_returned = len(result)
         stats.response_time = time.perf_counter() - started
         return result, stats
@@ -296,7 +294,6 @@ class BasicEvaluator:
         started = time.perf_counter()
         stats = EvaluationStatistics()
         expanded = minkowski_expanded_query(query.issuer_region, query.spec)
-        result = QueryResult()
         if self._vectorized:
             candidates = objects
             if self._use_expansion_filter and len(objects):
@@ -309,11 +306,10 @@ class BasicEvaluator:
                 query.issuer.pdf, candidates, query.spec,
                 issuer_samples=self._issuer_samples,
             )
-            for obj, probability in zip(candidates, probabilities):
-                probability = float(probability)
-                if probability > 0.0 and probability >= query.threshold:
-                    result.add(obj.oid, probability)
+            oids = np.fromiter((obj.oid for obj in candidates), dtype=np.int64)
+            result = QueryResult.qualifying(oids, probabilities, query.threshold)
         else:
+            result = QueryResult()
             for obj in objects:
                 if self._use_expansion_filter and not expanded.overlaps(obj.region):
                     continue
@@ -325,7 +321,7 @@ class BasicEvaluator:
                 )
                 if probability > 0.0 and probability >= query.threshold:
                     result.add(obj.oid, probability)
-        result.sort()
+            result.sort()
         stats.results_returned = len(result)
         stats.response_time = time.perf_counter() - started
         return result, stats

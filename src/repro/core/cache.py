@@ -32,6 +32,11 @@ into the lookup key:
   field that can influence an answer, so engines sharing one cache but
   running different configurations can never serve each other's results.
 
+An entry (:class:`CachedAnswer`) holds the answer's ranked, read-only
+oid and probability arrays plus a copy of its statistics; a hit hands out
+a fresh :class:`~repro.core.queries.QueryResult` over the *same* arrays, so
+storing and serving an answer copies no answer data.
+
 The cache itself is a plain ``OrderedDict`` LRU with hit / miss / eviction
 counters (surfaced through :meth:`repro.core.session.Session.stats`).  It is
 not thread-safe; share it across engines within one process/thread, not
@@ -45,7 +50,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Any, Hashable
 
-from repro.core.queries import QueryAnswer, QueryResult
+from repro.core.queries import QueryResult
 from repro.core.statistics import EvaluationStatistics
 from repro.index.iostats import IOStatistics
 
@@ -92,17 +97,15 @@ class CacheStats:
 
 @dataclass(frozen=True)
 class CachedAnswer:
-    """One stored evaluation: the ranked answers plus the work that produced them."""
+    """One stored evaluation: the ranked answer arrays plus the work that produced them."""
 
-    answers: tuple[QueryAnswer, ...]
+    #: The answer; its ranked oid and probability arrays are read-only.
+    result: QueryResult
     statistics: EvaluationStatistics
 
     def materialise(self) -> tuple[QueryResult, EvaluationStatistics]:
-        """Fresh, caller-owned ``(result, statistics)`` built from the entry."""
-        return (
-            QueryResult(answers=list(self.answers)),
-            copy_statistics(self.statistics),
-        )
+        """Fresh, caller-owned ``(result, statistics)`` sharing the entry's arrays."""
+        return self.result.copy(), copy_statistics(self.statistics)
 
 
 @dataclass
@@ -160,11 +163,12 @@ class ResultCache:
     ) -> None:
         """Insert (or refresh) an entry, evicting the LRU tail past capacity.
 
-        The answers and statistics are snapshotted, so later in-place
-        mutation by the caller cannot corrupt the entry.
+        The entry shares the result's read-only arrays and copies the
+        statistics, so later in-place mutation by the caller cannot corrupt
+        it.
         """
         self._entries[key] = CachedAnswer(
-            answers=tuple(result.answers),
+            result=result.copy(),
             statistics=copy_statistics(statistics),
         )
         self._entries.move_to_end(key)

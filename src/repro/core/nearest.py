@@ -113,21 +113,17 @@ class ImpreciseNearestNeighborEngine:
             draws = issuer.pdf.sample(self._rng, self._samples)
         samples = len(draws)
         stats.monte_carlo_samples = samples
-        wins: dict[int, int] = {}
+        winner_oids: list[int] = []
         for x, y in draws:
             winners = self._index.nearest_neighbors(Point(float(x), float(y)), k=1)
             if winners:
                 winner: PointObject = winners[0]
-                wins[winner.oid] = wins.get(winner.oid, 0) + 1
+                winner_oids.append(winner.oid)
 
         stats.io = self._index.stats.difference_since(before)
-        stats.candidates_examined = len(wins)
-        result = QueryResult()
-        for oid, count in wins.items():
-            probability = count / samples
-            if probability > 0.0 and probability >= threshold:
-                result.add(oid, probability)
-        result.sort()
+        oids, counts = np.unique(np.array(winner_oids, dtype=np.int64), return_counts=True)
+        stats.candidates_examined = int(oids.size)
+        result = QueryResult.qualifying(oids, counts / samples, threshold)
         stats.results_returned = len(result)
         stats.response_time = time.perf_counter() - started
         return result, stats
@@ -164,4 +160,5 @@ class ImpreciseNearestNeighborEngine:
     def most_probable_neighbor(self, issuer: UncertainObject) -> QueryAnswer | None:
         """Convenience wrapper returning only the most probable nearest neighbour."""
         result, _ = self.evaluate(issuer)
-        return result.answers[0] if result.answers else None
+        best = result.top(1)
+        return best[0] if best else None

@@ -465,11 +465,16 @@ class ParallelEngine:
             result = payload.result
             stats = copy_statistics(payload.statistics)
         else:
-            answers = []
-            for _, payload in contributions:
-                answers.extend(payload.result.answers)
-            result = QueryResult(answers=answers)
-            result.sort()
+            # Each shard's answer is ranked; their union is ranked once.
+            results = [payload.result for _, payload in contributions]
+            result = (
+                QueryResult.ranked(
+                    np.concatenate([part.oid_array for part in results]),
+                    np.concatenate([part.probability_array for part in results]),
+                )
+                if results
+                else QueryResult()
+            )
             stats = self._merge_statistics(
                 [payload.statistics for _, payload in contributions]
             )
@@ -496,9 +501,8 @@ class ParallelEngine:
         stats = self._merge_statistics(
             [payload.statistics for _, payload in contributions]
         )
-        result = QueryResult()
         if not contributions:
-            return result, stats
+            return QueryResult(), stats
         samples = query.samples if query.samples is not None else DEFAULT_NN_SAMPLES
         # The per-shard passes each draw the full plan, so the sample count
         # is a per-query quantity, not a per-shard one.
@@ -513,9 +517,4 @@ class ParallelEngine:
             best_distances[take] = payload.distances[take]
         winners, counts = np.unique(best_oids, return_counts=True)
         stats.candidates_examined = int(winners.size)
-        for oid, count in zip(winners, counts):
-            probability = float(count) / samples
-            if probability > 0.0 and probability >= query.threshold:
-                result.add(int(oid), probability)
-        result.sort()
-        return result, stats
+        return QueryResult.qualifying(winners, counts / samples, query.threshold), stats

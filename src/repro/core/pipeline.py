@@ -393,58 +393,17 @@ class QueryPipeline:
         started = time.perf_counter()
         stats = EvaluationStatistics()
 
-        vectorized = self._config.vectorized
-        candidate_xy: np.ndarray | None = None
-        candidate_rows: np.ndarray | None = None
-        if columnar is not None and plan.prefer_columnar:
-            rows = columnar.window_rows(plan.window)
-            candidate_rows = rows[np.argsort(columnar.oids[rows], kind="stable")]
-            candidates = [columnar.objects[row] for row in candidate_rows]
-            candidate_xy = columnar.xy[candidate_rows]
+        if self._config.vectorized:
+            oids, probabilities = self._point_probabilities_vectorized(plan, stats, columnar)
+            result = QueryResult.qualifying(oids, probabilities, threshold)
         else:
             index = database.index
             before = index.stats.snapshot()
             candidates = index.range_search(plan.window)
             stats.io = index.stats.difference_since(before)
             candidates.sort(key=lambda obj: obj.oid)
-        stats.candidates_examined = len(candidates)
-
-        result = QueryResult()
-        if vectorized:
-            if candidate_xy is None:
-                candidate_xy = np.empty((len(candidates), 2), dtype=float)
-                for row, obj in enumerate(candidates):
-                    candidate_xy[row, 0] = obj.location.x
-                    candidate_xy[row, 1] = obj.location.y
-            # The window used to retrieve candidates *is* the pruner's filter
-            # region, so the per-object containment re-check only matters for
-            # indexes that may return a superset of the window.
-            survivors = candidates
-            survivor_xy = candidate_xy
-            if columnar is None and len(candidates) > 0:
-                keep = points_in_window_mask(candidate_xy, plan.window)
-                pruned_count = int(len(candidates) - np.count_nonzero(keep))
-                if pruned_count:
-                    stats.record_pruned(PruningStrategy.P_EXPANDED_QUERY.value, pruned_count)
-                    rows = np.flatnonzero(keep)
-                    survivors = [candidates[row] for row in rows]
-                    survivor_xy = candidate_xy[rows]
-            if survivors:
-                stats.probability_computations += len(survivors)
-                if self._use_monte_carlo(issuer):
-                    stats.monte_carlo_samples += self._config.monte_carlo_samples * len(survivors)
-                    # The snapshot's rows are set only when no re-check ran,
-                    # so they line up with the survivors.
-                    probabilities = self._keyed_point_probabilities(
-                        plan, survivors, survivor_xy, columnar, candidate_rows
-                    )
-                else:
-                    probabilities = ipq_probabilities(issuer.pdf, spec, survivor_xy)
-                for obj, probability in zip(survivors, probabilities):
-                    probability = float(probability)
-                    if probability > 0.0 and probability >= threshold:
-                        result.add(obj.oid, probability)
-        else:
+            stats.candidates_examined = len(candidates)
+            result = QueryResult()
             survivors = []
             for obj in candidates:
                 decision = pruner.decide(obj)
@@ -455,7 +414,9 @@ class QueryPipeline:
             if survivors and self._use_monte_carlo(issuer):
                 stats.probability_computations += len(survivors)
                 stats.monte_carlo_samples += self._config.monte_carlo_samples * len(survivors)
-                probabilities = self._keyed_point_probabilities(plan, survivors)
+                xy = np.array([(obj.location.x, obj.location.y) for obj in survivors])
+                oids = np.array([obj.oid for obj in survivors], dtype=np.int64)
+                probabilities = self._keyed_point_probabilities(plan, xy, oids)
                 for obj, probability in zip(survivors, probabilities):
                     probability = float(probability)
                     if probability > 0.0 and probability >= threshold:
@@ -466,31 +427,61 @@ class QueryPipeline:
                     probability = ipq_probability(issuer.pdf, spec, obj.location)
                     if probability > 0.0 and probability >= threshold:
                         result.add(obj.oid, probability)
-        result.sort()
+            result.sort()
         stats.results_returned = len(result)
         stats.response_time = time.perf_counter() - started
         return result, stats
 
-    def _keyed_point_probabilities(
+    def _point_probabilities_vectorized(
         self,
         plan: QueryPlan,
-        survivors: list,
-        xy: np.ndarray | None = None,
-        columnar: ColumnarPoints | None = None,
-        rows: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Sampled IPQ probabilities of ``survivors`` under the plan's draw token.
+        stats: EvaluationStatistics,
+        columnar: ColumnarPoints | None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Candidate oids and their IPQ probabilities, as arrays in oid order.
 
-        Both backends end here.  ``xy`` are the survivors' coordinates and
-        ``rows`` their rows in the ``columnar`` snapshot when the caller has
-        them; otherwise both are gathered from the objects.
+        The snapshot path never touches an object: window rows give the
+        coordinates and oids directly.  The index path gathers both from
+        the objects it returns and re-checks containment, because an index
+        may return a superset of the window (the window used to retrieve
+        candidates *is* the pruner's filter region).
         """
-        if xy is None:
-            xy = np.array([(obj.location.x, obj.location.y) for obj in survivors], dtype=float)
-        if rows is not None:
+        if columnar is not None and plan.prefer_columnar:
+            rows = columnar.window_rows(plan.window)
+            rows = rows[np.argsort(columnar.oids[rows], kind="stable")]
             oids = columnar.oids[rows]
+            xy = columnar.xy[rows]
         else:
-            oids = np.fromiter((obj.oid for obj in survivors), dtype=np.int64, count=len(survivors))
+            index = self._require_point_db().index
+            before = index.stats.snapshot()
+            candidates = index.range_search(plan.window)
+            stats.io = index.stats.difference_since(before)
+            candidates.sort(key=lambda obj: obj.oid)
+            oids = np.array([obj.oid for obj in candidates], dtype=np.int64)
+            xy = np.empty((len(candidates), 2), dtype=float)
+            for row, obj in enumerate(candidates):
+                xy[row, 0] = obj.location.x
+                xy[row, 1] = obj.location.y
+        stats.candidates_examined = len(oids)
+        if columnar is None and len(oids) > 0:
+            keep = points_in_window_mask(xy, plan.window)
+            pruned_count = int(len(oids) - np.count_nonzero(keep))
+            if pruned_count:
+                stats.record_pruned(PruningStrategy.P_EXPANDED_QUERY.value, pruned_count)
+                oids = oids[keep]
+                xy = xy[keep]
+        if not len(oids):
+            return oids, np.empty(0, dtype=float)
+        stats.probability_computations += len(oids)
+        if self._use_monte_carlo(plan.query.issuer):
+            stats.monte_carlo_samples += self._config.monte_carlo_samples * len(oids)
+            return oids, self._keyed_point_probabilities(plan, xy, oids)
+        return oids, ipq_probabilities(plan.query.issuer.pdf, plan.query.spec, xy)
+
+    def _keyed_point_probabilities(
+        self, plan: QueryPlan, xy: np.ndarray, oids: np.ndarray
+    ) -> np.ndarray:
+        """Sampled IPQ probabilities of the points ``xy`` under the plan's draw token."""
         return ipq_probabilities_monte_carlo_per_oid(
             plan.query.issuer.pdf,
             plan.query.spec,
@@ -547,7 +538,6 @@ class QueryPipeline:
             candidates.sort(key=lambda obj: obj.oid)
         stats.candidates_examined = len(candidates)
 
-        result = QueryResult()
         if self._config.vectorized:
             survivors, survivor_bounds = self._prune_uncertain_vectorized(
                 candidates,
@@ -558,7 +548,7 @@ class QueryPipeline:
                 snapshot=columnar,
                 snapshot_rows=snapshot_rows,
             )
-            pairs = self._uncertain_probabilities_vectorized(
+            probabilities = self._uncertain_probabilities_vectorized(
                 issuer, survivors, spec, stats, plan.draw_token, bounds=survivor_bounds
             )
         else:
@@ -569,13 +559,11 @@ class QueryPipeline:
                     stats.record_pruned(decision.strategy or "filter")
                     continue
                 survivors.append(obj)
-            pairs = self._uncertain_probabilities_scalar(
+            probabilities = self._uncertain_probabilities_scalar(
                 issuer, survivors, spec, stats, plan.draw_token
             )
-        for oid, probability in pairs:
-            if probability > 0.0 and probability >= threshold:
-                result.add(oid, probability)
-        result.sort()
+        oids = np.fromiter((obj.oid for obj in survivors), dtype=np.int64, count=len(survivors))
+        result = QueryResult.qualifying(oids, probabilities, threshold)
         stats.results_returned = len(result)
         stats.response_time = time.perf_counter() - started
         return result, stats
@@ -693,7 +681,7 @@ class QueryPipeline:
         draw_token: int,
         *,
         bounds: np.ndarray | None = None,
-    ) -> list[tuple[int, float]]:
+    ) -> np.ndarray:
         """Qualification probabilities of the surviving candidates, batched.
 
         Survivors are partitioned by evaluation route — batched closed form
@@ -702,10 +690,10 @@ class QueryPipeline:
         form — and each batch runs as one NumPy kernel.  Monte-Carlo draws
         come from the plan's draw token, so sampled probabilities are
         bitwise identical to the scalar backend given the same seed.
-        Returns ``(oid, probability)`` pairs in survivor order.
+        Returns the probabilities in survivor order.
         """
         if not survivors:
-            return []
+            return np.empty(0, dtype=float)
         stats.probability_computations += len(survivors)
         mc_rows, exact_rows, grid_rows = self._uncertain_routes(issuer, survivors)
         probabilities = np.empty(len(survivors), dtype=float)
@@ -732,10 +720,7 @@ class QueryPipeline:
             probabilities[row] = iuq_probability(
                 issuer.pdf, survivors[row], spec, grid_resolution=24
             )
-        return [
-            (obj.oid, float(probability))
-            for obj, probability in zip(survivors, probabilities)
-        ]
+        return probabilities
 
     def _uncertain_probabilities_scalar(
         self,
@@ -744,7 +729,7 @@ class QueryPipeline:
         spec,
         stats: EvaluationStatistics,
         draw_token: int,
-    ) -> list[tuple[int, float]]:
+    ) -> np.ndarray:
         """Scalar-reference twin of :meth:`_uncertain_probabilities_vectorized`.
 
         Same routing and the same Monte-Carlo draws, but every closed-form
@@ -752,7 +737,7 @@ class QueryPipeline:
         the parity suite compares the batched kernels against.
         """
         if not survivors:
-            return []
+            return np.empty(0, dtype=float)
         stats.probability_computations += len(survivors)
         mc_rows, exact_rows, grid_rows = self._uncertain_routes(issuer, survivors)
         probabilities = np.empty(len(survivors), dtype=float)
@@ -771,10 +756,7 @@ class QueryPipeline:
             probabilities[row] = iuq_probability(
                 issuer.pdf, survivors[row], spec, grid_resolution=24
             )
-        return [
-            (obj.oid, float(probability))
-            for obj, probability in zip(survivors, probabilities)
-        ]
+        return probabilities
 
     def _retrieve_uncertain_candidates(
         self, index, plan: QueryPlan, pruner: CIUQPruner, threshold: float

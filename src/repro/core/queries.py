@@ -18,12 +18,24 @@ single ``evaluate()`` entry point dispatches on:
 * :class:`NearestNeighborQuery` — the imprecise nearest-neighbour extension;
 * :class:`Evaluation` — the response envelope bundling the answers, the
   work counters, the wall-clock time and an echo of the query.
+
+**Answer storage.**  A :class:`QueryResult` is two read-only arrays, the
+oids (``int64``) and their probabilities (``float64``), ranked by (−p,
+oid).  It is the one representation of an answer from the probability
+kernel through the result cache, the shard merge, the RPC reply and the
+serve codec; :meth:`QueryResult.ranked` builds every result and validates
+every probability in one array check.  :class:`QueryAnswer` objects exist
+only as a lazy view (``answers``, iteration, ``top()``) built on demand
+for callers that ask for them.  The serve wire is unchanged: an
+evaluation still encodes its answers as ``[[oid, p], ...]`` JSON rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Literal
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Literal
+
+import numpy as np
 
 from repro.core.errors import InvalidQueryError, SchemaError
 from repro.core.statistics import EvaluationStatistics
@@ -75,43 +87,165 @@ class QueryAnswer:
             raise InvalidQueryError(f"probability out of range: {self.probability}")
 
 
-@dataclass
-class QueryResult:
-    """An ordered collection of query answers.
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
-    Answers are kept sorted by decreasing probability so that the "most
-    certainly qualifying" objects come first, matching how a location-based
-    service would present them.
+
+def _is_ranked(oids: np.ndarray, probabilities: np.ndarray) -> bool:
+    """Whether rows are strictly ranked by (−p, oid): no equal pair, no oid repeated at one p."""
+    higher, lower = probabilities[:-1], probabilities[1:]
+    return bool(((higher > lower) | ((higher == lower) & (oids[:-1] < oids[1:]))).all())
+
+
+_NO_OIDS = _read_only(np.empty(0, dtype=np.int64))
+_NO_PROBABILITIES = _read_only(np.empty(0, dtype=np.float64))
+
+
+class QueryResult:
+    """A ranked query answer held as two read-only arrays.
+
+    :attr:`oid_array` (``int64``) and :attr:`probability_array`
+    (``float64``) are ranked by decreasing probability, ties broken by
+    ascending object id, so that the "most certainly qualifying" objects
+    come first, matching how a location-based service would present them.
+    :meth:`ranked` builds every result.  Because the arrays are read-only, a
+    :meth:`copy` (a cache entry, a shard's partial answer) shares them.
+
+    The per-answer views — :attr:`answers`, iteration, :meth:`top`,
+    :meth:`probabilities`, :meth:`oids` — derive from the arrays on demand.
+    :meth:`add`/:meth:`sort` remain as the builder of the scalar reference
+    paths: ``add`` collects answers, which ``sort`` (or the next read) ranks
+    into the arrays through :meth:`ranked`.
     """
 
-    answers: list[QueryAnswer] = field(default_factory=list)
+    __slots__ = ("_oids", "_probabilities", "_pending")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, answers: Iterable[QueryAnswer] = ()) -> None:
+        self._oids = _NO_OIDS
+        self._probabilities = _NO_PROBABILITIES
+        self._pending = [(answer.oid, answer.probability) for answer in answers]
+
+    @classmethod
+    def ranked(cls, oids, probabilities) -> "QueryResult":
+        """The result answering ``oids`` with ``probabilities``, ranked by (−p, oid).
+
+        Every probability must satisfy :class:`QueryAnswer`'s rule,
+        ``0 ≤ p ≤ 1 + 1e-9`` (NaN is rejected); the check is one array test.
+        Rows that are not already ranked are ranked by one ``np.lexsort``.
+        The inputs are copied, never aliased.
+        """
+        oids = np.array(oids, dtype=np.int64)
+        probabilities = np.array(probabilities, dtype=np.float64)
+        if oids.ndim != 1 or oids.shape != probabilities.shape:
+            raise InvalidQueryError(
+                f"oids {oids.shape} and probabilities {probabilities.shape} "
+                "must be 1-D arrays of one length"
+            )
+        valid = (probabilities >= 0.0) & (probabilities <= 1.0 + 1e-9)
+        if not valid.all():
+            raise InvalidQueryError(f"probability out of range: {probabilities[~valid][0]}")
+        if not _is_ranked(oids, probabilities):
+            order = np.lexsort((oids, -probabilities))
+            oids, probabilities = oids[order], probabilities[order]
+        return cls._sharing(_read_only(oids), _read_only(probabilities))
+
+    @classmethod
+    def qualifying(cls, oids, probabilities, threshold: float) -> "QueryResult":
+        """The answer of a query over candidates ``oids`` with ``probabilities``.
+
+        Reports the candidates with a non-zero probability of at least
+        ``threshold`` (Definitions 3–6), ranked by :meth:`ranked`.
+        """
+        probabilities = np.asarray(probabilities, dtype=np.float64)
+        keep = (probabilities > 0.0) & (probabilities >= threshold)
+        return cls.ranked(np.asarray(oids)[keep], probabilities[keep])
+
+    @classmethod
+    def _sharing(cls, oids: np.ndarray, probabilities: np.ndarray) -> "QueryResult":
+        """A result over arrays that are already read-only and ranked."""
+        result = cls.__new__(cls)
+        result._oids = oids
+        result._probabilities = probabilities
+        result._pending = []
+        return result
 
     def add(self, oid: int, probability: float) -> None:
-        """Append an answer (re-sorting is deferred to :meth:`sort`)."""
-        self.answers.append(QueryAnswer(oid=oid, probability=probability))
+        """Collect one answer; :meth:`sort` or the next read ranks it in."""
+        self._pending.append((oid, probability))
 
     def sort(self) -> None:
-        """Sort answers by decreasing probability, ties broken by object id."""
-        self.answers.sort(key=lambda a: (-a.probability, a.oid))
+        """Rank the answers collected by :meth:`add` into the arrays."""
+        if self._pending:
+            oids, probabilities = zip(*self._pending)
+            merged = QueryResult.ranked(
+                np.concatenate((self._oids, np.array(oids, dtype=np.int64))),
+                np.concatenate((self._probabilities, np.array(probabilities, dtype=float))),
+            )
+            self._oids, self._probabilities = merged._oids, merged._probabilities
+            self._pending = []
+
+    @property
+    def oid_array(self) -> np.ndarray:
+        """The ranked object ids (read-only ``int64``)."""
+        self.sort()
+        return self._oids
+
+    @property
+    def probability_array(self) -> np.ndarray:
+        """The ranked probabilities (read-only ``float64``), aligned with :attr:`oid_array`."""
+        self.sort()
+        return self._probabilities
+
+    @property
+    def answers(self) -> list[QueryAnswer]:
+        """The ranked answers as a fresh list of :class:`QueryAnswer` objects."""
+        return self.top(len(self))
+
+    def top(self, count: int = 1) -> list[QueryAnswer]:
+        """The ``count`` most probable answers as :class:`QueryAnswer` objects."""
+        oids = self.oid_array[:count].tolist()
+        probabilities = self._probabilities[:count].tolist()
+        return [QueryAnswer(oid, probability) for oid, probability in zip(oids, probabilities)]
+
+    def copy(self) -> "QueryResult":
+        """An independent result over the same read-only arrays (no data is copied)."""
+        return QueryResult._sharing(self.oid_array, self._probabilities)
 
     def __len__(self) -> int:
-        return len(self.answers)
+        return len(self.oid_array)
 
     def __iter__(self) -> Iterator[QueryAnswer]:
         return iter(self.answers)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QueryResult):
+            return NotImplemented
+        return np.array_equal(self.oid_array, other.oid_array) and np.array_equal(
+            self._probabilities, other.probability_array
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"QueryResult(oids={self.oid_array.tolist()}, "
+            f"probabilities={self._probabilities.tolist()})"
+        )
+
     def probabilities(self) -> dict[int, float]:
         """Return a ``{oid: probability}`` mapping of the answers."""
-        return {answer.oid: answer.probability for answer in self.answers}
+        return dict(zip(self.oid_array.tolist(), self._probabilities.tolist()))
 
     def oids(self) -> set[int]:
         """Return the set of object identities in the answer."""
-        return {answer.oid for answer in self.answers}
+        return set(self.oid_array.tolist())
 
     def above_threshold(self, threshold: float) -> "QueryResult":
         """Return a new result keeping only answers with probability ≥ threshold."""
-        filtered = [a for a in self.answers if a.probability >= threshold]
-        return QueryResult(answers=filtered)
+        keep = self.probability_array >= threshold
+        return QueryResult._sharing(
+            _read_only(self._oids[keep]), _read_only(self._probabilities[keep])
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -304,6 +438,38 @@ def query_from_dict(payload) -> Query:
     raise SchemaError(f"unknown query kind {kind!r}; expected 'range' or 'nn'")
 
 
+def _decode_answers(rows) -> QueryResult:
+    """The result of an evaluation payload's ``[[oid, probability], ...]`` rows.
+
+    Rows must be exactly what :meth:`Evaluation.to_dict` emits: integer
+    (not ``bool``) oids, finite numeric (not ``bool`` or ``str``)
+    probabilities, ranked by (−p, oid) with no oid twice.  Anything else is
+    a :class:`SchemaError`; the checks are whole-column passes.
+    """
+    if not isinstance(rows, list) or not set(map(type, rows)) <= {list}:
+        raise SchemaError("evaluation answers must be a list of [oid, probability] rows")
+    if not set(map(len, rows)) <= {2}:
+        raise SchemaError("every evaluation answer row must be [oid, probability]")
+    oids, probabilities = zip(*rows) if rows else ((), ())
+    if not set(map(type, oids)) <= {int}:
+        raise SchemaError("evaluation answer oids must be integers")
+    if not set(map(type, probabilities)) <= {float, int}:
+        raise SchemaError("evaluation answer probabilities must be numbers")
+    try:
+        oid_array = np.array(oids, dtype=np.int64)
+    except OverflowError as error:
+        raise SchemaError(f"evaluation answer oid out of the int64 range: {error}") from None
+    probability_array = np.array(probabilities, dtype=np.float64)
+    if not np.isfinite(probability_array).all():
+        raise SchemaError("evaluation answer probabilities must be finite")
+    if not _is_ranked(oid_array, probability_array):
+        raise SchemaError("evaluation answers must be ranked by (-probability, oid)")
+    by_oid = np.sort(oid_array)
+    if (by_oid[1:] == by_oid[:-1]).any():
+        raise SchemaError("evaluation answers must not repeat an oid")
+    return QueryResult.ranked(oid_array, probability_array)
+
+
 @dataclass(frozen=True)
 class Evaluation:
     """The response envelope returned by ``engine.evaluate()``.
@@ -345,7 +511,7 @@ class Evaluation:
 
     def top(self, count: int = 1) -> list[QueryAnswer]:
         """The ``count`` most probable answers."""
-        return self.result.answers[:count]
+        return self.result.top(count)
 
     def as_tuple(self) -> tuple[QueryResult, EvaluationStatistics]:
         """The legacy ``(result, statistics)`` shape of the old engine API."""
@@ -358,11 +524,13 @@ class Evaluation:
         JSON preserves float values exactly, so a decoded envelope carries
         bitwise-identical probabilities.
         """
+        oids = self.result.oid_array.tolist()
+        probabilities = self.result.probability_array.tolist()
         return tagged(
             EVALUATION_SCHEMA,
             {
                 "query": self.query.to_dict(),
-                "answers": [[a.oid, a.probability] for a in self.result.answers],
+                "answers": [[oid, p] for oid, p in zip(oids, probabilities)],
                 "statistics": self.statistics.to_dict(),
                 "elapsed_seconds": self.elapsed_seconds,
             },
@@ -374,12 +542,7 @@ class Evaluation:
         payload = check_schema(payload, EVALUATION_SCHEMA)
         return cls(
             query=query_from_dict(require(payload, EVALUATION_SCHEMA, "query")),
-            result=QueryResult(
-                answers=[
-                    QueryAnswer(oid=int(oid), probability=float(probability))
-                    for oid, probability in require(payload, EVALUATION_SCHEMA, "answers")
-                ]
-            ),
+            result=_decode_answers(require(payload, EVALUATION_SCHEMA, "answers")),
             statistics=EvaluationStatistics.from_dict(
                 require(payload, EVALUATION_SCHEMA, "statistics")
             ),

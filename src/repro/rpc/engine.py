@@ -8,7 +8,9 @@ over :class:`~repro.rpc.pool.RemoteShardPool`), the cache key (the
 daemon-reported epoch vector joins the scope) and the mutators (which
 mirror every primitive to the owning shard's daemon) are overridden.
 Answers are therefore bitwise-identical to the serial engine, exactly like
-the in-process shards.
+the in-process shards.  A daemon's reply arrays become the partial result
+as they are (:meth:`QueryResult.ranked` checks and keeps their ranking); no
+answer is inflated into a per-answer object on the way to the merge.
 
 **Coherence protocol.**  The parent keeps, per ``(kind, sid)``, the local
 shard database's ``(uid, epoch)`` recorded at the last moment parent and
@@ -34,7 +36,6 @@ from repro.core.parallel import NNPartial, ParallelEngine, RangePartial
 from repro.core.plan import PlanToken
 from repro.core.queries import (
     NearestNeighborQuery,
-    QueryAnswer,
     QueryResult,
     RangeQuery,
 )
@@ -287,14 +288,10 @@ class RemoteEngine(ParallelEngine):
                 statistics=stats,
                 elapsed_seconds=pack.elapsed_seconds,
             )
-        result = QueryResult(
-            answers=[
-                QueryAnswer(oid=int(oid), probability=float(probability))
-                for oid, probability in zip(pack.oids, pack.values)
-            ]
-        )
         return RangePartial(
-            result=result, statistics=stats, elapsed_seconds=pack.elapsed_seconds
+            result=QueryResult.ranked(pack.oids, pack.values),
+            statistics=stats,
+            elapsed_seconds=pack.elapsed_seconds,
         )
 
     # ------------------------------------------------------------------ #

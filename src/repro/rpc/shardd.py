@@ -18,7 +18,8 @@ of deployment; parallelism comes from running many of them.
 
 Query execution (:func:`execute_token_items`) rebuilds each query from its
 plan token, keys its draws exactly as the in-process shard path does and
-packs the partial answers into the arrays of :func:`repro.rpc.wire.pack_answers`.
+hands each partial answer's ranked oid and probability arrays straight to
+:func:`repro.rpc.wire.pack_answers` — no per-answer object is built.
 Mutations apply the same database primitives the parent's owning
 shard applied and reply with the shard's new epoch — the parent's
 epoch-vector cache keys stay coherent without any broadcast invalidation.
@@ -80,19 +81,12 @@ def execute_token_items(
         seqs = [int(seq) for _, seq, _ in range_items]
         evaluations = pipeline.run_batch(batch, seqs)
         for (position, _, _), evaluation in zip(range_items, evaluations):
-            rows = evaluation.result.answers
             answers.append(
                 wire.AnswerPack(
                     kind="range",
                     position=position,
-                    oids=np.fromiter(
-                        (a.oid for a in rows), dtype=np.int64, count=len(rows)
-                    ),
-                    values=np.fromiter(
-                        (a.probability for a in rows),
-                        dtype=np.float64,
-                        count=len(rows),
-                    ),
+                    oids=evaluation.result.oid_array,
+                    values=evaluation.result.probability_array,
                     stats=StatsPack.from_statistics(evaluation.statistics),
                     elapsed_seconds=evaluation.elapsed_seconds,
                 )

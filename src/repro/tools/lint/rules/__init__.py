@@ -14,11 +14,13 @@
 | RPL010 | rpc             | no pickle on the RPC shard-protocol hot path          |
 | RPL011 | identity        | no ``id()`` keys in ``repro/core/`` or ``repro/rpc/`` |
 | RPL012 | heap            | ``gc`` is called only from ``repro/core/heap.py``     |
+| RPL013 | answers         | ``QueryAnswer`` is built only in ``repro/core/queries.py`` |
 
 ``RPL000`` is the engine itself (unused suppressions, parse failures).
 """
 
 from repro.tools.lint.rules import (  # noqa: F401  (import = register)
+    answers,
     caching,
     exceptions,
     heap,

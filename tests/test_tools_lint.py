@@ -136,6 +136,27 @@ def test_heap_rule_flags_a_collector_call_in_a_bulk_build():
     assert lint_source("gc.isenabled()\n", "tests/test_x.py", [get_rule("RPL012")]) == []
 
 
+def test_answers_rule_flags_per_answer_objects_in_the_merge():
+    """A ``QueryAnswer`` built per answer in ``core/parallel.py`` is caught."""
+    source = (REPO_ROOT / "src" / "repro" / "core" / "parallel.py").read_text(encoding="utf-8")
+    lines = source.splitlines()
+    lines.append("def legacy_merge(parts):")
+    lines.append("    return [QueryAnswer(oid, p) for part in parts for oid, p in part]")
+    diagnostics = lint_source(
+        "\n".join(lines) + "\n", "repro/core/parallel.py", [get_rule("RPL013")]
+    )
+    assert [(d.rule, d.line) for d in diagnostics] == [("RPL013", len(lines))]
+    assert "QueryResult.ranked" in diagnostics[0].message
+    # The shipped merge is clean, queries.py owns the type, tests may build answers.
+    assert lint_source(source, "repro/core/parallel.py", [get_rule("RPL013")]) == []
+    queries_source = (REPO_ROOT / "src" / "repro" / "core" / "queries.py").read_text(
+        encoding="utf-8"
+    )
+    assert "QueryAnswer(" in queries_source
+    assert lint_source(queries_source, "repro/core/queries.py", [get_rule("RPL013")]) == []
+    assert lint_source("QueryAnswer(1, 0.5)\n", "tests/test_x.py", [get_rule("RPL013")]) == []
+
+
 def test_randomness_rule_flags_a_seed_sequence_in_the_kernels():
     """A per-candidate ``SeedSequence`` in ``core/duality.py`` is caught."""
     source = (REPO_ROOT / "src" / "repro" / "core" / "duality.py").read_text(encoding="utf-8")
