@@ -106,7 +106,7 @@ from repro.core.engine import (
     EngineConfig,
 )
 from repro.core.nearest import ImpreciseNearestNeighborEngine
-from repro.core.plan import QueryPlan, plan_query, query_fingerprint
+from repro.core.plan import QueryPlan, compile_plan, query_fingerprint
 from repro.core.pipeline import QueryPipeline
 from repro.core.sharding import Shard, ShardedDatabase
 from repro.core.updates import MutationObservable, UpdateBatch, UpdateEvent, UpdateOp
@@ -183,7 +183,7 @@ __all__ = [
     "ResultCache",
     "QueryPlan",
     "QueryPipeline",
-    "plan_query",
+    "compile_plan",
     "query_fingerprint",
     "SessionStats",
     "Shard",

@@ -23,8 +23,8 @@ into the lookup key:
   :func:`~repro.core.plan.query_fingerprint` (issuer oid, pdf wire form,
   catalog levels, shape, threshold, target / sample count).  Queries equal
   by content share one entry however their objects were built, so a query
-  decoded from the wire hits the entry of an equal in-process query.  A
-  query whose pdf has no wire form has no fingerprint and is never cached.
+  decoded from the wire hits the entry of an equal in-process query.
+  Every query has a fingerprint (every pdf defines its wire form).
   Sampled answers are cached like closed-form ones: a query's Monte-Carlo
   draws are keyed by the same content (:mod:`repro.core.draws`), so a hit
   is bitwise the answer a recomputation would give.

@@ -363,7 +363,7 @@ class SubscriptionRegistry:
     def _evaluate(self, query: Query) -> dict[int, float]:
         if self._parallel is not None:
             return self._parallel.evaluate(query).probabilities()
-        return self._pipeline.run_batch([query], [0])[0].probabilities()
+        return self._pipeline.run_batch([query])[0].probabilities()
 
     def _scope(self, target: str, query: Query, window: Rect | None) -> Hashable:
         """The state token a subscription's answer was last verified against.

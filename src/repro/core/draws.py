@@ -7,7 +7,7 @@ Every Monte-Carlo draw in the engines is the uniform
 where ``finalise`` is the SplitMix64 output finaliser (a bijection of 64-bit
 words with full avalanche), ``γ`` is the golden-ratio increment and the row
 key absorbs the engine seed, the query's draw token (a digest of its
-content, :func:`repro.core.plan.resolve_draw_token`) and the oid — the oid
+content, :func:`repro.core.plan.query_draw_token`) and the oid — the oid
 reinterpreted as ``uint64``, so any sign works — through the same
 finaliser.  The top 53 bits map the word to ``[0, 1)``.
 

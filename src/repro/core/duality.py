@@ -23,7 +23,7 @@ sampled expectation over the object) and a fully sampled Monte-Carlo path
 The engines' sampled kernels hold no generator: candidate ``oid``'s draws
 are the counter function ``u(seed, token, oid, j)`` of
 :mod:`repro.core.draws`, where ``token`` is keyed by the query's content
-(:func:`repro.core.plan.resolve_draw_token`), turned into positions by each
+(:func:`repro.core.plan.query_draw_token`), turned into positions by each
 pdf's inverse-CDF ``from_uniforms`` and tested in chunked
 ``(candidates, samples)`` blocks.  The single-object ``*_monte_carlo``
 kernels taking a generator are reference implementations for the
@@ -118,14 +118,14 @@ def ipq_probabilities_monte_carlo_per_oid(
     oids: np.ndarray,
     samples: int,
     rng_seed: int,
-    query_seq: int,
+    draw_token: int,
 ) -> np.ndarray:
     """Monte-Carlo IPQ probabilities under counter-based draws.
 
     Object ``oid``'s ``n = samples`` issuer positions are
     ``issuer_pdf.from_uniforms`` of the counter draws
-    ``u(rng_seed, query_seq, oid, j)`` (:mod:`repro.core.draws`): x from
-    columns ``[0, n)``, y from ``[n, 2n)``; ``query_seq`` is the query's
+    ``u(rng_seed, draw_token, oid, j)`` (:mod:`repro.core.draws`): x from
+    columns ``[0, n)``, y from ``[n, 2n)``; ``draw_token`` is the query's
     draw token.  An estimate therefore depends on nothing but its oid and
     that token, so every execution path — either backend, any shard count,
     any process — returns the same bits.
@@ -135,7 +135,7 @@ def ipq_probabilities_monte_carlo_per_oid(
     if samples <= 0:
         raise InvalidQueryError(f"samples must be positive, got {samples}")
     locations = np.asarray(locations, dtype=float)
-    keys = row_keys(rng_seed, query_seq, oids)
+    keys = row_keys(rng_seed, draw_token, oids)
     probabilities = np.empty(len(keys), dtype=float)
     for rows, u in uniform_blocks(keys, 2 * samples):
         xs, ys = issuer_pdf.from_uniforms(u[:, :samples], u[:, samples:])
@@ -153,7 +153,7 @@ def iuq_probabilities_monte_carlo_per_oid(
     spec: RangeQuerySpec,
     samples: int,
     rng_seed: int,
-    query_seq: int,
+    draw_token: int,
 ) -> np.ndarray:
     """Fully sampled IUQ probabilities under counter-based draws.
 
@@ -165,7 +165,7 @@ def iuq_probabilities_monte_carlo_per_oid(
     if samples <= 0:
         raise InvalidQueryError(f"samples must be positive, got {samples}")
     n = samples
-    keys = row_keys(rng_seed, query_seq, [target.oid for target in targets])
+    keys = row_keys(rng_seed, draw_token, [target.oid for target in targets])
     probabilities = np.empty(len(keys), dtype=float)
     for rows, u in uniform_blocks(keys, 4 * n):
         xs, ys = issuer_pdf.from_uniforms(u[:, :n], u[:, n : 2 * n])

@@ -18,11 +18,13 @@ layered architecture:
   :class:`~repro.core.cache.ResultCache` consulted and filled by the
   pipeline when :class:`EngineConfig` carries one.
 
-The engine owns what is genuinely serial-engine state: the configuration,
-the monotonic query sequence counter, and the mutation surface dispatching
-inserts/deletes/moves to the owning database.  All query flavours funnel
-through ``engine.evaluate(query)`` (single-dispatched on
-:class:`~repro.core.queries.RangeQuery` /
+The engine owns what is genuinely serial-engine state: the configuration
+and the mutation surface dispatching inserts/deletes/moves to the owning
+database.  It keeps no per-query state: a query's answer, Monte-Carlo
+draws included, depends on its content and the data, never on how many
+queries came before it.  All query flavours funnel
+through ``engine.evaluate(query)`` (a
+:class:`~repro.core.queries.RangeQuery` or a
 :class:`~repro.core.queries.NearestNeighborQuery`) and the batch
 ``engine.evaluate_many(...)``, which also accepts interleaved
 :class:`~repro.core.updates.UpdateBatch` items.
@@ -32,7 +34,6 @@ from __future__ import annotations
 from repro.core.errors import ConfigurationError, EngineStateError, InvalidArgumentError
 
 from dataclasses import InitVar, dataclass, field, fields, replace
-from functools import singledispatchmethod
 from typing import Iterable, Literal
 
 import numpy as np
@@ -167,11 +168,11 @@ class EngineConfig:
 class ImpreciseQueryEngine:
     """Evaluates IPQ, IUQ, C-IPQ, C-IUQ and nearest-neighbour queries.
 
-    The single entry point is :meth:`evaluate`, which dispatches on the query
-    object's type; :meth:`evaluate_many` is the batch counterpart.  Both run
+    The single entry point is :meth:`evaluate`; :meth:`evaluate_many` is
+    the batch counterpart.  Both run
     the staged pipeline of :mod:`repro.core.pipeline` — the same stage runner
     sharded and parallel execution use — so the serial engine is exactly
-    "the pipeline plus a sequence counter and a mutation surface".
+    "the pipeline plus a mutation surface".
     """
 
     #: Reported by :meth:`Session.describe` so clients can tell which
@@ -193,12 +194,6 @@ class ImpreciseQueryEngine:
         self._pipeline = QueryPipeline(
             point_db=point_db, uncertain_db=uncertain_db, config=self._config
         )
-        # Monotonic query sequence number.  Every evaluated query consumes
-        # one (whatever its kind); it keys the draws of a query without a
-        # fingerprint, so the n-th query of any call pattern — evaluate()
-        # loop, evaluate_many(), or a sharded executor replaying explicit
-        # numbers through evaluate_many_at() — samples the same draws.
-        self._query_seq = 0
 
     @property
     def config(self) -> EngineConfig:
@@ -223,37 +218,19 @@ class ImpreciseQueryEngine:
     # ------------------------------------------------------------------ #
     # Unified entry point
     # ------------------------------------------------------------------ #
-    def _next_query_seq(self) -> int:
-        seq = self._query_seq
-        self._query_seq += 1
-        return seq
-
-    @singledispatchmethod
-    def evaluate(self, query):
+    def evaluate(self, query: Query) -> Evaluation:
         """Evaluate one query object and return an :class:`Evaluation`.
 
-        Dispatches on the query's type: :class:`RangeQuery` covers all four
-        paper query flavours via its target kind and threshold,
-        :class:`NearestNeighborQuery` the nearest-neighbour extension.
+        :class:`RangeQuery` covers all four paper query flavours via its
+        target kind and threshold, :class:`NearestNeighborQuery` the
+        nearest-neighbour extension.
         """
-        raise InvalidArgumentError(
-            f"cannot evaluate {type(query).__name__!r}; expected a RangeQuery "
-            "or a NearestNeighborQuery"
-        )
-
-    @evaluate.register
-    def _evaluate_range_query(
-        self, query: RangeQuery, *, query_seq: int | None = None
-    ) -> Evaluation:
-        seq = self._next_query_seq() if query_seq is None else query_seq
-        return self._pipeline.run_batch([query], [seq], use_snapshots=False)[0]
-
-    @evaluate.register
-    def _evaluate_nearest_query(
-        self, query: NearestNeighborQuery, *, query_seq: int | None = None
-    ) -> Evaluation:
-        seq = self._next_query_seq() if query_seq is None else query_seq
-        return self._pipeline.run_batch([query], [seq], use_snapshots=False)[0]
+        if not isinstance(query, (RangeQuery, NearestNeighborQuery)):
+            raise InvalidArgumentError(
+                f"cannot evaluate {type(query).__name__!r}; expected a RangeQuery "
+                "or a NearestNeighborQuery"
+            )
+        return self._pipeline.run_batch([query], use_snapshots=False)[0]
 
     def evaluate_many(self, queries: Iterable[Query | UpdateBatch]) -> list[Evaluation]:
         """Evaluate a batch of queries, preserving input order.
@@ -267,41 +244,16 @@ class ImpreciseQueryEngine:
         An :class:`~repro.core.updates.UpdateBatch` may be interleaved with
         the queries: it is applied at exactly its position in the stream
         (earlier queries see the old data, later ones the new) and produces
-        no :class:`Evaluation` of its own.  Updates consume no query sequence
-        numbers, so the surrounding queries' Monte-Carlo draws are
-        unaffected.
+        no :class:`Evaluation` of its own; the surrounding queries'
+        Monte-Carlo draws are unaffected.
         """
         evaluations: list[Evaluation] = []
         for kind, payload in partition_workload(queries):
             if kind == "updates":
                 self.apply_updates(payload)
             else:
-                seqs = [self._next_query_seq() for _ in payload]
-                evaluations.extend(self._pipeline.run_batch(payload, seqs))
+                evaluations.extend(self._pipeline.run_batch(payload))
         return evaluations
-
-    def evaluate_many_at(self, items: Iterable[tuple[int, Query]]) -> list[Evaluation]:
-        """Batch evaluation with caller-assigned query sequence numbers.
-
-        ``items`` is an iterable of ``(query_seq, query)`` pairs.  This is the
-        replay entry point of the sharded executor: a shard engine evaluates
-        only the queries routed to it, but each query must carry the
-        sequence number it holds in the *global* workload so that a query
-        without a fingerprint (whose draws are keyed by that number) draws
-        like the single-shard engine.  The engine's own sequence counter is
-        left untouched.  Everything else — pruner caching, columnar batch
-        filtering — behaves exactly like :meth:`evaluate_many`.
-        """
-        materialised = list(items)
-        batch = [query for _, query in materialised]
-        for position, query in enumerate(batch):
-            if not isinstance(query, (RangeQuery, NearestNeighborQuery)):
-                raise InvalidArgumentError(
-                    f"evaluate_many_at() only accepts RangeQuery and NearestNeighborQuery "
-                    f"objects; item {position} is {type(query).__name__!r}"
-                )
-        seqs = [int(seq) for seq, _ in materialised]
-        return self._pipeline.run_batch(batch, seqs)
 
     # ------------------------------------------------------------------ #
     # Live mutation

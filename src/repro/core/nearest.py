@@ -9,18 +9,15 @@ the issuer's nearest neighbour.
 
 Evaluation samples the issuer's pdf, finds the nearest point object for every
 sampled position with a best-first R-tree search, and normalises the win
-counts.  The standalone :class:`ImpreciseNearestNeighborEngine` samples
-from its own generator; the query engines hand it the query's counter
-stream (:func:`nn_query_draws`), which holds no generator state.  The
-candidate set is first narrowed with a conservative geometric filter: an
-object whose minimum possible distance to the issuer region exceeds the
-smallest maximum distance of some other object can never win.
+counts.  The issuer positions are the counter draws of the query's content
+(:func:`nn_query_draws` under the query's draw token), which hold no
+generator state: the standalone :class:`ImpreciseNearestNeighborEngine`,
+the query engines and every shard sample the identical positions for one
+query and one seed.
 """
 
 from __future__ import annotations
 from repro.core.errors import ConfigurationError, InvalidQueryError
-
-from dataclasses import dataclass
 
 import math
 
@@ -28,7 +25,8 @@ import numpy as np
 
 from repro.geometry.point import Point
 from repro.core.draws import query_stream_key, uniforms
-from repro.core.queries import QueryAnswer, QueryResult
+from repro.core.plan import query_draw_token, query_fingerprint
+from repro.core.queries import NearestNeighborQuery, QueryAnswer, QueryResult
 from repro.core.statistics import EvaluationStatistics
 from repro.index.rtree import RTree
 from repro.uncertainty.pdf import UncertaintyPdf
@@ -37,7 +35,7 @@ import time
 
 
 def nn_query_draws(
-    issuer_pdf: UncertaintyPdf, samples: int, rng_seed: int, query_seq: int
+    issuer_pdf: UncertaintyPdf, samples: int, rng_seed: int, draw_token: int
 ) -> np.ndarray:
     """The keyed draws of a nearest-neighbour query: ``(samples, 2)`` positions.
 
@@ -47,21 +45,13 @@ def nn_query_draws(
     belong to the query rather than to a candidate): x from columns
     ``[0, n)``, y from ``[n, 2n)``.  Every shard of a sharded database, and
     the single-shard reference engine, samples the identical positions for
-    a given query.  ``query_seq`` is the plan's draw token, any integer.
+    a given query.  ``draw_token`` is the query's draw token, any integer.
     """
     if samples <= 0:
         raise InvalidQueryError(f"samples must be positive, got {samples}")
-    u = uniforms(query_stream_key(rng_seed, query_seq), 2 * samples)[0]
+    u = uniforms(query_stream_key(rng_seed, draw_token), 2 * samples)[0]
     xs, ys = issuer_pdf.from_uniforms(u[:samples], u[samples:])
     return np.column_stack([xs, ys])
-
-
-@dataclass(frozen=True)
-class NearestNeighborAnswer:
-    """An object together with its probability of being the nearest neighbour."""
-
-    oid: int
-    probability: float
 
 
 class ImpreciseNearestNeighborEngine:
@@ -83,7 +73,6 @@ class ImpreciseNearestNeighborEngine:
         self._index = index if index is not None else RTree.bulk_load(self._objects)
         self._samples = samples
         self._rng_seed = rng_seed
-        self._rng: np.random.Generator | None = None
 
     def evaluate(
         self,
@@ -97,33 +86,28 @@ class ImpreciseNearestNeighborEngine:
         Only objects with probability at least ``threshold`` (and non-zero)
         are reported, mirroring the constrained range-query semantics.
         ``draws`` optionally supplies the issuer positions as an ``(n, 2)``
-        array (e.g. the deterministic per-query plan of
-        :func:`nn_query_draws`); when omitted, the engine's own advancing
-        generator draws ``samples`` positions as before.
+        array; when omitted, they are the content-keyed draws of
+        ``NearestNeighborQuery(issuer, threshold, samples)`` under the
+        engine's ``rng_seed`` — the draws a query engine with that seed
+        samples for that query, so both answer bitwise alike.
         """
         if not 0.0 <= threshold <= 1.0:
             raise InvalidQueryError(f"threshold must lie in [0, 1], got {threshold}")
         started = time.perf_counter()
-        stats = EvaluationStatistics()
-        before = self._index.stats.snapshot()
-
         if draws is None:
-            if self._rng is None:
-                self._rng = np.random.default_rng(self._rng_seed)
-            draws = issuer.pdf.sample(self._rng, self._samples)
-        samples = len(draws)
-        stats.monte_carlo_samples = samples
-        winner_oids: list[int] = []
-        for x, y in draws:
-            winners = self._index.nearest_neighbors(Point(float(x), float(y)), k=1)
-            if winners:
-                winner: PointObject = winners[0]
-                winner_oids.append(winner.oid)
-
-        stats.io = self._index.stats.difference_since(before)
-        oids, counts = np.unique(np.array(winner_oids, dtype=np.int64), return_counts=True)
+            query = NearestNeighborQuery(
+                issuer=issuer, threshold=threshold, samples=self._samples
+            )
+            draws = nn_query_draws(
+                issuer.pdf,
+                self._samples,
+                self._rng_seed,
+                query_draw_token(query_fingerprint(query)),
+            )
+        winners, _, stats = self.per_draw_winners(draws)
+        oids, counts = np.unique(winners, return_counts=True)
         stats.candidates_examined = int(oids.size)
-        result = QueryResult.qualifying(oids, counts / samples, threshold)
+        result = QueryResult.qualifying(oids, counts / len(draws), threshold)
         stats.results_returned = len(result)
         stats.response_time = time.perf_counter() - started
         return result, stats
@@ -133,7 +117,8 @@ class ImpreciseNearestNeighborEngine:
     ) -> tuple[np.ndarray, np.ndarray, EvaluationStatistics]:
         """Nearest object per issuer draw: ``(oids, distances, statistics)``.
 
-        The shard-merge primitive of the parallel executor: each shard
+        :meth:`evaluate` counts the winners; it is also the shard-merge
+        primitive of sharded execution: each shard
         reports, for every draw of the shared per-query plan, its local
         winner and that winner's exact distance; the merger keeps the
         globally closest (ties broken towards the smaller oid).  The returned

@@ -5,7 +5,8 @@
 the shards its window can touch (Minkowski-expanded for range queries,
 best-distance-bounded for nearest-neighbour queries), the routed per-shard
 batches run through each shard's staged pipeline
-(:mod:`repro.core.pipeline` — the engine owns no evaluation code), and the
+(:meth:`repro.core.pipeline.QueryPipeline.shard_partials` — the engine owns
+no evaluation code, and the shard daemons run the same method), and the
 per-shard partial results are merged into ordinary
 :class:`~repro.core.queries.Evaluation` envelopes: answers in global oid
 order, work counters summed, per-shard wall-clock attribution attached
@@ -27,10 +28,9 @@ Results are **identical** to a single-shard
 :class:`~repro.core.engine.ImpreciseQueryEngine` under the same
 configuration: the shards partition the objects, pruning decisions are
 per-object, and every Monte-Carlo draw is a pure function of
-``(rng_seed, draw token, oid)``, the token keyed by the query's content.
-Updates consume no query sequence numbers, so a live-mutated sharded
-database answers bitwise-identically to a from-scratch rebuild of the same
-final collection.
+``(rng_seed, draw token, oid)``, the token keyed by the query's content,
+so a live-mutated sharded database answers bitwise-identically to a
+from-scratch rebuild of the same final collection.
 One caveat for nearest-neighbour queries: when two objects are at *exactly*
 the same distance from a sampled position, the merge breaks the tie towards
 the smaller oid while the single-shard engine keeps whichever its R-tree
@@ -50,15 +50,13 @@ from repro.core.cache import copy_statistics
 from repro.core.engine import EngineConfig
 from repro.core.errors import ConfigurationError, EngineStateError, InvalidArgumentError
 from repro.core.expansion import minkowski_expanded_query
-from repro.core.nearest import nn_query_draws
-from repro.core.pipeline import DEFAULT_NN_SAMPLES, partition_workload
-from repro.core.plan import query_fingerprint, resolve_draw_token
+from repro.core.pipeline import NNPartial, RangePartial, partition_workload
+from repro.core.plan import query_fingerprint, resolved_nn_samples
 from repro.core.queries import (
     Evaluation,
     NearestNeighborQuery,
     Query,
     QueryResult,
-    RangeQuery,
 )
 from repro.core.sharding import Shard, ShardedDatabase
 from repro.core.statistics import EvaluationStatistics
@@ -114,25 +112,6 @@ class ParallelEvaluation(Evaluation):
         )
 
 
-@dataclass
-class RangePartial:
-    """One shard's contribution to a range query (what ``_execute`` returns)."""
-
-    result: QueryResult
-    statistics: EvaluationStatistics
-    elapsed_seconds: float
-
-
-@dataclass
-class NNPartial:
-    """One shard's per-draw nearest-neighbour winners (what ``_execute`` returns)."""
-
-    oids: np.ndarray
-    distances: np.ndarray
-    statistics: EvaluationStatistics
-    elapsed_seconds: float
-
-
 class ParallelEngine:
     """Evaluates workloads across the shards of a :class:`ShardedDatabase`.
 
@@ -161,7 +140,6 @@ class ParallelEngine:
         self._uncertain_db = uncertain_db
         self._config = config if config is not None else EngineConfig()
         self._config_fingerprint = self._config.fingerprint()
-        self._query_seq = 0
 
     # ------------------------------------------------------------------ #
     # Introspection / lifecycle
@@ -224,10 +202,10 @@ class ParallelEngine:
         An :class:`~repro.core.updates.UpdateBatch` may be interleaved with
         the queries: it is applied at exactly its position in the stream
         (earlier queries see the old data, later ones the new) and produces
-        no :class:`Evaluation`.  Updates consume no query sequence numbers,
-        so the surrounding queries' Monte-Carlo draws are unaffected
-        — a live-updated sharded database answers bitwise-identically to a
-        from-scratch rebuild of the same final collection.
+        no :class:`Evaluation`; the surrounding queries' Monte-Carlo draws
+        are unaffected — a live-updated sharded database answers
+        bitwise-identically to a from-scratch rebuild of the same final
+        collection.
         """
         evaluations: list[Evaluation] = []
         for kind, payload in partition_workload(queries):
@@ -260,21 +238,17 @@ class ParallelEngine:
 
     def _run_query_batch(self, batch: list[Query]) -> list[Evaluation]:
         """Consult the cache, then route, execute and merge the misses."""
-        base_seq = self._query_seq
-        self._query_seq += len(batch)
         cache = self._config.cache
 
         evaluations: list[Evaluation | None] = [None] * len(batch)
         fill_keys: dict[int, Hashable] = {}
-        tasks: dict[tuple[str, int], list[tuple[int, int, Query]]] = {}
+        tasks: dict[tuple[str, int], list[tuple[int, Query]]] = {}
         for position, query in enumerate(batch):
-            seq = base_seq + position
             kind = "points" if self._targets_points(query) else "uncertain"
             shards = self._route(query)
             started = time.perf_counter()
-            fingerprint = query_fingerprint(query) if cache is not None else None
-            if fingerprint is not None:
-                key = self._cache_key(fingerprint, kind, shards)
+            if cache is not None:
+                key = self._cache_key(query_fingerprint(query), kind, shards)
                 entry = cache.lookup(key)
                 if entry is not None:
                     result, stats = entry.materialise()
@@ -288,7 +262,7 @@ class ParallelEngine:
                     continue
                 fill_keys[position] = key
             for shard in shards:
-                tasks.setdefault((kind, shard.sid), []).append((position, seq, query))
+                tasks.setdefault((kind, shard.sid), []).append((position, query))
 
         partials: dict[int, list[tuple[int, RangePartial | NNPartial]]] = {}
         for position, (sid, payload) in self._execute(tasks):
@@ -377,58 +351,24 @@ class ParallelEngine:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def _execute_shard(
-        self, kind: str, sid: int, items: list[tuple[int, int, Query]]
-    ) -> list[tuple[int, tuple[int, RangePartial | NNPartial]]]:
-        """Run one shard's routed queries in-process.
-
-        Range queries run through the shard's staged pipeline
-        (:meth:`ShardedDatabase.execute_on_shard`) — the identical stage
-        runner the serial engine uses.  Nearest-neighbour queries use the
-        shard pipeline's sampler in per-draw mode, because their merge is a
-        per-draw argmin across shards rather than an answer-list union.
-        """
-        database = self._require(kind)
-        results: list[tuple[int, tuple[int, RangePartial | NNPartial]]] = []
-        range_items = [item for item in items if isinstance(item[2], RangeQuery)]
-        nn_items = [item for item in items if isinstance(item[2], NearestNeighborQuery)]
-        if range_items:
-            evaluations = database.execute_on_shard(
-                sid, [(seq, query) for _, seq, query in range_items], self._config
-            )
-            for (position, _, _), evaluation in zip(range_items, evaluations):
-                payload = RangePartial(
-                    result=evaluation.result,
-                    statistics=evaluation.statistics,
-                    elapsed_seconds=evaluation.elapsed_seconds,
-                )
-                results.append((position, (sid, payload)))
-        for position, seq, query in nn_items:
-            samples = query.samples if query.samples is not None else DEFAULT_NN_SAMPLES
-            token = resolve_draw_token(query_fingerprint(query), seq)
-            draws = nn_query_draws(
-                query.issuer.pdf, samples, self._config.rng_seed, token
-            )
-            nn_engine = database.shard_pipeline(sid, self._config).nearest_engine(samples)
-            oids, distances, stats = nn_engine.per_draw_winners(draws)
-            payload = NNPartial(
-                oids=oids,
-                distances=distances,
-                statistics=stats,
-                elapsed_seconds=stats.response_time,
-            )
-            results.append((position, (sid, payload)))
-        return results
-
     def _execute(
-        self, tasks: dict[tuple[str, int], list[tuple[int, int, Query]]]
+        self, tasks: dict[tuple[str, int], list[tuple[int, Query]]]
     ) -> list[tuple[int, tuple[int, RangePartial | NNPartial]]]:
-        """Run the routed batches, shard by shard in ``(kind, sid)`` order."""
-        return [
-            result
-            for (kind, sid), items in sorted(tasks.items())
-            for result in self._execute_shard(kind, sid, items)
-        ]
+        """Run the routed ``(position, query)`` batches in ``(kind, sid)`` order.
+
+        Each shard's batch goes through the shard pipeline's
+        :meth:`~repro.core.pipeline.QueryPipeline.shard_partials` — the
+        executor a shard daemon runs on its copy of the shard.
+        """
+        results: list[tuple[int, tuple[int, RangePartial | NNPartial]]] = []
+        for (kind, sid), items in sorted(tasks.items()):
+            pipeline = self._require(kind).shard_pipeline(sid, self._config)
+            partials = pipeline.shard_partials([query for _, query in items])
+            results.extend(
+                (position, (sid, partial))
+                for (position, _), partial in zip(items, partials)
+            )
+        return results
 
     # ------------------------------------------------------------------ #
     # Merging
@@ -503,7 +443,7 @@ class ParallelEngine:
         )
         if not contributions:
             return QueryResult(), stats
-        samples = query.samples if query.samples is not None else DEFAULT_NN_SAMPLES
+        samples = resolved_nn_samples(query)
         # The per-shard passes each draw the full plan, so the sample count
         # is a per-query quantity, not a per-shard one.
         stats.monte_carlo_samples = samples

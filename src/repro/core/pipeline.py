@@ -11,7 +11,7 @@ running the exact same stages over a :class:`~repro.core.plan.QueryPlan`:
               └────────────── hit: serve stored answer ◄─────────┘
                               miss: fill after ranking
 
-* **plan** compiles the query (:func:`repro.core.plan.plan_query`): window,
+* **plan** compiles the query (:func:`repro.core.plan.compile_plan`): window,
   probe choice, pruner, draw token.
 * **cache** consults the shared epoch-keyed
   :class:`~repro.core.cache.ResultCache` (when the configuration carries
@@ -32,10 +32,12 @@ running the exact same stages over a :class:`~repro.core.plan.QueryPlan`:
 
 One :class:`QueryPipeline` instance wraps one pair of databases plus a
 configuration; engines own a pipeline instead of re-implementing the flow.
-Every answer is cacheable: a query's Monte-Carlo draws are a pure function
-of its content (:func:`repro.core.plan.resolve_draw_token`), never of its
-position in the workload, so replaying it reproduces the stored answer
-bitwise.
+A shard's pipeline also answers the shard-side half of sharded execution
+(:meth:`QueryPipeline.shard_partials`), for the in-process executor and
+the shard daemons alike.  Every answer is cacheable: a query's Monte-Carlo
+draws are a pure function of its content
+(:func:`repro.core.plan.query_draw_token`), never of its position in the
+workload, so replaying it reproduces the stored answer bitwise.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from repro.core.errors import ConfigurationError, EngineStateError, InvalidArgum
 
 import time
 from collections import Counter
+from dataclasses import dataclass
 from typing import Hashable, Iterable
 
 import numpy as np
@@ -66,8 +69,10 @@ from repro.core.nearest import ImpreciseNearestNeighborEngine, nn_query_draws
 from repro.core.plan import (
     DEFAULT_NN_SAMPLES,
     QueryPlan,
-    plan_query,
+    compile_plan,
+    query_draw_token,
     query_fingerprint,
+    resolved_nn_samples,
 )
 from repro.core.pruning import CIUQPruner, PruningStrategy
 from repro.core.queries import (
@@ -85,9 +90,30 @@ from repro.uncertainty.region import UncertainObject
 
 __all__ = [
     "DEFAULT_NN_SAMPLES",
+    "NNPartial",
     "QueryPipeline",
+    "RangePartial",
     "partition_workload",
 ]
+
+
+@dataclass
+class RangePartial:
+    """One shard's contribution to a range query: its ranked local answer."""
+
+    result: QueryResult
+    statistics: EvaluationStatistics
+    elapsed_seconds: float
+
+
+@dataclass
+class NNPartial:
+    """One shard's per-draw nearest-neighbour winners and their distances."""
+
+    oids: np.ndarray
+    distances: np.ndarray
+    statistics: EvaluationStatistics
+    elapsed_seconds: float
 
 
 def partition_workload(
@@ -227,11 +253,10 @@ class QueryPipeline:
     def run_batch(
         self,
         batch: list[Query],
-        seqs: list[int],
         *,
         use_snapshots: bool = True,
     ) -> list[Evaluation]:
-        """Run a batch of queries (with caller-assigned sequence numbers).
+        """Run a batch of queries, returning one evaluation per query in order.
 
         The batch path amortises work a per-query loop repeats: database
         presence checks run once per batch, the nearest-neighbour sampler is
@@ -245,8 +270,8 @@ class QueryPipeline:
         every path; only ``statistics.io`` differs.
 
         Results — including Monte-Carlo draws — are identical to running the
-        queries one at a time, because every draw is keyed by the query's
-        content (see :func:`repro.core.plan.resolve_draw_token`).
+        queries one at a time, in any order, because every draw is keyed by
+        the query's content (:func:`repro.core.plan.query_draw_token`).
         """
         # Fail fast, before any query runs, when a required database is absent.
         targets = {query.target for query in batch if isinstance(query, RangeQuery)}
@@ -277,13 +302,13 @@ class QueryPipeline:
         )
 
         evaluations: list[Evaluation] = []
-        for query, fingerprint, seq in zip(batch, fingerprints, seqs):
+        for query, fingerprint in zip(batch, fingerprints):
             started = time.perf_counter()
             # Cache stage first: a hit must skip every later stage,
             # including plan compilation (pruners build expanded regions
             # eagerly — exactly the repeated work a hit exists to avoid).
             key = None
-            if self._cache is not None and fingerprint is not None:
+            if self._cache is not None:
                 key = self._cache_key(query, fingerprint)
                 entry = self._cache.lookup(key)
                 if entry is not None:
@@ -298,9 +323,8 @@ class QueryPipeline:
                     )
                     continue
             pruner_cache = pruners if repeats[fingerprint] > 1 else None
-            plan = plan_query(
+            plan = compile_plan(
                 query,
-                seq,
                 self._config,
                 uncertain_index=uncertain_index,
                 pruner_cache=pruner_cache,
@@ -356,13 +380,54 @@ class QueryPipeline:
             self._nn_engines[key] = engine
         return engine
 
+    def _nearest_draws(self, query: NearestNeighborQuery, draw_token: int) -> np.ndarray:
+        samples = resolved_nn_samples(query)
+        return nn_query_draws(query.issuer.pdf, samples, self._config.rng_seed, draw_token)
+
     def _run_nearest(self, plan: QueryPlan) -> tuple[QueryResult, EvaluationStatistics]:
         query = plan.query
         engine = self.nearest_engine(plan.samples)
-        draws = nn_query_draws(
-            query.issuer.pdf, plan.samples, self._config.rng_seed, plan.draw_token
-        )
+        draws = self._nearest_draws(query, plan.draw_token)
         return engine.evaluate(query.issuer, threshold=query.threshold, draws=draws)
+
+    # ------------------------------------------------------------------ #
+    # Shard-side execution
+    # ------------------------------------------------------------------ #
+    def shard_partials(self, queries: list[Query]) -> list[RangePartial | NNPartial]:
+        """This shard's partial answer to each routed query, in input order.
+
+        The one shard executor of sharded execution: the in-process
+        :class:`~repro.core.parallel.ParallelEngine` hands it the original
+        queries, a shard daemon the queries rebuilt from their plan tokens.
+        Range queries run as one :meth:`run_batch` (the shard's local answer
+        is already ranked); nearest-neighbour queries report the shard's
+        winner and its distance for every draw of the query's content-keyed
+        draws, because their merge is a per-draw argmin across shards.
+        """
+        partials: list[RangePartial | NNPartial | None] = [None] * len(queries)
+        ranged = [row for row, query in enumerate(queries) if isinstance(query, RangeQuery)]
+        evaluations = self.run_batch([queries[row] for row in ranged])
+        for row, evaluation in zip(ranged, evaluations):
+            partials[row] = RangePartial(
+                result=evaluation.result,
+                statistics=evaluation.statistics,
+                elapsed_seconds=evaluation.elapsed_seconds,
+            )
+        for row, query in enumerate(queries):
+            if partials[row] is None:
+                partials[row] = self._nearest_partial(query)
+        return partials
+
+    def _nearest_partial(self, query: NearestNeighborQuery) -> NNPartial:
+        draws = self._nearest_draws(query, query_draw_token(query_fingerprint(query)))
+        engine = self.nearest_engine(resolved_nn_samples(query))
+        oids, distances, stats = engine.per_draw_winners(draws)
+        return NNPartial(
+            oids=oids,
+            distances=distances,
+            statistics=stats,
+            elapsed_seconds=stats.response_time,
+        )
 
     # ------------------------------------------------------------------ #
     # Range-query stage runners

@@ -14,15 +14,16 @@ through the engine monolith:
   :class:`~repro.core.pruning.CIUQPruner`) owning the expanded-region
   construction, shared across queries with equal fingerprints, and
 * the **draw token** — the integer every Monte-Carlo draw of the query is
-  keyed by: a digest of the query's fingerprint (the query's sequence
-  number only when it has no fingerprint).
+  keyed by: a digest of the query's fingerprint (:func:`query_draw_token`).
 
 A query has one identity, its content: :func:`query_fingerprint` (issuer
 oid, pdf wire form and catalog levels, shape, threshold, target).  The
 result-cache key, pruner reuse, the in-batch repeat count and the draw
 token all derive from it, so a query decoded from the wire, relayed to a
 shard daemon or rebuilt by hand is the same query as the original.
-Object identity is never a key.
+Neither object identity nor a query's position in a workload is ever a
+key: every pdf has a wire form (``UncertaintyPdf.to_dict`` is abstract),
+so every query has a fingerprint.
 
 The plan is pure data: building one performs no index I/O and consumes no
 randomness.  The stage runner in :mod:`repro.core.pipeline` is the only
@@ -65,7 +66,7 @@ def resolved_nn_samples(query: NearestNeighborQuery) -> int:
     return query.samples if query.samples is not None else DEFAULT_NN_SAMPLES
 
 
-def query_fingerprint(query: Query) -> str | None:
+def query_fingerprint(query: Query) -> str:
     """The identity of a query: its content, spelled canonically.
 
     Two queries with equal fingerprints are the same request, wherever
@@ -76,16 +77,9 @@ def query_fingerprint(query: Query) -> str | None:
     half-extents, threshold and target of a range query, or the threshold
     and resolved sample count of a nearest-neighbour query.  Extents and
     threshold are spelled as floats, as the wire decodes them.
-
-    ``None`` when the issuer's pdf has no wire form: such a query has no
-    content identity, so it is never cached, never shares a pruner and
-    draws by position (see :func:`resolve_draw_token`).
     """
     issuer = query.issuer
-    try:
-        pdf = issuer.pdf.to_dict()
-    except NotImplementedError:
-        return None
+    pdf = issuer.pdf.to_dict()
     levels = issuer.catalog.levels if issuer.catalog is not None else None
     if isinstance(query, NearestNeighborQuery):
         shape = ("nn", float(query.threshold), resolved_nn_samples(query))
@@ -138,36 +132,14 @@ def query_draw_token(fingerprint: str) -> int:
     return int.from_bytes(digest, "big") >> 1
 
 
-def point_pruner(config, issuer, spec, threshold: float) -> CIPQPruner:
-    """The (C-)IPQ pruner for one (issuer, spec, threshold) combination."""
-    return CIPQPruner(
-        issuer,
-        spec,
-        threshold,
-        use_p_expanded_query=config.use_p_expanded_query,
-    )
-
-
-def uncertain_pruner(config, issuer, spec, threshold: float) -> CIUQPruner:
-    """The (C-)IUQ pruner for one (issuer, spec, threshold) combination."""
-    return CIUQPruner(
-        issuer,
-        spec,
-        threshold,
-        strategies=config.ciuq_strategies,
-    )
-
-
 @dataclass
 class QueryPlan:
     """The compiled execution plan of one query (see the module docstring)."""
 
     query: Query
-    #: Position of the query in the global workload sequence.
-    query_seq: int
     #: Which evaluation core runs the plan.
     target: PlanTarget
-    #: Token the Monte-Carlo draws are keyed by (see :func:`resolve_draw_token`).
+    #: Token the Monte-Carlo draws are keyed by (see :func:`query_draw_token`).
     draw_token: int
     #: Pruner owning the expanded regions (``None`` for nearest-neighbour).
     pruner: CIPQPruner | CIUQPruner | None
@@ -266,22 +238,8 @@ class PlanToken:
         )
 
 
-def resolve_draw_token(fingerprint: str | None, query_seq: int) -> int:
-    """What one query's Monte-Carlo draws are keyed by.
-
-    The digest of the query's content (:func:`query_draw_token`), so a
-    query samples the same draws however the session was built and
-    wherever the query sits in a workload — the property the result cache,
-    the shards and the server all rely on.  A query without a fingerprint
-    (see :func:`query_fingerprint`) is never cached, so it draws by its
-    sequence number instead.
-    """
-    return query_seq if fingerprint is None else query_draw_token(fingerprint)
-
-
-def plan_query(
+def compile_plan(
     query: Query,
-    query_seq: int,
     config,
     *,
     uncertain_index=None,
@@ -304,11 +262,10 @@ def plan_query(
         )
     if fingerprint is None:
         fingerprint = query_fingerprint(query)
-    draw_token = resolve_draw_token(fingerprint, query_seq)
+    draw_token = query_draw_token(fingerprint)
     if isinstance(query, NearestNeighborQuery):
         return QueryPlan(
             query=query,
-            query_seq=query_seq,
             target="nearest",
             draw_token=draw_token,
             pruner=None,
@@ -318,15 +275,18 @@ def plan_query(
             samples=resolved_nn_samples(query),
         )
     issuer, spec, threshold = query.issuer, query.spec, query.threshold
-    build = point_pruner if query.target == "points" else uncertain_pruner
     # The fingerprint holds the target, so a shared dict never aliases a
     # CIPQPruner and a CIUQPruner built for the same issuer and shape.
-    key = fingerprint if pruner_cache is not None else None
-    pruner = pruner_cache.get(key) if key is not None else None
+    pruner = pruner_cache.get(fingerprint) if pruner_cache is not None else None
     if pruner is None:
-        pruner = build(config, issuer, spec, threshold)
-        if key is not None:
-            pruner_cache[key] = pruner
+        if query.target == "points":
+            pruner = CIPQPruner(
+                issuer, spec, threshold, use_p_expanded_query=config.use_p_expanded_query
+            )
+        else:
+            pruner = CIUQPruner(issuer, spec, threshold, strategies=config.ciuq_strategies)
+        if pruner_cache is not None:
+            pruner_cache[fingerprint] = pruner
     if query.target == "points":
         window = pruner.filter_region
         use_pti = False
@@ -345,7 +305,6 @@ def plan_query(
         prefer_columnar = bool(config.vectorized) and not use_pti
     return QueryPlan(
         query=query,
-        query_seq=query_seq,
         target=query.target,
         draw_token=draw_token,
         pruner=pruner,
@@ -354,3 +313,11 @@ def plan_query(
         prefer_columnar=prefer_columnar,
         samples=None,
     )
+
+
+#: Kept for the frozen suite (``benchmarks/suite/layers.py`` calls it with a
+#: workload position, which plays no part in a plan); drop with the next
+#: ``benchmark`` issue.
+def plan_query(query: Query, position: int, config, **options) -> QueryPlan:
+    """:func:`compile_plan` under its old signature; ``position`` is ignored."""
+    return compile_plan(query, config, **options)

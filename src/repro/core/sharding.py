@@ -21,8 +21,12 @@ executor:
 Shards own ordinary :class:`~repro.core.engine.PointDatabase` /
 :class:`~repro.core.engine.UncertainDatabase` instances, so every engine
 feature — columnar snapshots, PTI node-level pruning, pruner caching — works
-unchanged per shard.  Partitioning preserves input order inside each shard,
-so ``k = 1`` reproduces the unsharded database exactly.
+unchanged per shard.  A shard runs its routed queries through its own
+pipeline (:meth:`ShardedDatabase.shard_pipeline`); it is handed the
+queries alone, never their positions in the global workload, because every
+Monte-Carlo draw is keyed by query content.  Partitioning preserves input
+order inside each shard, so ``k = 1`` reproduces the unsharded database
+exactly.
 
 Sharded databases are *live*: :meth:`ShardedDatabase.insert`,
 :meth:`ShardedDatabase.delete` and :meth:`ShardedDatabase.move` route each
@@ -46,7 +50,6 @@ from typing import Iterable, Literal, Sequence
 
 from repro.core.database import PointDatabase, UncertainDatabase, new_database_uid
 from repro.core.pipeline import QueryPipeline
-from repro.core.queries import Evaluation, Query
 from repro.core.updates import MutationObservable, UpdateEvent, UpdateOp
 from repro.datasets.partition import (
     PartitionMethod,
@@ -381,20 +384,6 @@ class ShardedDatabase(MutationObservable):
             )
         self._pipelines[key] = (shard.database, config, pipeline)
         return pipeline
-
-    def execute_on_shard(
-        self, sid: int, items: list[tuple[int, Query]], config
-    ) -> list[Evaluation]:
-        """Run routed ``(query_seq, query)`` pairs through one shard's pipeline.
-
-        The sequence numbers are the queries' positions in the *global*
-        workload, so a query without a fingerprint (whose draws are keyed by
-        that number) samples the same Monte-Carlo draws on every shard — the
-        bitwise-parity contract of the parallel executor.
-        """
-        batch = [query for _, query in items]
-        seqs = [int(seq) for seq, _ in items]
-        return self.shard_pipeline(sid, config).run_batch(batch, seqs)
 
     # ------------------------------------------------------------------ #
     # Shard planning

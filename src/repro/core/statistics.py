@@ -103,66 +103,6 @@ class EvaluationStatistics:
         )
 
 
-@dataclass(frozen=True)
-class StatsPack:
-    """A flat, packed encoding of :class:`EvaluationStatistics` for the wire.
-
-    Shard daemons reply with this instead of the statistics object itself:
-    a handful of plain numbers plus two small tuples that lay out as numeric
-    array rows (:func:`repro.rpc.wire.pack_answers`).  :meth:`to_statistics`
-    rehydrates a fully independent object — never aliased to anything the
-    sender held.
-    """
-
-    response_time: float
-    candidates_examined: int
-    probability_computations: int
-    monte_carlo_samples: int
-    results_returned: int
-    #: ``(strategy, count)`` pairs of the pruned-candidate attribution.
-    pruned: tuple[tuple[str, int], ...]
-    #: ``(node, leaf, internal, entries, objects)`` index-access counters.
-    io: tuple[int, int, int, int, int]
-
-    @classmethod
-    def from_statistics(cls, stats: EvaluationStatistics) -> "StatsPack":
-        """Pack one statistics object for the wire."""
-        return cls(
-            response_time=stats.response_time,
-            candidates_examined=stats.candidates_examined,
-            probability_computations=stats.probability_computations,
-            monte_carlo_samples=stats.monte_carlo_samples,
-            results_returned=stats.results_returned,
-            pruned=tuple(stats.pruned.items()),
-            io=(
-                stats.io.node_accesses,
-                stats.io.leaf_accesses,
-                stats.io.internal_accesses,
-                stats.io.entries_examined,
-                stats.io.objects_returned,
-            ),
-        )
-
-    def to_statistics(self) -> EvaluationStatistics:
-        """Rehydrate an independent :class:`EvaluationStatistics`."""
-        node, leaf, internal, entries, objects = self.io
-        return EvaluationStatistics(
-            response_time=self.response_time,
-            candidates_examined=self.candidates_examined,
-            probability_computations=self.probability_computations,
-            pruned=dict(self.pruned),
-            monte_carlo_samples=self.monte_carlo_samples,
-            results_returned=self.results_returned,
-            io=IOStatistics(
-                node_accesses=node,
-                leaf_accesses=leaf,
-                internal_accesses=internal,
-                entries_examined=entries,
-                objects_returned=objects,
-            ),
-        )
-
-
 @dataclass
 class AggregatedStatistics:
     """Averages of :class:`EvaluationStatistics` over a batch of queries."""

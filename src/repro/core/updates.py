@@ -11,9 +11,9 @@ ordered list of mutations that both engines accept:
   appearing in the workload iterable is applied at exactly that point in the
   stream, queries before it see the old data, queries after it the new.
 
-Updates never consume query sequence numbers, and a query's Monte-Carlo
-draws — keyed by ``(rng_seed, query content, oid)`` — stay bitwise-identical
-no matter how many unrelated updates ran before it.  That
+A query's Monte-Carlo draws — keyed by ``(rng_seed, query content, oid)`` —
+stay bitwise-identical no matter how many unrelated updates or queries ran
+before it.  That
 is the invariant that lets a live-mutated database answer exactly like a
 from-scratch rebuild of the same final collection.
 

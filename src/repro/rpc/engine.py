@@ -32,13 +32,9 @@ from typing import Hashable, TYPE_CHECKING
 
 from repro.core.engine import EngineConfig
 from repro.core.errors import ConfigurationError
-from repro.core.parallel import NNPartial, ParallelEngine, RangePartial
+from repro.core.parallel import ParallelEngine
 from repro.core.plan import PlanToken
-from repro.core.queries import (
-    NearestNeighborQuery,
-    QueryResult,
-    RangeQuery,
-)
+from repro.core.queries import NearestNeighborQuery, RangeQuery
 from repro.core.sharding import Shard, ShardedDatabase
 from repro.core.updates import UpdateOp, pick_mutation_database, resolve_move_target
 from repro.core.wire import require
@@ -258,13 +254,13 @@ class RemoteEngine(ParallelEngine):
                     kind,
                     sid,
                     [
-                        (position, seq, PlanToken.from_query(query))
-                        for position, seq, query in items
+                        (position, PlanToken.from_query(query))
+                        for position, query in items
                         if isinstance(query, RangeQuery)
                     ],
                     [
-                        (position, seq, PlanToken.from_query(query))
-                        for position, seq, query in items
+                        (position, PlanToken.from_query(query))
+                        for position, query in items
                         if isinstance(query, NearestNeighborQuery)
                     ],
                 )
@@ -273,26 +269,9 @@ class RemoteEngine(ParallelEngine):
         results = []
         for ((kind, sid), _), (reply, arrays) in zip(ordered, replies):
             pruned_names = tuple(require(reply, wire.RPC_SCHEMA, "pruned_names"))
-            for pack in wire.unpack_answers(arrays, pruned_names):
-                results.append((pack.position, (sid, self._unpack(pack))))
+            for position, partial in wire.unpack_answers(arrays, pruned_names):
+                results.append((position, (sid, partial)))
         return results
-
-    @staticmethod
-    def _unpack(pack: wire.AnswerPack) -> RangePartial | NNPartial:
-        """Rehydrate one packed partial into the in-process partial shape."""
-        stats = pack.stats.to_statistics()
-        if pack.kind == "nn":
-            return NNPartial(
-                oids=pack.oids,
-                distances=pack.values,
-                statistics=stats,
-                elapsed_seconds=pack.elapsed_seconds,
-            )
-        return RangePartial(
-            result=QueryResult.ranked(pack.oids, pack.values),
-            statistics=stats,
-            elapsed_seconds=pack.elapsed_seconds,
-        )
 
     # ------------------------------------------------------------------ #
     # Live mutation (local first, then mirrored to the owning daemon)

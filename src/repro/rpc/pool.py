@@ -42,7 +42,7 @@ from repro.serve.framing import encode_frame, read_sized_frame_from_socket
 from repro.serve.schemas import error_from_dict
 
 #: One routed shard batch: ``(kind, sid, range_items, nn_items)`` where each
-#: item is a ``(position, seq, PlanToken)`` triple.
+#: item is a ``(position, PlanToken)`` pair.
 ShardTask = tuple[str, int, list, list]
 
 _CONNECT_TIMEOUT_SECONDS = 30.0

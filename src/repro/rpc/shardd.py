@@ -16,10 +16,12 @@ connection (a pipelined client reads replies in send order) and execution
 is synchronous inside the event loop — a shard daemon is a single-core unit
 of deployment; parallelism comes from running many of them.
 
-Query execution (:func:`execute_token_items`) rebuilds each query from its
-plan token, keys its draws exactly as the in-process shard path does and
-hands each partial answer's ranked oid and probability arrays straight to
-:func:`repro.rpc.wire.pack_answers` — no per-answer object is built.
+Query execution rebuilds each query from its plan token and runs the
+rebuilt queries through the shard pipeline's
+:meth:`~repro.core.pipeline.QueryPipeline.shard_partials` — the very
+executor the in-process sharded engine runs — then packs the partial
+answers straight into reply arrays (:func:`repro.rpc.wire.pack_answers`);
+no per-answer object is built.
 Mutations apply the same database primitives the parent's owning
 shard applied and reply with the shard's new epoch — the parent's
 epoch-vector cache keys stay coherent without any broadcast invalidation.
@@ -46,10 +48,7 @@ from repro.core import heap
 from repro.core.database import PointDatabase, UncertainDatabase
 from repro.core.engine import EngineConfig
 from repro.core.errors import EngineStateError, SchemaError
-from repro.core.nearest import nn_query_draws
-from repro.core.pipeline import DEFAULT_NN_SAMPLES, QueryPipeline
-from repro.core.plan import PlanToken, query_fingerprint, resolve_draw_token
-from repro.core.statistics import StatsPack
+from repro.core.pipeline import QueryPipeline
 from repro.core.updates import UpdateOp
 from repro.core.wire import require
 from repro.errors import ReproError
@@ -60,55 +59,6 @@ from repro.uncertainty.catalog import catalog_levels
 from repro.uncertainty.region import UncertainObject
 
 RPC_SCHEMA = wire.RPC_SCHEMA
-
-
-def execute_token_items(
-    pipeline: QueryPipeline,
-    config: EngineConfig,
-    range_items: list[tuple[int, int, PlanToken]],
-    nn_items: list[tuple[int, int, PlanToken]],
-) -> list[wire.AnswerPack]:
-    """Run routed plan tokens through one shard pipeline, packing the answers.
-
-    Items are ``(position, query_seq, token)`` triples; the result preserves
-    range-before-nn pack order.  Range queries run as one pipeline batch;
-    nearest-neighbour queries use the pipeline's sampler in per-draw mode,
-    because their merge is a per-draw argmin across shards.
-    """
-    answers: list[wire.AnswerPack] = []
-    if range_items:
-        batch = [token.to_query() for _, _, token in range_items]
-        seqs = [int(seq) for _, seq, _ in range_items]
-        evaluations = pipeline.run_batch(batch, seqs)
-        for (position, _, _), evaluation in zip(range_items, evaluations):
-            answers.append(
-                wire.AnswerPack(
-                    kind="range",
-                    position=position,
-                    oids=evaluation.result.oid_array,
-                    values=evaluation.result.probability_array,
-                    stats=StatsPack.from_statistics(evaluation.statistics),
-                    elapsed_seconds=evaluation.elapsed_seconds,
-                )
-            )
-    for position, seq, token in nn_items:
-        query = token.to_query()
-        samples = token.samples if token.samples is not None else DEFAULT_NN_SAMPLES
-        draw_token = resolve_draw_token(query_fingerprint(query), seq)
-        draws = nn_query_draws(query.issuer.pdf, samples, config.rng_seed, draw_token)
-        nn_engine = pipeline.nearest_engine(samples)
-        oids, distances, stats = nn_engine.per_draw_winners(draws)
-        answers.append(
-            wire.AnswerPack(
-                kind="nn",
-                position=position,
-                oids=oids,
-                values=distances,
-                stats=StatsPack.from_statistics(stats),
-                elapsed_seconds=stats.response_time,
-            )
-        )
-    return answers
 
 
 def _decode_uncertain(payloads: list, levels: list[float] | None) -> list[UncertainObject]:
@@ -151,7 +101,7 @@ class _LoadedShard:
         self._configs.setdefault(digest, config)
         return digest
 
-    def pipeline(self, digest: str) -> tuple[QueryPipeline, EngineConfig]:
+    def pipeline(self, digest: str) -> QueryPipeline:
         """The staged pipeline for one registered configuration."""
         config = self._configs.get(digest)
         if config is None:
@@ -170,7 +120,7 @@ class _LoadedShard:
                     uncertain_db=self.database, config=config, cache=None
                 )
             self._pipelines[digest] = pipeline
-        return pipeline, config
+        return pipeline
 
 
 class ShardHost:
@@ -203,7 +153,7 @@ class ShardHost:
 
     def _shard(self, header: Mapping) -> _LoadedShard:
         kind = require(header, RPC_SCHEMA, "kind")
-        sid = int(require(header, RPC_SCHEMA, "sid"))
+        sid = wire.integer_field(require(header, RPC_SCHEMA, "sid"), "sid")
         shard = self._shards.get((kind, sid))
         if shard is None:
             raise EngineStateError(
@@ -221,7 +171,7 @@ class ShardHost:
         kind = require(header, RPC_SCHEMA, "kind")
         if kind not in ("points", "uncertain"):
             raise SchemaError(f"unknown shard kind {kind!r}")
-        sid = int(require(header, RPC_SCHEMA, "sid"))
+        sid = wire.integer_field(require(header, RPC_SCHEMA, "sid"), "sid")
         index_kind = require(header, RPC_SCHEMA, "index_kind")
         levels = require(header, RPC_SCHEMA, "catalog_levels")
         levels = [float(level) for level in levels] if levels is not None else None
@@ -254,15 +204,13 @@ class ShardHost:
 
     def _query(self, header: Mapping) -> tuple[dict, dict[str, np.ndarray]]:
         shard = self._shard(header)
-        digest = require(header, RPC_SCHEMA, "config_digest")
-        pipeline, config = shard.pipeline(digest)
-        answers = execute_token_items(
-            pipeline,
-            config,
-            wire.decode_items(require(header, RPC_SCHEMA, "range_items")),
-            wire.decode_items(require(header, RPC_SCHEMA, "nn_items")),
+        pipeline = shard.pipeline(require(header, RPC_SCHEMA, "config_digest"))
+        items = wire.decode_items(require(header, RPC_SCHEMA, "range_items"))
+        items += wire.decode_items(require(header, RPC_SCHEMA, "nn_items"))
+        partials = pipeline.shard_partials([token.to_query() for _, token in items])
+        arrays, pruned_names = wire.pack_answers(
+            [(position, partial) for (position, _), partial in zip(items, partials)]
         )
-        arrays, pruned_names = wire.pack_answers(answers)
         reply = wire.header(
             "answers", pruned_names=list(pruned_names), epoch=shard.database.epoch
         )

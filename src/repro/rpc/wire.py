@@ -4,7 +4,7 @@ Every RPC message is one binary frame (:mod:`repro.serve.framing`): a JSON
 header tagged with :data:`RPC_SCHEMA` plus zero or more raw numpy arrays.
 The hot path — ``query`` requests and their ``answers`` replies — carries
 plan tokens as JSON and the packed answer arrays (:func:`pack_answers`
-layout: ``oid:int64[]``, ``value:float64[]`` and the ``StatsPack`` counter
+layout: ``oid:int64[]``, ``value:float64[]`` and the statistics counter
 rows) as raw array bytes; nothing on it is pickled.
 
 The codecs here are module-level functions, not methods: :class:`PlanToken`
@@ -30,17 +30,20 @@ the serving front-end's envelopes.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import astuple
 from typing import Any, Mapping
 
 import numpy as np
 
 from repro.core.engine import EngineConfig
 from repro.core.errors import SchemaError
+from repro.core.pipeline import NNPartial, RangePartial
 from repro.core.plan import PlanToken
 from repro.core.pruning import PruningStrategy
-from repro.core.statistics import StatsPack
+from repro.core.queries import QueryResult
+from repro.core.statistics import EvaluationStatistics
 from repro.core.wire import check_schema, require, tagged
+from repro.index.iostats import IOStatistics
 from repro.uncertainty.pdf import pdf_from_dict
 from repro.uncertainty.region import (
     POINT_OBJECT_SCHEMA,
@@ -217,32 +220,48 @@ def query_header(
     kind: str,
     sid: int,
     config_digest: str,
-    range_items: list[tuple[int, int, PlanToken]],
-    nn_items: list[tuple[int, int, PlanToken]],
+    range_items: list[tuple[int, PlanToken]],
+    nn_items: list[tuple[int, PlanToken]],
 ) -> dict:
-    """A ``query`` request: routed plan-token batches for one shard."""
+    """A ``query`` request: routed ``[position, token]`` rows for one shard.
+
+    ``position`` is the query's index in the parent's batch, used only to
+    match each answer to its query; the query itself is its token.
+    """
     return header(
         "query",
         kind=kind,
         sid=int(sid),
         config_digest=config_digest,
-        range_items=[
-            [int(position), int(seq), token_to_dict(token)]
-            for position, seq, token in range_items
-        ],
-        nn_items=[
-            [int(position), int(seq), token_to_dict(token)]
-            for position, seq, token in nn_items
-        ],
+        range_items=[[int(position), token_to_dict(token)] for position, token in range_items],
+        nn_items=[[int(position), token_to_dict(token)] for position, token in nn_items],
     )
 
 
-def decode_items(raw: Any) -> list[tuple[int, int, PlanToken]]:
-    """Decode one ``query`` header's item list back into routed triples."""
-    return [
-        (int(position), int(seq), token_from_dict(token))
-        for position, seq, token in raw
-    ]
+def integer_field(value: Any, name: str) -> int:
+    """``value`` as an ``int``, or :class:`SchemaError` (``bool`` is no integer)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def decode_items(raw: Any) -> list[tuple[int, PlanToken]]:
+    """Decode one ``query`` header's ``[position, token]`` rows.
+
+    Every malformation — a non-list, a row that is not a pair (including
+    a stale three-field ``[position, seq, token]`` row), a non-integer
+    position — raises :class:`SchemaError`, so a shard daemon answers it
+    in-band instead of dropping the connection.
+    """
+    if not isinstance(raw, list):
+        raise SchemaError(f"query items must be a list of rows, got {raw!r}")
+    items = []
+    for row in raw:
+        if not isinstance(row, list) or len(row) != 2:
+            raise SchemaError(f"query item rows are [position, token] pairs, got {row!r}")
+        position, token = row
+        items.append((integer_field(position, "query item position"), token_from_dict(token)))
+    return items
 
 
 def update_header(kind: str, sid: int, ops: list) -> dict:
@@ -253,111 +272,100 @@ def update_header(kind: str, sid: int, ops: list) -> dict:
 # --------------------------------------------------------------------------- #
 # Answer frames
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class AnswerPack:
-    """One query's packed partial answer (flattened into an ``answers`` reply)."""
-
-    kind: str
-    position: int
-    #: Answer oids (range) or per-draw winner oids (nearest-neighbour).
-    oids: np.ndarray
-    #: Qualification probabilities (range) or winner distances (nearest).
-    values: np.ndarray
-    stats: StatsPack
-    elapsed_seconds: float
-
-
-#: Order assigning integer codes to answer-pack kinds inside reply frames.
-_PACK_KINDS = ("range", "nn")
+#: Reply-frame code of a partial's kind (the ``meta`` rows' second column).
+_NN_CODE = 1
 
 
 def pack_answers(
-    packs: list[AnswerPack],
+    answers: list[tuple[int, RangePartial | NNPartial]],
 ) -> tuple[dict[str, np.ndarray], tuple[str, ...]]:
-    """Flatten a batch's answer packs into the arrays of one reply frame.
+    """Flatten one shard's ``(position, partial)`` answers into reply arrays.
 
-    ``meta`` rows are ``(position, kind code, answer count)``; ``timing``
-    rows ``(response_time, elapsed_seconds)``; ``counters`` rows the four
-    scalar work counters followed by the five I/O counters; ``pruned`` rows
-    the per-strategy pruned counts (−1 marking a strategy absent from that
-    pack, since 0 is a recordable count).  ``oids`` / ``values`` concatenate
-    every pack's answer arrays in row order.  The pruning-strategy names
-    ride in the header (short strings; everything in the arrays is numeric).
+    ``meta`` rows are ``(position, kind code, answer count)`` (code 0 for a
+    :class:`~repro.core.pipeline.RangePartial`, 1 for an
+    :class:`~repro.core.pipeline.NNPartial`); ``timing`` rows
+    ``(response_time, elapsed_seconds)``; ``counters`` rows the four scalar
+    work counters followed by the five I/O counters; ``pruned`` rows the
+    per-strategy pruned counts (−1 marking a strategy absent from that
+    partial, since 0 is a recordable count).  ``oids`` / ``values``
+    concatenate every partial's ranked answer (or per-draw winners and
+    distances) in row order.  The pruning-strategy names ride in the header
+    (short strings; everything in the arrays is numeric).
     """
     pruned_names: list[str] = []
-    for pack in packs:
-        for strategy, _ in pack.stats.pruned:
+    for _, partial in answers:
+        for strategy in partial.statistics.pruned:
             if strategy not in pruned_names:
                 pruned_names.append(strategy)
-    rows = len(packs)
+    rows = len(answers)
     meta = np.zeros((rows, 3), dtype=np.int64)
     timing = np.zeros((rows, 2), dtype=np.float64)
     counters = np.zeros((rows, 9), dtype=np.int64)
     pruned = np.full((rows, len(pruned_names)), -1, dtype=np.int64)
-    for row, pack in enumerate(packs):
-        stats = pack.stats
-        meta[row] = (pack.position, _PACK_KINDS.index(pack.kind), pack.oids.size)
-        timing[row] = (stats.response_time, pack.elapsed_seconds)
+    oids: list[np.ndarray] = []
+    values: list[np.ndarray] = []
+    for row, (position, partial) in enumerate(answers):
+        nearest = isinstance(partial, NNPartial)
+        if nearest:
+            oids.append(partial.oids)
+            values.append(partial.distances)
+        else:
+            oids.append(partial.result.oid_array)
+            values.append(partial.result.probability_array)
+        stats = partial.statistics
+        meta[row] = (position, _NN_CODE if nearest else 0, oids[-1].size)
+        timing[row] = (stats.response_time, partial.elapsed_seconds)
         counters[row] = (
             stats.candidates_examined,
             stats.probability_computations,
             stats.monte_carlo_samples,
             stats.results_returned,
-            *stats.io,
+            *astuple(stats.io),
         )
-        for strategy, count in stats.pruned:
+        for strategy, count in stats.pruned.items():
             pruned[row, pruned_names.index(strategy)] = count
     arrays = {
         "meta": meta,
         "timing": timing,
         "counters": counters,
         "pruned": pruned,
-        "oids": (
-            np.concatenate([pack.oids for pack in packs])
-            if packs
-            else np.zeros(0, dtype=np.int64)
-        ),
-        "values": (
-            np.concatenate([pack.values for pack in packs])
-            if packs
-            else np.zeros(0, dtype=np.float64)
-        ),
+        "oids": np.concatenate(oids) if oids else np.zeros(0, dtype=np.int64),
+        "values": np.concatenate(values) if values else np.zeros(0, dtype=np.float64),
     }
     return arrays, tuple(pruned_names)
 
 
 def unpack_answers(
     arrays: Mapping[str, np.ndarray], pruned_names: tuple[str, ...]
-) -> list[AnswerPack]:
-    """Rebuild the answer packs of one reply frame (inverse of :func:`pack_answers`)."""
-    packs: list[AnswerPack] = []
+) -> list[tuple[int, RangePartial | NNPartial]]:
+    """Rebuild one reply frame's ``(position, partial)`` answers (inverse of
+    :func:`pack_answers`); every statistics object is freshly built."""
+    answers: list[tuple[int, RangePartial | NNPartial]] = []
     offset = 0
     meta = arrays["meta"]
     for row in range(meta.shape[0]):
         position, kind_code, count = (int(value) for value in meta[row])
         counters = arrays["counters"][row]
-        stats = StatsPack(
+        stats = EvaluationStatistics(
             response_time=float(arrays["timing"][row, 0]),
             candidates_examined=int(counters[0]),
             probability_computations=int(counters[1]),
             monte_carlo_samples=int(counters[2]),
             results_returned=int(counters[3]),
-            pruned=tuple(
-                (strategy, int(pruned_count))
+            pruned={
+                strategy: int(pruned_count)
                 for strategy, pruned_count in zip(pruned_names, arrays["pruned"][row])
                 if pruned_count >= 0
-            ),
-            io=tuple(int(value) for value in counters[4:9]),
+            },
+            io=IOStatistics(*(int(value) for value in counters[4:9])),
         )
-        packs.append(
-            AnswerPack(
-                kind=_PACK_KINDS[kind_code],
-                position=position,
-                oids=arrays["oids"][offset : offset + count],
-                values=arrays["values"][offset : offset + count],
-                stats=stats,
-                elapsed_seconds=float(arrays["timing"][row, 1]),
-            )
-        )
+        oids = arrays["oids"][offset : offset + count]
+        values = arrays["values"][offset : offset + count]
+        elapsed = float(arrays["timing"][row, 1])
         offset += count
-    return packs
+        if kind_code == _NN_CODE:
+            partial: RangePartial | NNPartial = NNPartial(oids, values, stats, elapsed)
+        else:
+            partial = RangePartial(QueryResult.ranked(oids, values), stats, elapsed)
+        answers.append((position, partial))
+    return answers

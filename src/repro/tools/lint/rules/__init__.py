@@ -15,6 +15,7 @@
 | RPL011 | identity        | no ``id()`` keys in ``repro/core/`` or ``repro/rpc/`` |
 | RPL012 | heap            | ``gc`` is called only from ``repro/core/heap.py``     |
 | RPL013 | answers         | ``QueryAnswer`` is built only in ``repro/core/queries.py`` |
+| RPL014 | keying          | keyed draws take a content token, never a position    |
 
 ``RPL000`` is the engine itself (unused suppressions, parse failures).
 """
@@ -25,6 +26,7 @@ from repro.tools.lint.rules import (  # noqa: F401  (import = register)
     exceptions,
     heap,
     identity,
+    keying,
     observability,
     raises,
     randomness,

@@ -196,20 +196,18 @@ class UncertaintyPdf(abc.ABC):
     # ------------------------------------------------------------------ #
     # Wire serialization
     # ------------------------------------------------------------------ #
+    @abc.abstractmethod
     def to_dict(self) -> dict:
         """A JSON-safe, versioned description of this pdf.
 
         Decode with :func:`pdf_from_dict`; the reconstructed pdf computes
         probabilities bit-for-bit like the original (every shipped parameter
         round-trips exactly through JSON, and every derived quantity is
-        recomputed by the same constructor arithmetic).  Third-party pdfs
-        that want to cross the wire override this and register a decoder via
-        :func:`register_pdf_codec`.
+        recomputed by the same constructor arithmetic).  The wire form is
+        the pdf's part of a query's identity (it keys cache entries and
+        Monte-Carlo draws), so every pdf defines one; third-party pdfs also
+        register a decoder via :func:`register_pdf_codec`.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not define a wire schema; override "
-            "to_dict() and register a decoder with register_pdf_codec()"
-        )
 
     @staticmethod
     def _rect_payload(region: Rect) -> list[float]:

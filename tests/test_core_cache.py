@@ -228,27 +228,6 @@ class TestSerialEngineCaching:
         expected = plain_engine.evaluate(explicit)
         assert served.probabilities() == expected.probabilities()
 
-    def test_pdf_without_wire_form_is_never_cached(self, small_points, default_spec):
-        """No content identity, so neither stored nor served — never an id() key."""
-        from repro.uncertainty.pdf import UncertaintyPdf
-
-        class NoWirePdf(TruncatedGaussianPdf):
-            to_dict = UncertaintyPdf.to_dict
-
-        region = _issuer().region
-        query = RangeQuery.ipq(UncertainObject(oid=3, pdf=NoWirePdf(region)), default_spec)
-        config = EngineConfig(cache=ResultCache(capacity=8))
-        engine = ImpreciseQueryEngine(point_db=PointDatabase.build(small_points), config=config)
-        plain = ImpreciseQueryEngine(
-            point_db=PointDatabase.build(small_points),
-            config=EngineConfig(),
-        )
-        served = engine.evaluate_many([query, query])
-        assert len(config.cache) == 0
-        assert config.cache.stats.lookups == 0
-        expected = plain.evaluate_many([query, query])
-        assert [e.probabilities() for e in served] == [e.probabilities() for e in expected]
-
     def test_cache_hit_skips_plan_compilation(self, small_points, default_spec):
         """A hit must not rebuild the pruner's expanded regions."""
         import repro.core.pipeline as pipeline_module
@@ -260,17 +239,17 @@ class TestSerialEngineCaching:
         query = RangeQuery.cipq(_issuer(), default_spec, 0.4)
         engine.evaluate(query)
         calls = []
-        original = pipeline_module.plan_query
+        original = pipeline_module.compile_plan
 
-        def counting_plan_query(*args, **kwargs):
+        def counting_compile_plan(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        pipeline_module.plan_query = counting_plan_query
+        pipeline_module.compile_plan = counting_compile_plan
         try:
             engine.evaluate(query)  # hit
         finally:
-            pipeline_module.plan_query = original
+            pipeline_module.compile_plan = original
         assert calls == []
 
     def test_cross_database_answers_never_shared(self, default_spec):

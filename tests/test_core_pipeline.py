@@ -12,17 +12,17 @@ import pytest
 from repro.core.engine import EngineConfig, ImpreciseQueryEngine
 from repro.core.pipeline import QueryPipeline, partition_workload
 from repro.core.plan import (
+    compile_plan,
     plan_query,
     query_draw_token,
     query_fingerprint,
-    resolve_draw_token,
 )
 from repro.core.queries import NearestNeighborQuery, RangeQuery, RangeQuerySpec
 from repro.core.sharding import ShardedDatabase
 from repro.core.updates import UpdateBatch
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.uncertainty.pdf import TruncatedGaussianPdf, UncertaintyPdf, UniformPdf
+from repro.uncertainty.pdf import TruncatedGaussianPdf, UniformPdf
 from repro.uncertainty.region import PointObject, UncertainObject
 
 
@@ -34,7 +34,7 @@ def _issuer(oid=0):
 class TestQueryPlan:
     def test_point_plan_uses_filter_region(self, default_spec):
         query = RangeQuery.cipq(_issuer(), default_spec, 0.4)
-        plan = plan_query(query, 3, EngineConfig())
+        plan = compile_plan(query, EngineConfig())
         assert plan.target == "points"
         assert plan.window == plan.pruner.filter_region
         assert not plan.use_pti
@@ -43,7 +43,7 @@ class TestQueryPlan:
 
     def test_uncertain_plan_engages_pti(self, uncertain_db, default_spec):
         query = RangeQuery.ciuq(_issuer(), default_spec, 0.4)
-        plan = plan_query(query, 0, EngineConfig(), uncertain_index=uncertain_db.index)
+        plan = compile_plan(query, EngineConfig(), uncertain_index=uncertain_db.index)
         assert plan.use_pti
         assert not plan.prefer_columnar  # PTI keeps the index probe
         assert plan.window == plan.pruner.qp_expanded_region
@@ -52,37 +52,35 @@ class TestQueryPlan:
         self, uncertain_db_rtree, default_spec
     ):
         query = RangeQuery.ciuq(_issuer(), default_spec, 0.4)
-        plan = plan_query(
-            query, 0, EngineConfig(), uncertain_index=uncertain_db_rtree.index
-        )
+        plan = compile_plan(query, EngineConfig(), uncertain_index=uncertain_db_rtree.index)
         assert not plan.use_pti
         assert plan.prefer_columnar
 
     def test_nearest_plan_defaults_samples(self):
-        plan = plan_query(NearestNeighborQuery(issuer=_issuer()), 0, EngineConfig())
+        plan = compile_plan(NearestNeighborQuery(issuer=_issuer()), EngineConfig())
         assert plan.target == "nearest"
         assert plan.samples == 256
 
     def test_unplannable_type_rejected(self):
         with pytest.raises(TypeError):
-            plan_query("junk", 0, EngineConfig())
+            compile_plan("junk", EngineConfig())
 
     def test_pruner_cache_shared_across_plans(self, default_spec):
         query = RangeQuery.cipq(_issuer(), default_spec, 0.4)
         shared: dict = {}
-        first = plan_query(query, 0, EngineConfig(), pruner_cache=shared)
-        second = plan_query(query, 1, EngineConfig(), pruner_cache=shared)
+        first = compile_plan(query, EngineConfig(), pruner_cache=shared)
+        second = compile_plan(query, EngineConfig(), pruner_cache=shared)
         assert first.pruner is second.pruner
 
     def test_pruner_cache_never_aliases_across_targets(self, default_spec):
         """One shared dict for a mixed batch: CIPQ and CIUQ pruners differ."""
         issuer = _issuer()
         shared: dict = {}
-        points_plan = plan_query(
-            RangeQuery.cipq(issuer, default_spec, 0.4), 0, EngineConfig(), pruner_cache=shared
+        points_plan = compile_plan(
+            RangeQuery.cipq(issuer, default_spec, 0.4), EngineConfig(), pruner_cache=shared
         )
-        uncertain_plan = plan_query(
-            RangeQuery.ciuq(issuer, default_spec, 0.4), 1, EngineConfig(), pruner_cache=shared
+        uncertain_plan = compile_plan(
+            RangeQuery.ciuq(issuer, default_spec, 0.4), EngineConfig(), pruner_cache=shared
         )
         assert points_plan.pruner is not uncertain_plan.pruner
         assert uncertain_plan.window == uncertain_plan.pruner.qp_expanded_region
@@ -95,12 +93,10 @@ def _token(query):
 class TestDrawTokens:
     def test_token_per_plan(self, default_spec):
         query = RangeQuery.ipq(_issuer(), default_spec)
-        fingerprint = query_fingerprint(query)
-        assert resolve_draw_token(fingerprint, 9) == query_draw_token(fingerprint)
-        assert resolve_draw_token(None, 9) == 9
-        # Every plan of the query carries its content token, whatever its position.
-        for seq in (0, 9):
-            assert plan_query(query, seq, EngineConfig()).draw_token == _token(query)
+        assert compile_plan(query, EngineConfig()).draw_token == _token(query)
+        # The frozen suite's shim ignores the position it is handed.
+        for position in (0, 9):
+            assert plan_query(query, position, EngineConfig()).draw_token == _token(query)
 
     def test_content_token_position_independent(self, default_spec):
         issuer = _issuer()
@@ -136,18 +132,6 @@ class TestDrawTokens:
         assert query_fingerprint(a) != query_fingerprint(b)
         assert _token(a) != _token(b)
 
-    def test_pdf_without_wire_form_has_no_identity(self, default_spec):
-        """No fingerprint, so the draws fall back to position."""
-
-        class NoWirePdf(UniformPdf):
-            to_dict = UncertaintyPdf.to_dict
-
-        issuer = UncertainObject(oid=0, pdf=NoWirePdf(_issuer().region))
-        query = RangeQuery.ipq(issuer, default_spec)
-        assert query_fingerprint(query) is None
-        plan = plan_query(query, 7, EngineConfig(), pruner_cache={})
-        assert plan.draw_token == 7
-
 
 class TestPartitionWorkload:
     def test_groups_preserve_order(self, default_spec):
@@ -180,7 +164,7 @@ class TestSharedStageRunner:
         engine = ImpreciseQueryEngine(point_db=point_db, config=config)
         pipeline = QueryPipeline(point_db=point_db, config=config)
         queries = [RangeQuery.cipq(_issuer(i), default_spec, 0.2) for i in range(4)]
-        direct = pipeline.run_batch(queries, list(range(4)))
+        direct = pipeline.run_batch(queries)
         via_engine = engine.evaluate_many(queries)
         assert [e.probabilities() for e in direct] == [
             e.probabilities() for e in via_engine
@@ -205,7 +189,7 @@ class TestSharedStageRunner:
             point_db=database.shards[0].database, config=config
         )
         queries = [RangeQuery.ipq(_issuer(i), default_spec) for i in range(3)]
-        sharded = database.execute_on_shard(0, list(enumerate(queries)), config)
+        sharded = database.shard_pipeline(0, config).run_batch(queries)
         expected = serial.evaluate_many(queries)
         assert [e.probabilities() for e in sharded] == [
             e.probabilities() for e in expected

@@ -172,6 +172,25 @@ def test_randomness_rule_flags_a_seed_sequence_in_the_kernels():
     assert lint_source(source, "repro/core/duality.py", [get_rule("RPL002")]) == []
 
 
+def test_keying_rule_flags_a_position_keyed_draw_in_the_pipeline():
+    """A draw token taken from a batch position in ``core/pipeline.py`` is caught."""
+    source = (REPO_ROOT / "src" / "repro" / "core" / "pipeline.py").read_text(encoding="utf-8")
+    lines = source.splitlines()
+    lines.append("def legacy_nearest(self, batch, samples):")
+    lines.append("    for seq, query in enumerate(batch):")
+    lines.append("        yield nn_query_draws(query.issuer.pdf, samples, self._config.rng_seed, seq)")
+    diagnostics = lint_source(
+        "\n".join(lines) + "\n", "repro/core/pipeline.py", [get_rule("RPL014")]
+    )
+    assert [(d.rule, d.line) for d in diagnostics] == [("RPL014", len(lines))]
+    assert "query_draw_token" in diagnostics[0].message
+    # The shipped pipeline, kernels and daemon are clean; other packages are out of scope.
+    for relpath in ("core/pipeline.py", "core/duality.py", "core/nearest.py", "rpc/shardd.py"):
+        shipped = (REPO_ROOT / "src" / "repro" / relpath).read_text(encoding="utf-8")
+        assert lint_source(shipped, f"repro/{relpath}", [get_rule("RPL014")]) == []
+    assert lint_source("row_keys(1, 2, [3])\n", "repro/experiments/x.py", [get_rule("RPL014")]) == []
+
+
 def test_retired_rule_id_is_not_registered():
     assert "RPL003" not in RULE_IDS
 
