@@ -33,7 +33,6 @@ def test_ciuq_strategy_subset(benchmark, uncertain_db_rtree, subset):
         uncertain_db=uncertain_db_rtree,
         config=EngineConfig(
             use_p_expanded_query=False,
-            use_pti_pruning=False,
             ciuq_strategies=SUBSETS[subset],
         ),
     )

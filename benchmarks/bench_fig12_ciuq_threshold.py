@@ -22,7 +22,7 @@ def test_ciuq_rtree_minkowski(benchmark, uncertain_db_rtree, qp):
     engine = ImpreciseQueryEngine(
         uncertain_db=uncertain_db_rtree,
         config=EngineConfig(
-            use_p_expanded_query=False, use_pti_pruning=False, ciuq_strategies=()
+            use_p_expanded_query=False, ciuq_strategies=(), vectorized=False
         ),
     )
     issuer, spec = issuer_for(250.0, threshold=qp)
@@ -32,10 +32,14 @@ def test_ciuq_rtree_minkowski(benchmark, uncertain_db_rtree, qp):
 
 @pytest.mark.parametrize("qp", THRESHOLDS)
 def test_ciuq_pti_p_expanded(benchmark, uncertain_db_pti, qp):
-    """Paper's method: PTI node-level pruning plus the Qp-expanded-query."""
+    """Paper's method: PTI node-level pruning plus the Qp-expanded-query.
+
+    Both series pin the scalar reference backend, the only one that runs the
+    PTI's threshold traversal (the vectorised backend scans the Qp window).
+    """
     engine = ImpreciseQueryEngine(
         uncertain_db=uncertain_db_pti,
-        config=EngineConfig(use_p_expanded_query=True, use_pti_pruning=True),
+        config=EngineConfig(use_p_expanded_query=True, vectorized=False),
     )
     issuer, spec = issuer_for(250.0, threshold=qp)
     result = benchmark(lambda: engine.evaluate(RangeQuery.ciuq(issuer, spec, qp)))

@@ -6,9 +6,10 @@ instead snapshots a database's objects into contiguous NumPy arrays once and
 evaluates filters and probability kernels as array operations:
 
 * :class:`ColumnarPoints` — point-object coordinates as an ``(N, 2)`` array;
-* :class:`ColumnarUncertain` — uncertain-region bounds as an ``(N, 4)`` array
-  plus, when every object carries a U-catalog over the same levels, the
-  catalog bound rectangles as an ``(N, L, 4)`` array.
+* :class:`ColumnarUncertain` — uncertain-region bounds as an ``(N, 4)`` array,
+  a pdf-kind code per row (``int8``, see :data:`PDF_KINDS`) and, when every
+  object carries a U-catalog over the same levels, the catalog bound
+  rectangles as an ``(N, L, 4)`` array.
 
 Snapshots are immutable views of the object list they were built from; the
 databases in :mod:`repro.core.database` build them lazily on first use.
@@ -31,7 +32,34 @@ from typing import Sequence
 import numpy as np
 
 from repro.geometry.rect import Rect
+from repro.uncertainty.pdf import (
+    HistogramPdf,
+    TruncatedGaussianPdf,
+    UniformCirclePdf,
+    UniformPdf,
+)
 from repro.uncertainty.region import PointObject, UncertainObject
+
+#: The pdf kinds a :class:`ColumnarUncertain` ``kinds`` row can name: row
+#: code ``i`` means ``isinstance(pdf, PDF_KINDS[i])``, and
+#: ``len(PDF_KINDS)`` any other pdf.  The vectorised C-IUQ path routes
+#: candidates by this column instead of inspecting their objects.
+PDF_KINDS: tuple[type, ...] = (UniformPdf, TruncatedGaussianPdf, HistogramPdf, UniformCirclePdf)
+PDF_UNIFORM = PDF_KINDS.index(UniformPdf)
+
+
+def pdf_kind(pdf) -> int:
+    """The :data:`PDF_KINDS` code of one pdf."""
+    for code, kind in enumerate(PDF_KINDS):
+        if isinstance(pdf, kind):
+            return code
+    return len(PDF_KINDS)
+
+
+def _kind_column(objects: Sequence[UncertainObject]) -> np.ndarray:
+    kinds = np.fromiter((pdf_kind(obj.pdf) for obj in objects), dtype=np.int8, count=len(objects))
+    kinds.setflags(write=False)
+    return kinds
 
 
 def points_in_window_mask(xy: np.ndarray, window: Rect) -> np.ndarray:
@@ -173,7 +201,9 @@ def _catalog_row(catalog) -> list[tuple[float, float, float, float]]:
 class ColumnarUncertain:
     """Immutable columnar snapshot of an uncertain-object collection."""
 
-    __slots__ = ("objects", "oids", "bounds", "catalog_levels", "catalog_bounds", "_row_of_oid")
+    __slots__ = (
+        "objects", "oids", "bounds", "kinds", "catalog_levels", "catalog_bounds", "_row_of_oid"
+    )
 
     def __init__(self, objects: Sequence[UncertainObject]) -> None:
         self.objects: tuple[UncertainObject, ...] = tuple(objects)
@@ -187,6 +217,7 @@ class ColumnarUncertain:
         bounds.setflags(write=False)
         self.oids.setflags(write=False)
         self.bounds = bounds
+        self.kinds = _kind_column(self.objects)
         self._row_of_oid: dict[int, int] = {
             obj.oid: row for row, obj in enumerate(self.objects)
         }
@@ -225,6 +256,7 @@ class ColumnarUncertain:
                 array.setflags(write=False)
         snapshot.oids = oids
         snapshot.bounds = bounds
+        snapshot.kinds = _kind_column(snapshot.objects)
         snapshot.catalog_levels = catalog_levels
         snapshot.catalog_bounds = catalog_bounds
         snapshot._row_of_oid = {
@@ -278,15 +310,17 @@ class ColumnarUncertain:
         objects: tuple,
         oids: np.ndarray,
         bounds: np.ndarray,
+        kinds: np.ndarray,
         catalog_bounds: np.ndarray,
         row_of_oid: dict[int, int],
     ) -> "ColumnarUncertain":
         snapshot = object.__new__(ColumnarUncertain)
         snapshot.objects = objects
-        for array in (oids, bounds, catalog_bounds):
+        for array in (oids, bounds, kinds, catalog_bounds):
             array.setflags(write=False)
         snapshot.oids = oids
         snapshot.bounds = bounds
+        snapshot.kinds = kinds
         snapshot.catalog_levels = self.catalog_levels
         snapshot.catalog_bounds = catalog_bounds
         snapshot._row_of_oid = row_of_oid
@@ -304,6 +338,7 @@ class ColumnarUncertain:
             self.objects + (obj,),
             np.append(self.oids, np.int64(obj.oid)),
             np.concatenate([self.bounds, [obj.region.as_tuple()]]),
+            np.append(self.kinds, np.int8(pdf_kind(obj.pdf))),
             catalog_bounds,
             row_of_oid,
         )
@@ -315,16 +350,18 @@ class ColumnarUncertain:
             return None
         oids = self.oids[:last].copy()
         bounds = self.bounds[:last].copy()
+        kinds = self.kinds[:last].copy()
         catalog_bounds = self.catalog_bounds[:last].copy()
         row_of_oid = dict(self._row_of_oid)
         del row_of_oid[int(self.oids[row])]
         if row != last:
             oids[row] = self.oids[last]
             bounds[row] = self.bounds[last]
+            kinds[row] = self.kinds[last]
             catalog_bounds[row] = self.catalog_bounds[last]
             row_of_oid[int(self.oids[last])] = row
         return self._derived(
-            _swap_removed(self.objects, row), oids, bounds, catalog_bounds, row_of_oid
+            _swap_removed(self.objects, row), oids, bounds, kinds, catalog_bounds, row_of_oid
         )
 
     def replaced(self, row: int, obj: UncertainObject) -> "ColumnarUncertain | None":
@@ -333,15 +370,27 @@ class ColumnarUncertain:
             return None
         bounds = self.bounds.copy()
         bounds[row] = obj.region.as_tuple()
+        kinds = self.kinds.copy()
+        kinds[row] = pdf_kind(obj.pdf)
         catalog_bounds = self.catalog_bounds.copy()
         catalog_bounds[row] = _catalog_row(obj.catalog)
         return self._derived(
             _replaced(self.objects, row, obj),
             self.oids,
             bounds,
+            kinds,
             catalog_bounds,
             self._row_of_oid,
         )
+
+    def objects_at(self, rows: np.ndarray) -> list[UncertainObject]:
+        """The objects of ``rows``, in row order.
+
+        The one place the vectorised range path reaches back from rows to
+        objects: the Monte-Carlo and grid kernels need each target's pdf.
+        """
+        objects = self.objects
+        return [objects[row] for row in rows.tolist()]
 
     def rows_for(self, candidates: Sequence[UncertainObject]) -> np.ndarray:
         """Snapshot rows of ``candidates`` (by object id), in candidate order.

@@ -34,7 +34,7 @@ from __future__ import annotations
 from repro.core.errors import ConfigurationError, EngineStateError, InvalidArgumentError
 
 from dataclasses import InitVar, dataclass, field, fields, replace
-from typing import Iterable, Literal
+from typing import Iterable, Literal, get_args
 
 import numpy as np
 
@@ -76,6 +76,7 @@ __all__ = [
 #: wherever an ``IndexKind`` is expected.
 IndexKind = Literal["rtree", "pti", "grid", "linear"]
 ProbabilityMethod = Literal["auto", "exact", "monte_carlo"]
+PROBABILITY_METHODS: tuple[str, ...] = get_args(ProbabilityMethod)
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,10 @@ class EngineConfig:
 
     The defaults reproduce the paper's "enhanced" configuration: analytic
     probabilities where possible, p-expanded-query filtering and all three
-    pruning strategies for constrained queries, and PTI-level pruning when the
+    pruning strategies for constrained queries.  The index that answers a
+    C-IUQ follows from the backend, not from a flag: the vectorised backend
+    scans the columnar Qp window, and the scalar reference backend
+    (``vectorized=False``) runs the PTI's threshold traversal when the
     uncertain database is indexed with a PTI.
     """
 
@@ -92,7 +96,6 @@ class EngineConfig:
     monte_carlo_samples: int = 250
     rng_seed: int = 7
     use_p_expanded_query: bool = True
-    use_pti_pruning: bool = True
     ciuq_strategies: tuple[PruningStrategy, ...] = ALL_STRATEGIES
     #: Evaluate qualification probabilities with the NumPy-columnar backend.
     #: Answer sets are identical to the scalar path (Monte-Carlo draws are
@@ -116,6 +119,18 @@ class EngineConfig:
             raise ConfigurationError(
                 f"draw_plan={draw_plan!r} is not supported: the draw plans were "
                 "removed and every Monte-Carlo draw is keyed by the query's content"
+            )
+        if self.probability_method not in PROBABILITY_METHODS:
+            raise ConfigurationError(
+                f"probability_method must be one of {', '.join(PROBABILITY_METHODS)}, "
+                f"got {self.probability_method!r}"
+            )
+        if not isinstance(self.ciuq_strategies, tuple) or not all(
+            isinstance(strategy, PruningStrategy) for strategy in self.ciuq_strategies
+        ):
+            raise ConfigurationError(
+                "ciuq_strategies must be a tuple of PruningStrategy members, "
+                f"got {self.ciuq_strategies!r}"
             )
         if self.monte_carlo_samples < 1:
             raise ConfigurationError(

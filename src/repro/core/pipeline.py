@@ -17,10 +17,12 @@ running the exact same stages over a :class:`~repro.core.plan.QueryPlan`:
   :class:`~repro.core.cache.ResultCache` (when the configuration carries
   one) under the query's content fingerprint; a hit skips every later
   stage.
-* **candidates** retrieves the window's objects — an index probe (with PTI
-  node-level threshold pruning when engaged) or a columnar window test on
-  the batch path — always re-ordered by ascending oid, so downstream stages
-  are independent of the candidate source.
+* **candidates** retrieves the window's candidates — on the vectorised
+  backend a columnar window test of the snapshot (or, for a single
+  ``evaluate``, a plain index probe mapped to snapshot rows), on the scalar
+  reference backend an index probe (the PTI's threshold traversal for a
+  C-IUQ on a PTI) — always re-ordered by ascending oid, so downstream
+  stages are independent of the candidate source.
 * **prune** applies the residual Section-5.2 threshold strategies (batched
   rectangle tests on the vectorized backend, the scalar ``decide`` loop as
   reference oracle).
@@ -51,6 +53,7 @@ from typing import Hashable, Iterable
 import numpy as np
 
 from repro.core.columnar import (
+    PDF_UNIFORM,
     ColumnarPoints,
     ColumnarUncertain,
     points_in_window_mask,
@@ -74,7 +77,7 @@ from repro.core.plan import (
     query_fingerprint,
     resolved_nn_samples,
 )
-from repro.core.pruning import CIUQPruner, PruningStrategy
+from repro.core.pruning import PruningStrategy
 from repro.core.queries import (
     Evaluation,
     NearestNeighborQuery,
@@ -264,8 +267,8 @@ class QueryPipeline:
         fingerprints.  With ``use_snapshots`` (and the
         vectorized backend) range queries filter candidates with one NumPy
         window test over the databases' columnar snapshots instead of a
-        per-query index traversal (PTI-engaged plans keep the index — its
-        node-level pruning is the feature under study).  Answers are
+        per-query index probe; C-IUQs on a PTI included, whose threshold
+        traversal only the scalar reference backend runs.  Answers are
         identical either way because candidate processing is oid-ordered in
         every path; only ``statistics.io`` differs.
 
@@ -563,152 +566,180 @@ class QueryPipeline:
         *,
         columnar: ColumnarUncertain | None = None,
     ) -> tuple[QueryResult, EvaluationStatistics]:
-        """(C-)IUQ stages: candidates through the probe, prune, evaluate.
+        """(C-)IUQ stages: candidates, prune, evaluate.
 
-        See :meth:`_run_point_range` for the ``columnar`` batch-path
-        contract; as there, candidates are processed in ascending oid order
-        so results do not depend on the candidate source.  The columnar
-        window filter only replaces plain window probes — a PTI-engaged plan
-        keeps the index traversal (its node-level pruning is the feature
-        under study).
+        The vectorised backend works on snapshot rows from the window to
+        the kernel (:meth:`_uncertain_rows_vectorized`); the scalar
+        reference backend probes the index — the PTI's threshold traversal
+        when ``plan.use_pti`` — and walks objects.  Either way candidates
+        are processed in ascending oid order, so results do not depend on
+        the candidate source.
         """
-        issuer = plan.query.issuer
-        spec = plan.query.spec
         threshold = plan.query.threshold
-        pruner = plan.pruner
-        database = self._require_uncertain_db()
         started = time.perf_counter()
         stats = EvaluationStatistics()
-        index = database.index
-        snapshot_rows: np.ndarray | None = None
-        if columnar is not None and plan.prefer_columnar:
-            rows = columnar.window_rows(plan.window)
-            rows = rows[np.argsort(columnar.oids[rows], kind="stable")]
-            snapshot_rows = rows
-            candidates = [columnar.objects[row] for row in rows]
-            if self._config.use_p_expanded_query and threshold > 0.0:
-                residual_strategies = tuple(
-                    s
-                    for s in self._config.ciuq_strategies
-                    if s is not PruningStrategy.P_EXPANDED_QUERY
-                )
-            else:
-                residual_strategies = self._config.ciuq_strategies
-        else:
-            before = index.stats.snapshot()
-            candidates, residual_strategies = self._retrieve_uncertain_candidates(
-                index, plan, pruner, threshold
-            )
-            stats.io = index.stats.difference_since(before)
-            candidates.sort(key=lambda obj: obj.oid)
-        stats.candidates_examined = len(candidates)
-
         if self._config.vectorized:
-            survivors, survivor_bounds = self._prune_uncertain_vectorized(
-                candidates,
-                pruner,
-                residual_strategies,
-                threshold,
-                stats,
-                snapshot=columnar,
-                snapshot_rows=snapshot_rows,
-            )
-            probabilities = self._uncertain_probabilities_vectorized(
-                issuer, survivors, spec, stats, plan.draw_token, bounds=survivor_bounds
-            )
+            oids, probabilities = self._uncertain_rows_vectorized(plan, stats, columnar)
         else:
-            survivors = []
-            for obj in candidates:
-                decision = pruner.decide(obj, strategies=residual_strategies)
-                if decision.pruned:
-                    stats.record_pruned(decision.strategy or "filter")
-                    continue
-                survivors.append(obj)
-            probabilities = self._uncertain_probabilities_scalar(
-                issuer, survivors, spec, stats, plan.draw_token
-            )
-        oids = np.fromiter((obj.oid for obj in survivors), dtype=np.int64, count=len(survivors))
+            oids, probabilities = self._uncertain_objects_scalar(plan, stats)
         result = QueryResult.qualifying(oids, probabilities, threshold)
         stats.results_returned = len(result)
         stats.response_time = time.perf_counter() - started
         return result, stats
 
-    def _prune_uncertain_vectorized(
+    def _uncertain_rows_vectorized(
         self,
-        candidates: list[UncertainObject],
-        pruner: CIUQPruner,
-        strategies: tuple[PruningStrategy, ...],
-        threshold: float,
+        plan: QueryPlan,
         stats: EvaluationStatistics,
-        *,
-        snapshot: ColumnarUncertain | None = None,
-        snapshot_rows: np.ndarray | None = None,
-    ) -> tuple[list[UncertainObject], np.ndarray | None]:
-        """Apply the residual pruning strategies as batched rectangle tests.
+        columnar: ColumnarUncertain | None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Survivor oids and their probabilities, computed on snapshot rows.
 
-        All three Section-5.2 strategies are pure rectangle predicates once
-        the candidates' region bounds and catalog bound rectangles are
-        available as arrays, so the whole batch runs through
-        :meth:`CIUQPruner.decide_many` (same decisions, same per-strategy
-        attribution as the scalar loop).  When the columnar snapshot cannot
-        serve a catalog-based strategy (heterogeneous or missing catalogs),
-        the scalar ``decide`` loop runs instead.
-
-        ``snapshot_rows`` are the candidates' snapshot rows when the caller
-        already knows them (columnar retrieval); otherwise they are resolved
-        by oid.  Returns the survivors together with their region bounds
-        ``(K, 4)`` (``None`` when no bounds array was materialised).
+        The batch path scans ``plan.window`` over the snapshot (no index
+        I/O, so ``stats.io`` stays zero); without a snapshot (single-query
+        ``evaluate``) a plain index probe of the window is mapped to rows
+        with :meth:`ColumnarUncertain.rows_for`.  Neither runs the PTI's
+        threshold traversal: Strategy 1 runs per row in
+        :meth:`_prune_rows`.
         """
-        if threshold <= 0.0 or not candidates or not strategies:
-            survivor_bounds = (
-                snapshot.bounds[snapshot_rows]
-                if snapshot is not None and snapshot_rows is not None
-                else None
-            )
-            return list(candidates), survivor_bounds
-        if snapshot is None:
-            snapshot = self._require_uncertain_db().columnar()
-        rows = snapshot_rows
-        if rows is None:
-            try:
-                rows = snapshot.rows_for(candidates)
-            except ValueError:
-                # Candidates from a foreign collection (hand-wired database):
-                # fall back to materialising their bounds directly.
-                rows = None
-        if rows is not None:
-            bounds = snapshot.bounds[rows]
-            catalog_levels = snapshot.catalog_levels
-            catalog_bounds = (
-                snapshot.catalog_bounds[rows]
-                if snapshot.catalog_bounds is not None
-                else None
-            )
+        if columnar is not None and plan.prefer_columnar:
+            rows = columnar.window_rows(plan.window)
         else:
-            bounds = np.empty((len(candidates), 4), dtype=float)
-            for row, obj in enumerate(candidates):
-                bounds[row] = obj.region.as_tuple()
-            catalog_levels = None
-            catalog_bounds = None
+            database = self._require_uncertain_db()
+            columnar = database.columnar()
+            index = database.index
+            before = index.stats.snapshot()
+            rows = columnar.rows_for(index.range_search(plan.window))
+            stats.io = index.stats.difference_since(before)
+        rows = rows[np.argsort(columnar.oids[rows], kind="stable")]
+        stats.candidates_examined = len(rows)
+        rows = self._prune_rows(plan, columnar, rows, stats)
+        probabilities = self._uncertain_probabilities_vectorized(plan, columnar, rows, stats)
+        return columnar.oids[rows], probabilities
+
+    def _residual_strategies(self, threshold: float) -> tuple[PruningStrategy, ...]:
+        """The configured strategies a plain window probe or scan leaves to run.
+
+        A window that is the Qp-expanded query already applied Strategy 2.
+        """
+        configured = self._config.ciuq_strategies
+        if self._config.use_p_expanded_query and threshold > 0.0:
+            return tuple(s for s in configured if s is not PruningStrategy.P_EXPANDED_QUERY)
+        return configured
+
+    def _prune_rows(
+        self,
+        plan: QueryPlan,
+        snapshot: ColumnarUncertain,
+        rows: np.ndarray,
+        stats: EvaluationStatistics,
+    ) -> np.ndarray:
+        """The candidate rows that survive the residual Section-5.2 strategies.
+
+        All three strategies are rectangle predicates over the snapshot's
+        bounds and catalog columns, so the batch runs through
+        :meth:`CIUQPruner.decide_many` (same decisions and attribution as
+        the scalar loop).  When the snapshot has no shared catalog levels
+        and a catalog-based strategy is asked for, the scalar ``decide``
+        runs on the candidates' objects instead.
+        """
+        pruner = plan.pruner
+        strategies = self._residual_strategies(plan.query.threshold)
+        if plan.query.threshold <= 0.0 or not len(rows) or not strategies:
+            return rows
+        catalog_bounds = (
+            snapshot.catalog_bounds[rows] if snapshot.catalog_bounds is not None else None
+        )
         batched = pruner.decide_many(
-            bounds, catalog_levels, catalog_bounds, strategies=strategies
+            snapshot.bounds[rows], snapshot.catalog_levels, catalog_bounds, strategies=strategies
         )
         if batched is None:
-            survivors = []
-            for obj in candidates:
+            keep = np.ones(len(rows), dtype=bool)
+            for position, obj in enumerate(snapshot.objects_at(rows)):
                 decision = pruner.decide(obj, strategies=strategies)
                 if decision.pruned:
                     stats.record_pruned(decision.strategy or "filter")
-                else:
-                    survivors.append(obj)
-            return survivors, None
+                    keep[position] = False
+            return rows[keep]
         keep, pruned_counts = batched
         if not pruned_counts:
-            return list(candidates), bounds
+            return rows
         for strategy_name, count in pruned_counts.items():
             stats.record_pruned(strategy_name, count)
-        kept_rows = np.flatnonzero(keep)
-        return [candidates[row] for row in kept_rows], bounds[kept_rows]
+        return rows[keep]
+
+    def _uncertain_probabilities_vectorized(
+        self,
+        plan: QueryPlan,
+        snapshot: ColumnarUncertain,
+        rows: np.ndarray,
+        stats: EvaluationStatistics,
+    ) -> np.ndarray:
+        """Qualification probabilities of the surviving rows, batched.
+
+        Rows are routed by the snapshot's pdf-kind column, with the routing
+        of :meth:`_uncertain_routes`: uniform issuer/target pairs take the
+        batched closed form on the rows' bounds; every other row is sampled
+        under ``auto``/``monte_carlo`` (draws keyed by the plan's token, so
+        bitwise equal to the scalar backend) or takes the deterministic grid
+        under ``exact``.  Only the sampled and grid rows are gathered as
+        objects, because those kernels read each target's pdf.
+        """
+        if not len(rows):
+            return np.empty(0, dtype=float)
+        stats.probability_computations += len(rows)
+        issuer, spec = plan.query.issuer, plan.query.spec
+        method = self._config.probability_method
+        if method != "monte_carlo" and isinstance(issuer.pdf, UniformPdf):
+            closed = snapshot.kinds[rows] == PDF_UNIFORM
+        else:
+            closed = np.zeros(len(rows), dtype=bool)
+        probabilities = np.empty(len(rows), dtype=float)
+        if closed.any():
+            probabilities[closed] = iuq_probabilities_exact_uniform(
+                issuer.pdf, snapshot.bounds[rows[closed]], spec
+            )
+        others = np.flatnonzero(~closed)
+        if not len(others):
+            return probabilities
+        targets = snapshot.objects_at(rows[others])
+        if method == "exact":
+            # No closed form: the deterministic grid keeps results
+            # reproducible (same fallback as the scalar path).
+            probabilities[others] = [
+                iuq_probability(issuer.pdf, target, spec, grid_resolution=24)
+                for target in targets
+            ]
+            return probabilities
+        samples = self._config.monte_carlo_samples
+        stats.monte_carlo_samples += samples * len(others)
+        probabilities[others] = iuq_probabilities_monte_carlo_per_oid(
+            issuer.pdf, targets, spec, samples, self._config.rng_seed, plan.draw_token
+        )
+        return probabilities
+
+    def _uncertain_objects_scalar(
+        self, plan: QueryPlan, stats: EvaluationStatistics
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Scalar-reference (C-)IUQ: index probe, ``decide`` loop, per-object kernels."""
+        index = self._require_uncertain_db().index
+        before = index.stats.snapshot()
+        candidates, residual_strategies = self._retrieve_uncertain_candidates(index, plan)
+        stats.io = index.stats.difference_since(before)
+        candidates.sort(key=lambda obj: obj.oid)
+        stats.candidates_examined = len(candidates)
+        survivors = []
+        for obj in candidates:
+            decision = plan.pruner.decide(obj, strategies=residual_strategies)
+            if decision.pruned:
+                stats.record_pruned(decision.strategy or "filter")
+                continue
+            survivors.append(obj)
+        probabilities = self._uncertain_probabilities_scalar(
+            plan.query.issuer, survivors, plan.query.spec, stats, plan.draw_token
+        )
+        oids = np.fromiter((obj.oid for obj in survivors), dtype=np.int64, count=len(survivors))
+        return oids, probabilities
 
     def _uncertain_routes(
         self, issuer: UncertainObject, survivors: list[UncertainObject]
@@ -736,56 +767,6 @@ class QueryPipeline:
             else:
                 grid_rows.append(row)
         return mc_rows, exact_rows, grid_rows
-
-    def _uncertain_probabilities_vectorized(
-        self,
-        issuer: UncertainObject,
-        survivors: list[UncertainObject],
-        spec,
-        stats: EvaluationStatistics,
-        draw_token: int,
-        *,
-        bounds: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Qualification probabilities of the surviving candidates, batched.
-
-        Survivors are partitioned by evaluation route — batched closed form
-        for uniform issuer/target pairs, batched Monte-Carlo for sampled
-        pairs, the deterministic grid fallback for ``exact`` without a closed
-        form — and each batch runs as one NumPy kernel.  Monte-Carlo draws
-        come from the plan's draw token, so sampled probabilities are
-        bitwise identical to the scalar backend given the same seed.
-        Returns the probabilities in survivor order.
-        """
-        if not survivors:
-            return np.empty(0, dtype=float)
-        stats.probability_computations += len(survivors)
-        mc_rows, exact_rows, grid_rows = self._uncertain_routes(issuer, survivors)
-        probabilities = np.empty(len(survivors), dtype=float)
-        if mc_rows:
-            samples = self._config.monte_carlo_samples
-            stats.monte_carlo_samples += samples * len(mc_rows)
-            targets = [survivors[row] for row in mc_rows]
-            probabilities[mc_rows] = iuq_probabilities_monte_carlo_per_oid(
-                issuer.pdf, targets, spec, samples, self._config.rng_seed, draw_token
-            )
-        if exact_rows:
-            if bounds is not None:
-                exact_bounds = bounds[exact_rows]
-            else:
-                exact_bounds = np.empty((len(exact_rows), 4), dtype=float)
-                for i, row in enumerate(exact_rows):
-                    exact_bounds[i] = survivors[row].region.as_tuple()
-            probabilities[exact_rows] = iuq_probabilities_exact_uniform(
-                issuer.pdf, exact_bounds, spec
-            )
-        for row in grid_rows:
-            # method == "exact" without a closed form: the deterministic grid
-            # keeps results reproducible (same fallback as the scalar path).
-            probabilities[row] = iuq_probability(
-                issuer.pdf, survivors[row], spec, grid_resolution=24
-            )
-        return probabilities
 
     def _uncertain_probabilities_scalar(
         self,
@@ -824,42 +805,34 @@ class QueryPipeline:
         return probabilities
 
     def _retrieve_uncertain_candidates(
-        self, index, plan: QueryPlan, pruner: CIUQPruner, threshold: float
+        self, index, plan: QueryPlan
     ) -> tuple[list[UncertainObject], tuple[PruningStrategy, ...]]:
-        """Index probe for (C-)IUQ plans.
+        """Index probe of a scalar-backend (C-)IUQ plan.
 
-        * PTI engaged (``plan.use_pti``): node-level Strategy-1 pruning
-          against the Minkowski window plus Strategy-2 pruning against the
-          Qp-expanded-query (Figure 12's "PTI + p-expanded-query").  The
-          strategies the index already applied per entry are removed from the
-          per-object pass — re-running them would test the exact same
-          rounded-level conditions on the exact same rectangles.
-        * Any other index: a plain window probe of the plan's candidate
-          window (the Qp-expanded-query when enabled, otherwise the
-          Minkowski sum).
+        * ``plan.use_pti`` (a PTI, Qp > 0): the threshold traversal —
+          node- and entry-level Strategy 1 against the Minkowski window,
+          plus Strategy 2 against the Qp-expanded query when it is on
+          (Figure 12's "PTI + p-expanded-query").  The strategies the index
+          already applied are removed from the per-object pass — re-running
+          them would test the same rounded-level conditions on the same
+          rectangles.
+        * Any other plan: a plain probe of the plan's window (the
+          Qp-expanded query when enabled, otherwise the Minkowski sum).
 
         Returns the candidates and the strategies still to be applied per
         object.
         """
-        configured = self._config.ciuq_strategies
+        pruner = plan.pruner
         if plan.use_pti:
             p_window = (
                 pruner.qp_expanded_region if self._config.use_p_expanded_query else None
             )
             candidates = index.range_search_with_threshold(
-                pruner.minkowski_region, threshold, p_window
+                pruner.minkowski_region, plan.query.threshold, p_window
             )
             applied = {PruningStrategy.P_BOUND}
             if p_window is not None:
                 applied.add(PruningStrategy.P_EXPANDED_QUERY)
-            residual = tuple(s for s in configured if s not in applied)
+            residual = tuple(s for s in self._config.ciuq_strategies if s not in applied)
             return candidates, residual
-        candidates = index.range_search(plan.window)
-        if self._config.use_p_expanded_query and threshold > 0.0:
-            # The window probe already discarded objects outside the
-            # Qp-expanded-query, i.e. it applied Strategy 2.
-            residual = tuple(
-                s for s in configured if s is not PruningStrategy.P_EXPANDED_QUERY
-            )
-            return candidates, residual
-        return candidates, configured
+        return index.range_search(plan.window), self._residual_strategies(plan.query.threshold)

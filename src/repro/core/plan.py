@@ -7,9 +7,9 @@ through the engine monolith:
 * the **candidate window** (the C-IPQ filter region, the Qp-expanded-query
   or the Minkowski sum) that the index probe or the columnar window test
   will retrieve candidates from,
-* the **index probe** choice — whether PTI node-level threshold pruning is
-  engaged, and whether the plain window probe may be replaced by a columnar
-  snapshot scan on the batch path,
+* the **candidate source** — a columnar scan of the window on the
+  vectorised backend, an index probe on the scalar reference backend (the
+  PTI's threshold traversal when the uncertain index is a PTI and Qp > 0),
 * the **pruner** (:class:`~repro.core.pruning.CIPQPruner` /
   :class:`~repro.core.pruning.CIUQPruner`) owning the expanded-region
   construction, shared across queries with equal fingerprints, and
@@ -145,11 +145,14 @@ class QueryPlan:
     pruner: CIPQPruner | CIUQPruner | None
     #: Candidate window the probe retrieves from (``None`` for nearest).
     window: Rect | None
-    #: Engage PTI node-level threshold pruning during the index probe.
+    #: Run the PTI's threshold traversal (node- and entry-level Strategy 1,
+    #: plus Strategy 2 with the Qp window on).  Only the scalar reference
+    #: backend runs it: the traversal returns the candidates of a columnar
+    #: scan of the Qp window at a multiple of its cost, and its node
+    #: accesses are what Fig. 12 reports.
     use_pti: bool
-    #: The batch path may satisfy the probe with a columnar window test
-    #: instead of an index traversal (PTI probes keep the index — its
-    #: node-level pruning is the feature under study).
+    #: Take candidates from a columnar scan of ``window`` (the vectorised
+    #: backend, whenever the batch path holds a snapshot).
     prefer_columnar: bool
     #: Monte-Carlo sample count (nearest-neighbour plans only).
     samples: int | None
@@ -248,8 +251,8 @@ def compile_plan(
 ) -> QueryPlan:
     """Compile one query into a :class:`QueryPlan` under ``config``.
 
-    ``uncertain_index`` is consulted only to decide PTI engagement for
-    uncertain-target range queries.  ``fingerprint`` is the query's
+    ``uncertain_index`` is consulted only to decide whether a scalar-backend
+    C-IUQ runs the PTI's threshold traversal.  ``fingerprint`` is the query's
     :func:`query_fingerprint` when the caller already holds it (it is
     computed here otherwise).  ``pruner_cache``, keyed by fingerprint, lets
     the batch path reuse pruners across equal queries; pass ``None`` to
@@ -290,19 +293,17 @@ def compile_plan(
     if query.target == "points":
         window = pruner.filter_region
         use_pti = False
-        prefer_columnar = bool(config.vectorized)
     else:
         use_pti = (
             isinstance(uncertain_index, ProbabilityThresholdIndex)
-            and config.use_pti_pruning
             and threshold > 0.0
+            and not config.vectorized
         )
         window = (
             pruner.qp_expanded_region
             if config.use_p_expanded_query
             else pruner.minkowski_region
         )
-        prefer_columnar = bool(config.vectorized) and not use_pti
     return QueryPlan(
         query=query,
         target=query.target,
@@ -310,7 +311,7 @@ def compile_plan(
         pruner=pruner,
         window=window,
         use_pti=use_pti,
-        prefer_columnar=prefer_columnar,
+        prefer_columnar=bool(config.vectorized),
         samples=None,
     )
 

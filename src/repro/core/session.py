@@ -347,7 +347,6 @@ class Session:
                 "monte_carlo_samples": config.monte_carlo_samples,
                 "rng_seed": config.rng_seed,
                 "use_p_expanded_query": config.use_p_expanded_query,
-                "use_pti_pruning": config.use_pti_pruning,
                 "ciuq_strategies": [s.value for s in config.ciuq_strategies],
                 "vectorized": config.vectorized,
                 "cache_capacity": config.cache.capacity if config.cache else None,

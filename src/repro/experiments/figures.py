@@ -211,12 +211,15 @@ def figure_12(config: ExperimentConfig | None = None) -> FigureResult:
     minkowski_engine = ImpreciseQueryEngine(
         uncertain_db=rtree_db,
         config=config.engine_config(
-            use_p_expanded_query=False, use_pti_pruning=False, ciuq_strategies=()
+            use_p_expanded_query=False, ciuq_strategies=()
         ),
     )
+    # The PTI series reports the threshold traversal's node accesses; only
+    # the scalar reference backend (``engine_vectorized=False``, the
+    # experiments' default) runs that traversal.
     pti_engine = ImpreciseQueryEngine(
         uncertain_db=pti_db,
-        config=config.engine_config(use_p_expanded_query=True, use_pti_pruning=True),
+        config=config.engine_config(use_p_expanded_query=True),
     )
     result = FigureResult(
         figure_id="figure_12",

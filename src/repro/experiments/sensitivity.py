@@ -190,7 +190,6 @@ def pruning_strategy_ablation(
             uncertain_db=database,
             config=config.engine_config(
                 use_p_expanded_query=False,
-                use_pti_pruning=False,
                 ciuq_strategies=strategies,
             ),
         )

@@ -30,7 +30,7 @@ the serving front-end's envelopes.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from typing import Any, Mapping
 
 import numpy as np
@@ -125,31 +125,57 @@ def config_to_dict(config: EngineConfig) -> dict:
             "monte_carlo_samples": config.monte_carlo_samples,
             "rng_seed": int(config.rng_seed),
             "use_p_expanded_query": config.use_p_expanded_query,
-            "use_pti_pruning": config.use_pti_pruning,
             "ciuq_strategies": [strategy.value for strategy in config.ciuq_strategies],
             "vectorized": config.vectorized,
         },
     )
 
 
+def _bool_field(payload: Mapping, name: str) -> bool:
+    value = require(payload, ENGINE_CONFIG_SCHEMA, name)
+    if not isinstance(value, bool):
+        raise SchemaError(f"{name} must be a boolean, got {value!r}")
+    return value
+
+
+def _strategies_field(payload: Mapping) -> tuple[PruningStrategy, ...]:
+    values = require(payload, ENGINE_CONFIG_SCHEMA, "ciuq_strategies")
+    known = {strategy.value: strategy for strategy in PruningStrategy}
+    if not isinstance(values, list) or not all(
+        isinstance(value, str) and value in known for value in values
+    ):
+        raise SchemaError(
+            f"ciuq_strategies must be a list of {sorted(known)}, got {values!r}"
+        )
+    return tuple(known[value] for value in values)
+
+
 def config_from_dict(payload: Any) -> EngineConfig:
-    """Decode a :func:`config_to_dict` payload (``cache`` is always ``None``)."""
+    """Decode a :func:`config_to_dict` payload (``cache`` is always ``None``).
+
+    Fields are checked, never coerced: a malformed field (``"false"`` for
+    a boolean, ``7.9`` or ``true`` for an integer, strategies that are not
+    a list of known names) or a field this build does not have raises
+    :class:`SchemaError`, and a value :class:`EngineConfig` rejects (an
+    unknown probability method) raises its ``ConfigurationError``.
+    """
     payload = check_schema(payload, ENGINE_CONFIG_SCHEMA)
+    known = {"schema", "version"} | {f.name for f in fields(EngineConfig) if f.name != "cache"}
+    unknown = sorted(set(payload) - known)
+    if unknown:
+        raise SchemaError(f"{ENGINE_CONFIG_SCHEMA!r} payload has unknown fields {unknown}")
+    method = require(payload, ENGINE_CONFIG_SCHEMA, "probability_method")
+    if not isinstance(method, str):
+        raise SchemaError(f"probability_method must be a string, got {method!r}")
     return EngineConfig(
-        probability_method=require(payload, ENGINE_CONFIG_SCHEMA, "probability_method"),
-        monte_carlo_samples=int(
-            require(payload, ENGINE_CONFIG_SCHEMA, "monte_carlo_samples")
+        probability_method=method,
+        monte_carlo_samples=integer_field(
+            require(payload, ENGINE_CONFIG_SCHEMA, "monte_carlo_samples"), "monte_carlo_samples"
         ),
-        rng_seed=int(require(payload, ENGINE_CONFIG_SCHEMA, "rng_seed")),
-        use_p_expanded_query=bool(
-            require(payload, ENGINE_CONFIG_SCHEMA, "use_p_expanded_query")
-        ),
-        use_pti_pruning=bool(require(payload, ENGINE_CONFIG_SCHEMA, "use_pti_pruning")),
-        ciuq_strategies=tuple(
-            PruningStrategy(value)
-            for value in require(payload, ENGINE_CONFIG_SCHEMA, "ciuq_strategies")
-        ),
-        vectorized=bool(require(payload, ENGINE_CONFIG_SCHEMA, "vectorized")),
+        rng_seed=integer_field(require(payload, ENGINE_CONFIG_SCHEMA, "rng_seed"), "rng_seed"),
+        use_p_expanded_query=_bool_field(payload, "use_p_expanded_query"),
+        ciuq_strategies=_strategies_field(payload),
+        vectorized=_bool_field(payload, "vectorized"),
         cache=None,
     )
 

@@ -16,6 +16,7 @@
 | RPL012 | heap            | ``gc`` is called only from ``repro/core/heap.py``     |
 | RPL013 | answers         | ``QueryAnswer`` is built only in ``repro/core/queries.py`` |
 | RPL014 | keying          | keyed draws take a content token, never a position    |
+| RPL015 | columns         | the vectorised range path reads columns, not ``.objects`` |
 
 ``RPL000`` is the engine itself (unused suppressions, parse failures).
 """
@@ -23,6 +24,7 @@
 from repro.tools.lint.rules import (  # noqa: F401  (import = register)
     answers,
     caching,
+    columns,
     exceptions,
     heap,
     identity,

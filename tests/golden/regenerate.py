@@ -54,7 +54,8 @@ PRUNER_QUERIES = 32
 #:
 #: * ``pti_level_test`` — the PTI's node-level and entry-level p-bound tests
 #:   (the index form of Strategy 1) with the Qp window off; they show in
-#:   candidates and node accesses, since the index applies them.
+#:   candidates and node accesses, since the index applies them.  Pinned to
+#:   the scalar reference backend, the only one that runs the traversal.
 #: * ``strategy_1`` — Strategy 1 per object (R-tree, window off): a
 #:   ``p_bound`` pruned count.
 #: * ``strategy_3`` — Strategy 3 at u = 100, Qp = 0.2 on the default path: a
@@ -66,7 +67,11 @@ PRUNER_SESSIONS: dict[str, tuple[str, float, float, dict]] = {
         "pti",
         250.0,
         0.6,
-        {"use_p_expanded_query": False, "ciuq_strategies": (PruningStrategy.P_BOUND,)},
+        {
+            "use_p_expanded_query": False,
+            "ciuq_strategies": (PruningStrategy.P_BOUND,),
+            "vectorized": False,
+        },
     ),
     "strategy_1": (
         "rtree",

@@ -12,7 +12,7 @@ from repro.core.basic import (
     basic_iuq_probability,
     issuer_grid_arrays,
 )
-from repro.core.columnar import ColumnarPoints, ColumnarUncertain
+from repro.core.columnar import PDF_KINDS, PDF_UNIFORM, ColumnarPoints, ColumnarUncertain
 from repro.core.draws import row_keys, uniforms
 from repro.core.duality import (
     ipq_probabilities,
@@ -104,6 +104,22 @@ class TestColumnarUncertain:
         expected = [row for row, obj in enumerate(objects) if obj.region.overlaps(window)]
         assert snapshot.window_rows(window).tolist() == expected
 
+    def test_kind_column_codes_each_pdf(self):
+        region = Rect.from_center(Point(1_000.0, 1_000.0), 50.0, 40.0)
+        pdfs = [
+            UniformPdf(region),
+            TruncatedGaussianPdf(region),
+            HistogramPdf(region, [[1.0, 2.0], [0.5, 3.0]]),
+            UniformCirclePdf(Circle(Point(1_000.0, 1_000.0), 30.0)),
+        ]
+        objects = [UncertainObject(oid=i + 1, pdf=pdf) for i, pdf in enumerate(pdfs)]
+        snapshot = ColumnarUncertain(objects)
+        assert snapshot.kinds.dtype == np.int8
+        assert snapshot.kinds.tolist() == [PDF_KINDS.index(type(pdf)) for pdf in pdfs]
+        assert snapshot.kinds[0] == PDF_UNIFORM
+        assert not snapshot.kinds.flags.writeable
+        assert snapshot.objects_at(np.array([3, 0])) == [objects[3], objects[0]]
+
     def test_rows_for_names_the_foreign_oid(self):
         """An object from a different database raises a descriptive ValueError."""
         snapshot = ColumnarUncertain(_uncertain())
@@ -181,7 +197,7 @@ class TestDatabaseSnapshotCaching:
 
 def _snapshot_arrays(snapshot):
     names = ("oids", "xy") if isinstance(snapshot, ColumnarPoints) else (
-        "oids", "bounds", "catalog_levels", "catalog_bounds"
+        "oids", "bounds", "kinds", "catalog_levels", "catalog_bounds"
     )
     return {name: getattr(snapshot, name) for name in names}
 
@@ -244,6 +260,7 @@ def _uncertain_mutations(database):
     region = Rect.from_center(Point(2_000.0, 2_000.0), 120.0, 40.0)
     return [
         lambda: database.insert(UncertainObject.uniform(4_000, region)),
+        lambda: database.insert(UncertainObject(oid=4_001, pdf=TruncatedGaussianPdf(region))),
         lambda: database.delete(oids[3]),
         lambda: database.delete(database.objects[-1].oid),
         lambda: database.move(oids[10], UniformPdf(region)),

@@ -37,7 +37,6 @@ class TestEngineConfig:
         config = EngineConfig()
         assert config.probability_method == "auto"
         assert config.use_p_expanded_query
-        assert config.use_pti_pruning
 
     def test_with_overrides(self):
         config = EngineConfig().with_overrides(monte_carlo_samples=99)
@@ -64,6 +63,15 @@ class TestEngineConfig:
     def test_removed_draw_plans_rejected(self, plan):
         with pytest.raises(ConfigurationError, match="draw plans were removed"):
             EngineConfig(draw_plan=plan)
+
+    def test_unknown_probability_method_rejected(self):
+        with pytest.raises(ConfigurationError, match="probability_method"):
+            EngineConfig(probability_method="bogus")
+
+    @pytest.mark.parametrize("strategies", [("p_bound",), "p_bound", [PruningStrategy.P_BOUND]])
+    def test_strategies_must_be_a_tuple_of_members(self, strategies):
+        with pytest.raises(ConfigurationError, match="ciuq_strategies"):
+            EngineConfig(ciuq_strategies=strategies)
 
     def test_draw_plan_is_not_an_override(self):
         with pytest.raises(ConfigurationError, match="unknown EngineConfig field"):
@@ -216,7 +224,7 @@ class TestConstrainedQueries:
         pti_engine = ImpreciseQueryEngine(uncertain_db=uncertain_db)
         rtree_engine = ImpreciseQueryEngine(
             uncertain_db=uncertain_db_rtree,
-            config=EngineConfig(use_p_expanded_query=False, use_pti_pruning=False),
+            config=EngineConfig(use_p_expanded_query=False),
         )
         a, stats_a = pti_engine.evaluate(
             RangeQuery.ciuq(uniform_issuer, default_spec, threshold)

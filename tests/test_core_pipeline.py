@@ -42,11 +42,27 @@ class TestQueryPlan:
         assert plan.draw_token == _token(query)
 
     def test_uncertain_plan_engages_pti(self, uncertain_db, default_spec):
+        # Only the scalar reference backend runs the PTI's threshold traversal.
+        query = RangeQuery.ciuq(_issuer(), default_spec, 0.4)
+        plan = compile_plan(
+            query, EngineConfig(vectorized=False), uncertain_index=uncertain_db.index
+        )
+        assert plan.use_pti
+        assert not plan.prefer_columnar
+        assert plan.window == plan.pruner.qp_expanded_region
+
+    def test_vectorised_uncertain_plan_scans_a_pti_database(self, uncertain_db, default_spec):
         query = RangeQuery.ciuq(_issuer(), default_spec, 0.4)
         plan = compile_plan(query, EngineConfig(), uncertain_index=uncertain_db.index)
-        assert plan.use_pti
-        assert not plan.prefer_columnar  # PTI keeps the index probe
+        assert not plan.use_pti
+        assert plan.prefer_columnar
         assert plan.window == plan.pruner.qp_expanded_region
+        unthresholded = compile_plan(
+            RangeQuery.iuq(_issuer(), default_spec),
+            EngineConfig(vectorized=False),
+            uncertain_index=uncertain_db.index,
+        )
+        assert not unthresholded.use_pti
 
     def test_uncertain_plan_without_pti_prefers_columnar(
         self, uncertain_db_rtree, default_spec

@@ -87,7 +87,7 @@ class TestIndexIndependence:
         threshold = 0.4
         reference = ImpreciseQueryEngine(
             uncertain_db=UncertainDatabase.build(uncertain, index_kind="rtree"),
-            config=EngineConfig(use_p_expanded_query=False, use_pti_pruning=False),
+            config=EngineConfig(use_p_expanded_query=False),
         )
         other = ImpreciseQueryEngine(
             uncertain_db=UncertainDatabase.build(uncertain, index_kind=index_kind)

@@ -191,6 +191,28 @@ def test_keying_rule_flags_a_position_keyed_draw_in_the_pipeline():
     assert lint_source("row_keys(1, 2, [3])\n", "repro/experiments/x.py", [get_rule("RPL014")]) == []
 
 
+def test_columns_rule_flags_an_object_gather_in_the_range_path():
+    """``[columnar.objects[row] for row in rows]`` in ``core/pipeline.py`` is caught."""
+    source = (REPO_ROOT / "src" / "repro" / "core" / "pipeline.py").read_text(encoding="utf-8")
+    lines = source.splitlines()
+    lines.append("def legacy_candidates(columnar, rows):")
+    lines.append("    return [columnar.objects[row] for row in rows]")
+    lines.append("def legacy_oids(snapshot):")
+    lines.append("    return [obj.oid for obj in snapshot.objects]")
+    diagnostics = lint_source(
+        "\n".join(lines) + "\n", "repro/core/pipeline.py", [get_rule("RPL015")]
+    )
+    assert [(d.rule, d.line) for d in diagnostics] == [
+        ("RPL015", len(lines) - 2),
+        ("RPL015", len(lines)),
+    ]
+    assert "objects_at" in diagnostics[1].message
+    # The shipped pipeline is clean; the snapshot's own accessor is out of scope.
+    assert lint_source(source, "repro/core/pipeline.py", [get_rule("RPL015")]) == []
+    columnar = (REPO_ROOT / "src" / "repro" / "core" / "columnar.py").read_text(encoding="utf-8")
+    assert lint_source(columnar, "repro/core/columnar.py", [get_rule("RPL015")]) == []
+
+
 def test_retired_rule_id_is_not_registered():
     assert "RPL003" not in RULE_IDS
 
