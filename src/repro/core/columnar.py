@@ -27,6 +27,7 @@ Array layouts follow :meth:`repro.geometry.rect.Rect.as_tuple`:
 from __future__ import annotations
 from repro.core.errors import DatasetError
 
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -46,6 +47,8 @@ from repro.uncertainty.region import PointObject, UncertainObject
 #: candidates by this column instead of inspecting their objects.
 PDF_KINDS: tuple[type, ...] = (UniformPdf, TruncatedGaussianPdf, HistogramPdf, UniformCirclePdf)
 PDF_UNIFORM = PDF_KINDS.index(UniformPdf)
+
+_OID = attrgetter("oid")
 
 
 def pdf_kind(pdf) -> int:
@@ -399,18 +402,18 @@ class ColumnarUncertain:
         the snapshot — candidates must come from the same database the
         snapshot was built on.
         """
-        row_of = self._row_of_oid
-        rows = np.empty(len(candidates), dtype=np.intp)
-        for position, obj in enumerate(candidates):
-            row = row_of.get(obj.oid)
-            if row is None:
-                raise DatasetError(
-                    f"object with oid {obj.oid} is not part of this columnar "
-                    "snapshot; candidates must come from the database the "
-                    "snapshot was built on"
-                )
-            rows[position] = row
-        return rows
+        try:
+            return np.fromiter(
+                map(self._row_of_oid.__getitem__, map(_OID, candidates)),
+                dtype=np.intp,
+                count=len(candidates),
+            )
+        except KeyError as missing:
+            raise DatasetError(
+                f"object with oid {missing.args[0]} is not part of this columnar "
+                "snapshot; candidates must come from the database the "
+                "snapshot was built on"
+            ) from None
 
     def window_rows(self, window: Rect) -> np.ndarray:
         """Rows of the objects whose region overlaps ``window`` (ascending)."""

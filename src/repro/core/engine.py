@@ -85,11 +85,12 @@ class EngineConfig:
 
     The defaults reproduce the paper's "enhanced" configuration: analytic
     probabilities where possible, p-expanded-query filtering and all three
-    pruning strategies for constrained queries.  The index that answers a
-    C-IUQ follows from the backend, not from a flag: the vectorised backend
-    scans the columnar Qp window, and the scalar reference backend
-    (``vectorized=False``) runs the PTI's threshold traversal when the
-    uncertain database is indexed with a PTI.
+    pruning strategies for constrained queries.  How a C-IUQ on a PTI
+    probes it follows from the backend, not from a flag: the vectorised
+    backend probes the plain Qp window and prunes per row, and the scalar
+    reference backend (``vectorized=False``) runs the PTI's threshold
+    traversal.  Any other uncertain index is scanned as a columnar window
+    on the vectorised backend.
     """
 
     probability_method: ProbabilityMethod = "auto"

@@ -18,11 +18,12 @@ running the exact same stages over a :class:`~repro.core.plan.QueryPlan`:
   one) under the query's content fingerprint; a hit skips every later
   stage.
 * **candidates** retrieves the window's candidates — on the vectorised
-  backend a columnar window test of the snapshot (or, for a single
-  ``evaluate``, a plain index probe mapped to snapshot rows), on the scalar
-  reference backend an index probe (the PTI's threshold traversal for a
-  C-IUQ on a PTI) — always re-ordered by ascending oid, so downstream
-  stages are independent of the candidate source.
+  backend a columnar window test of the snapshot (or, for a C-IUQ on a PTI
+  and for a single ``evaluate``, a plain index probe mapped to snapshot
+  rows), on the scalar reference backend an index probe (the PTI's
+  threshold traversal for a C-IUQ on a PTI) — always re-ordered by
+  ascending oid, so downstream stages are independent of the candidate
+  source.
 * **prune** applies the residual Section-5.2 threshold strategies (batched
   rectangle tests on the vectorized backend, the scalar ``decide`` loop as
   reference oracle).
@@ -267,8 +268,9 @@ class QueryPipeline:
         fingerprints.  With ``use_snapshots`` (and the
         vectorized backend) range queries filter candidates with one NumPy
         window test over the databases' columnar snapshots instead of a
-        per-query index probe; C-IUQs on a PTI included, whose threshold
-        traversal only the scalar reference backend runs.  Answers are
+        per-query index probe.  C-IUQs on a PTI still probe it: plainly,
+        with their candidates mapped to snapshot rows (the threshold
+        traversal only runs on the scalar reference backend).  Answers are
         identical either way because candidate processing is oid-ordered in
         every path; only ``statistics.io`` differs.
 
@@ -568,8 +570,8 @@ class QueryPipeline:
     ) -> tuple[QueryResult, EvaluationStatistics]:
         """(C-)IUQ stages: candidates, prune, evaluate.
 
-        The vectorised backend works on snapshot rows from the window to
-        the kernel (:meth:`_uncertain_rows_vectorized`); the scalar
+        The vectorised backend works on snapshot rows from the candidates
+        to the kernel (:meth:`_uncertain_rows_vectorized`); the scalar
         reference backend probes the index — the PTI's threshold traversal
         when ``plan.use_pti`` — and walks objects.  Either way candidates
         are processed in ascending oid order, so results do not depend on
@@ -596,17 +598,19 @@ class QueryPipeline:
         """Survivor oids and their probabilities, computed on snapshot rows.
 
         The batch path scans ``plan.window`` over the snapshot (no index
-        I/O, so ``stats.io`` stays zero); without a snapshot (single-query
-        ``evaluate``) a plain index probe of the window is mapped to rows
-        with :meth:`ColumnarUncertain.rows_for`.  Neither runs the PTI's
-        threshold traversal: Strategy 1 runs per row in
+        I/O, so ``stats.io`` stays zero) unless the plan probes the index
+        (a C-IUQ on a PTI); that probe, and the one without a snapshot
+        (single-query ``evaluate``), is a plain index probe of the window
+        mapped to rows with :meth:`ColumnarUncertain.rows_for`.  Neither
+        runs the PTI's threshold traversal: Strategy 1 runs per row in
         :meth:`_prune_rows`.
         """
         if columnar is not None and plan.prefer_columnar:
             rows = columnar.window_rows(plan.window)
         else:
             database = self._require_uncertain_db()
-            columnar = database.columnar()
+            if columnar is None:
+                columnar = database.columnar()
             index = database.index
             before = index.stats.snapshot()
             rows = columnar.rows_for(index.range_search(plan.window))

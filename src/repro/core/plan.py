@@ -8,8 +8,10 @@ through the engine monolith:
   or the Minkowski sum) that the index probe or the columnar window test
   will retrieve candidates from,
 * the **candidate source** — a columnar scan of the window on the
-  vectorised backend, an index probe on the scalar reference backend (the
-  PTI's threshold traversal when the uncertain index is a PTI and Qp > 0),
+  vectorised backend, an index probe on the scalar reference backend.  A
+  C-IUQ (Qp > 0) over a PTI always probes its index: the scalar backend
+  runs the PTI's threshold traversal, the vectorised backend a plain probe
+  of the window whose candidates it carries as snapshot rows,
 * the **pruner** (:class:`~repro.core.pruning.CIPQPruner` /
   :class:`~repro.core.pruning.CIUQPruner`) owning the expanded-region
   construction, shared across queries with equal fingerprints, and
@@ -147,12 +149,15 @@ class QueryPlan:
     window: Rect | None
     #: Run the PTI's threshold traversal (node- and entry-level Strategy 1,
     #: plus Strategy 2 with the Qp window on).  Only the scalar reference
-    #: backend runs it: the traversal returns the candidates of a columnar
-    #: scan of the Qp window at a multiple of its cost, and its node
-    #: accesses are what Fig. 12 reports.
+    #: backend runs it: with the Qp window on, the traversal returns the
+    #: candidates of a plain probe of that window at a multiple of its
+    #: cost, and its node accesses are what Fig. 12 reports.
     use_pti: bool
     #: Take candidates from a columnar scan of ``window`` (the vectorised
-    #: backend, whenever the batch path holds a snapshot).
+    #: backend, whenever the batch path holds a snapshot) rather than from
+    #: an index probe.  False for a C-IUQ over a PTI: the PTI is the
+    #: paper's access path for it, so the vectorised backend probes the
+    #: window plainly and maps the candidates to snapshot rows.
     prefer_columnar: bool
     #: Monte-Carlo sample count (nearest-neighbour plans only).
     samples: int | None
@@ -251,8 +256,9 @@ def compile_plan(
 ) -> QueryPlan:
     """Compile one query into a :class:`QueryPlan` under ``config``.
 
-    ``uncertain_index`` is consulted only to decide whether a scalar-backend
-    C-IUQ runs the PTI's threshold traversal.  ``fingerprint`` is the query's
+    ``uncertain_index`` is consulted only to decide whether a C-IUQ probes
+    a PTI (threshold traversal on the scalar backend, plain window probe on
+    the vectorised one).  ``fingerprint`` is the query's
     :func:`query_fingerprint` when the caller already holds it (it is
     computed here otherwise).  ``pruner_cache``, keyed by fingerprint, lets
     the batch path reuse pruners across equal queries; pass ``None`` to
@@ -292,13 +298,10 @@ def compile_plan(
             pruner_cache[fingerprint] = pruner
     if query.target == "points":
         window = pruner.filter_region
-        use_pti = False
+        probes_pti = use_pti = False
     else:
-        use_pti = (
-            isinstance(uncertain_index, ProbabilityThresholdIndex)
-            and threshold > 0.0
-            and not config.vectorized
-        )
+        probes_pti = isinstance(uncertain_index, ProbabilityThresholdIndex) and threshold > 0.0
+        use_pti = probes_pti and not config.vectorized
         window = (
             pruner.qp_expanded_region
             if config.use_p_expanded_query
@@ -311,7 +314,7 @@ def compile_plan(
         pruner=pruner,
         window=window,
         use_pti=use_pti,
-        prefer_columnar=bool(config.vectorized),
+        prefer_columnar=bool(config.vectorized) and not probes_pti,
         samples=None,
     )
 

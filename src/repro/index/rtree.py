@@ -20,6 +20,7 @@ from repro.errors import EngineStateError, MissingItemError, SpatialIndexError
 
 import heapq
 import math
+import operator
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -69,7 +70,7 @@ class _Entry:
 class _Node:
     """A fixed-capacity R-tree node (leaf or internal)."""
 
-    __slots__ = ("is_leaf", "entries", "aug")
+    __slots__ = ("is_leaf", "entries", "aug", "columns")
 
     def __init__(self, is_leaf: bool) -> None:
         self.is_leaf = is_leaf
@@ -77,10 +78,32 @@ class _Node:
         # Optional augmentation payload maintained by subclasses (e.g. the
         # PTI's per-probability-level bounding rectangles, by level position).
         self.aug: tuple[Rect, ...] | None = None
+        # The entries as columns for the window test (see entry_columns);
+        # ``None`` until a search needs them and after every change.
+        self.columns: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list] | None = None
 
     def mbr(self) -> Rect:
         """Minimum bounding rectangle of all entries in this node."""
         return Rect.bounding([entry.mbr for entry in self.entries])
+
+    def entry_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list]:
+        """``(xmin, ymin, xmax, ymax, payloads)`` of the entries, in entry order.
+
+        Payloads are the stored items of a leaf and the child nodes of an
+        internal node.  An empty MBR's coordinates read NaN, so it overlaps
+        nothing, as :meth:`Rect.overlaps` has it.  Built on first use and
+        kept until the tree reports a change to this node.
+        """
+        if self.columns is None:
+            entries = self.entries
+            coords = np.array(
+                [(e.mbr.xmin, e.mbr.ymin, e.mbr.xmax, e.mbr.ymax) for e in entries], dtype=float
+            ).reshape(len(entries), 4)
+            coords[(coords[:, 0] > coords[:, 2]) | (coords[:, 1] > coords[:, 3])] = np.nan
+            xmin, ymin, xmax, ymax = coords.T.copy()
+            payloads = [e.item for e in entries] if self.is_leaf else [e.child for e in entries]
+            self.columns = (xmin, ymin, xmax, ymax, payloads)
+        return self.columns
 
 
 class RTree:
@@ -116,7 +139,7 @@ class RTree:
         self._root = _Node(is_leaf=True)
         self._size = 0
         self._stats = IOStatistics()
-        self._on_node_updated(self._root)
+        self._node_changed(self._root)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -176,8 +199,13 @@ class RTree:
     # ------------------------------------------------------------------ #
     # Subclass hook
     # ------------------------------------------------------------------ #
+    def _node_changed(self, node: _Node) -> None:
+        """Every change to a node's entries, or to their MBRs, is reported here."""
+        node.columns = None
+        self._on_node_updated(node)
+
     def _on_node_updated(self, node: _Node) -> None:
-        """Called whenever a node's entry list changes.
+        """Called (through :meth:`_node_changed`) whenever a node's entry list changes.
 
         The base R-tree keeps no per-node augmentation; the PTI subclass
         overrides this to maintain per-probability-level bounds.
@@ -202,7 +230,7 @@ class RTree:
         path, links = self._choose_path(entry.mbr, level=level)
         node = path[-1]
         node.entries.append(entry)
-        self._on_node_updated(node)
+        self._node_changed(node)
         self._adjust_path(path, links, entry.mbr)
 
     def _choose_path(self, mbr: Rect, *, level: int) -> tuple[list[_Node], list[_Entry]]:
@@ -256,7 +284,7 @@ class RTree:
             else:
                 link.mbr = node.mbr()
                 parent.entries.append(_Entry(mbr=overflow.mbr(), child=overflow))
-            self._on_node_updated(parent)
+            self._node_changed(parent)
 
     @staticmethod
     def _child_entry(parent: _Node, child: _Node) -> _Entry:
@@ -270,7 +298,7 @@ class RTree:
         new_root.entries.append(_Entry(mbr=old_root.mbr(), child=old_root))
         new_root.entries.append(_Entry(mbr=sibling.mbr(), child=sibling))
         self._root = new_root
-        self._on_node_updated(new_root)
+        self._node_changed(new_root)
 
     def _split_node(self, node: _Node) -> _Node:
         """Distribute an overflowing node's entries over itself and a new sibling.
@@ -346,8 +374,8 @@ class RTree:
         node.entries = group_a
         sibling = _Node(is_leaf=node.is_leaf)
         sibling.entries = group_b
-        self._on_node_updated(node)
-        self._on_node_updated(sibling)
+        self._node_changed(node)
+        self._node_changed(sibling)
         return sibling
 
     @staticmethod
@@ -440,7 +468,7 @@ class RTree:
             entry.mbr = new_mbr
             entry.item = payload
             for node in reversed(path):
-                self._on_node_updated(node)
+                self._node_changed(node)
             return
         self._remove_located(path, entry_index)
         self.insert(new_mbr, payload)
@@ -456,7 +484,7 @@ class RTree:
     def _remove_located(self, path: list[_Node], entry_index: int) -> None:
         leaf = path[-1]
         removed = leaf.entries.pop(entry_index)
-        self._on_node_updated(leaf)
+        self._node_changed(leaf)
         self._size -= 1
         self._condense(path, removed.mbr)
 
@@ -506,7 +534,7 @@ class RTree:
                 orphans.append((leaf_depth - depth, node.entries))
                 gone = link.mbr
                 continue
-            self._on_node_updated(node)
+            self._node_changed(node)
             if gone is not None:
                 link = self._child_entry(parent, node)
                 covered = link.mbr
@@ -520,7 +548,7 @@ class RTree:
                 else:
                     link.mbr = node.mbr()
                     gone = covered if link.mbr != covered else None
-        self._on_node_updated(path[0])
+        self._node_changed(path[0])
         for level, entries in reversed(orphans):
             for entry in entries:
                 self._insert_entry(entry, level=level)
@@ -590,7 +618,7 @@ class RTree:
                 node.entries = [
                     entries[position] for position in chunk[node_start : node_start + capacity]
                 ]
-                self._on_node_updated(node)
+                self._node_changed(node)
                 nodes.append(node)
         return nodes
 
@@ -602,19 +630,22 @@ class RTree:
         results: list[Any] = []
         if query.is_empty or self._size == 0:
             return results
+        # One vectorised overlap test per node instead of one
+        # ``Rect.overlaps`` call per entry: this loop is the probe's cost.
+        qxmin, qymin, qxmax, qymax = query.xmin, query.ymin, query.xmax, query.ymax
+        stats = self._stats
         stack = [self._root]
         while stack:
             node = stack.pop()
-            self._stats.record_node(is_leaf=node.is_leaf)
-            self._stats.record_entries(len(node.entries))
-            for entry in node.entries:
-                if not entry.mbr.overlaps(query):
-                    continue
-                if node.is_leaf:
-                    results.append(entry.item)
-                else:
-                    stack.append(entry.child)  # type: ignore[arg-type]
-        self._stats.record_results(len(results))
+            xmin, ymin, xmax, ymax, payloads = node.entry_columns()
+            stats.record_node(is_leaf=node.is_leaf)
+            stats.record_entries(len(payloads))
+            hits = np.flatnonzero(
+                (xmin <= qxmax) & (xmax >= qxmin) & (ymin <= qymax) & (ymax >= qymin)
+            )
+            found: list[Any] = results if node.is_leaf else stack
+            found.extend(map(payloads.__getitem__, hits.tolist()))
+        stats.record_results(len(results))
         return results
 
     def range_search_filtered(
@@ -693,7 +724,8 @@ class RTree:
         """Raise ``AssertionError`` when any structural invariant is violated.
 
         Checks performed: every child MBR is contained in its parent entry's
-        MBR, all leaves are at the same depth, and every non-root node holds
+        MBR, all leaves are at the same depth, a node's cached search columns
+        match its entries, and every non-root node holds
         at least ``min_entries`` entries (bulk-loaded trees are exempted from
         the minimum-fill check because STR packs greedily).
         """
@@ -704,6 +736,16 @@ class RTree:
 
         def visit(node: _Node, depth: int, is_root: bool) -> int:
             count = 0
+            if node.columns is not None:
+                cached = node.columns
+                node.columns = None
+                fresh = node.entry_columns()
+                node.columns = cached
+                assert len(cached[4]) == len(fresh[4]) and all(
+                    map(operator.is_, cached[4], fresh[4])
+                ), "stale search columns: payloads"
+                for old, new in zip(cached[:4], fresh[:4]):
+                    assert np.array_equal(old, new, equal_nan=True), "stale search columns"
             if node.is_leaf:
                 leaf_depths.add(depth)
                 return len(node.entries)

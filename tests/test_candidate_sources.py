@@ -1,16 +1,18 @@
-"""The two C-IUQ candidate sources agree: columnar Qp-window scan and PTI traversal.
+"""The three C-IUQ candidate sources agree: scan, plain PTI probe and PTI traversal.
 
-The vectorised backend scans the snapshot's window and applies Strategy 1
-per row; the scalar reference backend runs the PTI's threshold traversal,
+The vectorised backend scans the snapshot's Qp window when the collection
+sits on an R-tree, and probes a PTI with that window plainly (its
+candidates mapped to snapshot rows); either way it applies Strategy 1 per
+row.  The scalar reference backend runs the PTI's threshold traversal,
 which applies Strategy 1 (and, with the Qp window on, Strategy 2) at its
-nodes and entries.  Both must give bitwise-equal answers query by query.
-The candidates they count agree too: the traversal's are the scan's less
-the rows the scan prunes by ``p_bound`` (with the window off, Strategies 1
-and 3 only run, so that Strategy 2 claims none of those rows first).  On the
-uniform Long Beach collection the Qp window leaves Strategy 1 nothing to
-prune, so there the counts are equal outright; Gaussian targets inside the
-window can still fall to it.  A single ``evaluate`` (a plain index probe
-mapped to snapshot rows) answers like the batch scan.
+nodes and entries.  All three must give bitwise-equal answers query by
+query.  Scan and probe count the same candidates; the traversal's are
+theirs less the rows they prune by ``p_bound`` (with the window off,
+Strategies 1 and 3 only run, so that Strategy 2 claims none of those rows
+first).  On the uniform Long Beach collection the Qp window leaves
+Strategy 1 nothing to prune, so there the counts are equal outright;
+Gaussian targets inside the window can still fall to it.  A single
+``evaluate`` answers like the batch.
 """
 
 from __future__ import annotations
@@ -38,42 +40,59 @@ def _answer(evaluation) -> tuple[bytes, bytes]:
     return result.oid_array.tobytes(), result.probability_array.tobytes()
 
 
-def _check_sources(database, queries, window: bool, **overrides) -> list[int]:
-    """Assert the agreement; returns the scan's ``p_bound`` prunes per query."""
+def _check_sources(databases, queries, window: bool, **overrides) -> list[int]:
+    """Assert the agreement; returns the vectorised ``p_bound`` prunes per query."""
+    pti, rtree = databases
     if not window:
         # No Qp window anywhere: per row, Strategy 2 would otherwise claim
         # first (cheapest-first order) the rows the PTI drops by p-bound.
         overrides["ciuq_strategies"] = (PruningStrategy.P_BOUND, PruningStrategy.PRODUCT_BOUND)
     base = EngineConfig(use_p_expanded_query=window, **overrides)
-    scan = ImpreciseQueryEngine(uncertain_db=database, config=base)
+    scan = ImpreciseQueryEngine(uncertain_db=rtree, config=base)
+    probe = ImpreciseQueryEngine(uncertain_db=pti, config=base)
     traversal = ImpreciseQueryEngine(
-        uncertain_db=database, config=base.with_overrides(vectorized=False)
+        uncertain_db=pti, config=base.with_overrides(vectorized=False)
     )
     scanned = scan.evaluate_many(queries)
+    probed = probe.evaluate_many(queries)
     traversed = [traversal.evaluate(query) for query in queries]
     p_bounds = []
-    for query, batch, reference in zip(queries, scanned, traversed):
+    for query, batch, probed_one, reference in zip(queries, scanned, probed, traversed):
         assert _answer(batch) == _answer(reference)
+        assert _answer(probed_one) == _answer(reference)
+        assert _answer(probe.evaluate(query)) == _answer(probed_one)
         assert _answer(scan.evaluate(query)) == _answer(batch)
         assert batch.statistics.io.node_accesses == 0
+        assert probed_one.statistics.io.node_accesses > 0
         assert reference.statistics.io.node_accesses > 0
+        assert probed_one.statistics.candidates_examined == batch.statistics.candidates_examined
+        assert probed_one.statistics.pruned == batch.statistics.pruned
         p_bound = batch.statistics.pruned.get("p_bound", 0)
         assert batch.statistics.candidates_examined - p_bound == (
             reference.statistics.candidates_examined
         )
-        assert batch.statistics.probability_computations == (
-            reference.statistics.probability_computations
-        )
-        assert batch.statistics.monte_carlo_samples == reference.statistics.monte_carlo_samples
+        for vectorised in (batch, probed_one):
+            assert vectorised.statistics.probability_computations == (
+                reference.statistics.probability_computations
+            )
+            assert vectorised.statistics.monte_carlo_samples == (
+                reference.statistics.monte_carlo_samples
+            )
         p_bounds.append(p_bound)
     return p_bounds
 
 
+def _pti_and_rtree(objects):
+    pti = UncertainDatabase.build(objects, catalog_levels=PAPER_CATALOG_LEVELS)
+    rtree = UncertainDatabase.build(
+        pti.objects, index_kind="rtree", catalog_levels=PAPER_CATALOG_LEVELS
+    )
+    return pti, rtree
+
+
 @pytest.fixture(scope="module")
 def long_beach():
-    return UncertainDatabase.build(
-        long_beach_uncertain_objects(scale=SCALE), catalog_levels=PAPER_CATALOG_LEVELS
-    )
+    return _pti_and_rtree(long_beach_uncertain_objects(scale=SCALE))
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +102,7 @@ def mixed_long_beach():
         UncertainObject(oid=obj.oid, pdf=TruncatedGaussianPdf(obj.region)) if row % 3 else obj
         for row, obj in enumerate(long_beach_uncertain_objects(scale=SCALE / 2))
     ]
-    return UncertainDatabase.build(objects, catalog_levels=PAPER_CATALOG_LEVELS)
+    return _pti_and_rtree(objects)
 
 
 def _queries(issuer_half: float, threshold: float, issuer_pdf: str = "uniform"):
@@ -129,7 +148,7 @@ def test_scan_and_traversal_agree_on_mixed_targets(
         # The sampled route ran (and, under a uniform issuer on ``auto``,
         # beside the closed form).
         answers = ImpreciseQueryEngine(
-            uncertain_db=mixed_long_beach,
+            uncertain_db=mixed_long_beach[0],
             config=EngineConfig(probability_method=method, monte_carlo_samples=64),
         ).evaluate_many(queries)
         assert sum(e.statistics.monte_carlo_samples for e in answers) > 0

@@ -51,18 +51,26 @@ class TestQueryPlan:
         assert not plan.prefer_columnar
         assert plan.window == plan.pruner.qp_expanded_region
 
-    def test_vectorised_uncertain_plan_scans_a_pti_database(self, uncertain_db, default_spec):
+    def test_vectorised_uncertain_plan_probes_a_pti_plainly(self, uncertain_db, default_spec):
+        # The vectorised backend probes the PTI with the Qp window but never
+        # runs the threshold traversal.
         query = RangeQuery.ciuq(_issuer(), default_spec, 0.4)
         plan = compile_plan(query, EngineConfig(), uncertain_index=uncertain_db.index)
         assert not plan.use_pti
-        assert plan.prefer_columnar
+        assert not plan.prefer_columnar
         assert plan.window == plan.pruner.qp_expanded_region
         unthresholded = compile_plan(
             RangeQuery.iuq(_issuer(), default_spec),
-            EngineConfig(vectorized=False),
+            EngineConfig(),
             uncertain_index=uncertain_db.index,
         )
         assert not unthresholded.use_pti
+        assert unthresholded.prefer_columnar
+        assert not compile_plan(
+            RangeQuery.iuq(_issuer(), default_spec),
+            EngineConfig(vectorized=False),
+            uncertain_index=uncertain_db.index,
+        ).use_pti
 
     def test_uncertain_plan_without_pti_prefers_columnar(
         self, uncertain_db_rtree, default_spec

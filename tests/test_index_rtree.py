@@ -279,6 +279,65 @@ class TestDeletion:
         assert found is new
 
 
+class TestSearchColumns:
+    """A search reads each node's entries as cached columns; every change
+    to a node must drop them."""
+
+    @pytest.mark.parametrize("bulk", [False, True])
+    def test_searches_follow_inserts_deletes_and_moves(self, bulk):
+        pairs = _random_rects(400, seed=31)
+        if bulk:
+            tree = RTree.bulk_load(
+                [PointObject.at(i, mbr.xmin, mbr.ymin) for mbr, i in pairs], max_entries=6
+            )
+            live = {obj.oid: (obj.mbr, obj) for obj in tree.items()}
+        else:
+            tree = RTree(max_entries=6)
+            for mbr, i in pairs:
+                tree.insert(mbr, i)
+            live = {i: (mbr, i) for mbr, i in pairs}
+        rng = np.random.default_rng(32)
+
+        def search_everywhere():
+            for x, y in rng.uniform(-50.0, 1_000.0, (6, 2)):
+                query = Rect(x, y, x + 120.0, y + 120.0)
+                expected = {id(item) for mbr, item in live.values() if mbr.overlaps(query)}
+                assert {id(item) for item in tree.range_search(query)} == expected
+
+        search_everywhere()
+        for step in range(120):
+            key = int(rng.choice(list(live)))
+            mbr, item = live[key]
+            if step % 3 == 0:
+                tree.delete(mbr, item)
+                del live[key]
+            else:
+                # Small moves stay in their leaf (in place); large ones do not.
+                shift = 2.0 if step % 3 == 1 else 400.0
+                moved = Rect(mbr.xmin + shift, mbr.ymin, mbr.xmax + shift, mbr.ymax)
+                tree.update(mbr, moved, item)
+                live[key] = (moved, item)
+            if step % 10 == 0:
+                search_everywhere()
+                tree.check_invariants()
+        search_everywhere()
+        tree.check_invariants()
+
+    def test_stale_columns_fail_the_invariant_check(self):
+        tree = RTree(max_entries=4)
+        for mbr, item in _random_rects(20, seed=33):
+            tree.insert(mbr, item)
+        tree.range_search(Rect(0.0, 0.0, 1_000.0, 1_000.0))
+        leaf = tree._root
+        while not leaf.is_leaf:
+            leaf = leaf.entries[0].child
+        corner = leaf.entries[0].mbr
+        # Shrunk behind the tree's back: still covered, but no longer cached.
+        leaf.entries[0].mbr = Rect(corner.xmin, corner.ymin, corner.xmin, corner.ymin)
+        with pytest.raises(AssertionError, match="stale search columns"):
+            tree.check_invariants()
+
+
 class TestCondenseAndInPlaceMoves:
     """Deletes and moves cost what they touch, whatever the packed layout."""
 
