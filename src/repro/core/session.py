@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Sequence
 
+from repro.core import heap
 from repro.core.cache import ResultCache
 from repro.core.continuous import AnswerDelta, Subscription, SubscriptionRegistry
 from repro.core.errors import ConfigurationError, InvalidQueryError
@@ -85,22 +86,26 @@ class Session:
         config: EngineConfig | None = None,
     ) -> "Session":
         """Build databases from raw object collections and wrap them in a session."""
-        point_db = (
-            PointDatabase.build(points, index_kind=point_index, bounds=bounds)
-            if points is not None
-            else None
-        )
-        uncertain_db = (
-            UncertainDatabase.build(
-                uncertain,
-                index_kind=uncertain_index,
-                catalog_levels=catalog_levels,
-                bounds=bounds,
+        # One pause covers the databases and the engine, whose pipeline builds
+        # the indexes it probes: set-up pays for one due full collection, not
+        # one per step.
+        with heap.paused():
+            point_db = (
+                PointDatabase.build(points, index_kind=point_index, bounds=bounds)
+                if points is not None
+                else None
             )
-            if uncertain is not None
-            else None
-        )
-        return cls(point_db=point_db, uncertain_db=uncertain_db, config=config)
+            uncertain_db = (
+                UncertainDatabase.build(
+                    uncertain,
+                    index_kind=uncertain_index,
+                    catalog_levels=catalog_levels,
+                    bounds=bounds,
+                )
+                if uncertain is not None
+                else None
+            )
+            return cls(point_db=point_db, uncertain_db=uncertain_db, config=config)
 
     @property
     def engine(self) -> ImpreciseQueryEngine | ParallelEngine:
@@ -310,7 +315,10 @@ class Session:
         Wraps :meth:`stats` with the engine kind, the
         :class:`~repro.core.engine.EngineConfig` fields and each configured
         database's shape — the payload the serving front-end returns for a
-        ``stats`` request, so clients can introspect a live server.
+        ``stats`` request, so clients can introspect a live server.  Each
+        database entry's ``index_built`` says whether its index exists yet
+        (for a sharded database: how many shards have built theirs);
+        reading it builds nothing.
         """
         config = self._engine.config
         databases: dict[str, Any] = {}
@@ -329,6 +337,11 @@ class Session:
             if isinstance(database, ShardedDatabase):
                 entry["shards"] = database.k
                 entry["partitioner"] = database.partitioner
+                entry["index_built"] = sum(
+                    shard.database.index_built for shard in database.non_empty_shards()
+                )
+            else:
+                entry["index_built"] = database.index_built
             databases[name] = entry
         stats = self.stats()
         epochs = {

@@ -127,6 +127,9 @@ class RemoteEngine(ParallelEngine):
             synced=dict(self._synced),
         )
 
+    def _prepare_shards(self) -> None:
+        """Nothing to build here: each daemon builds its shard's pipelines on load."""
+
     def warm(self) -> None:
         """Ship every out-of-step shard snapshot ahead of the first query."""
         for kind in ("points", "uncertain"):

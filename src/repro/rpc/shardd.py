@@ -96,9 +96,14 @@ class _LoadedShard:
         self._pipelines: dict[str, QueryPipeline] = {}
 
     def register(self, config: EngineConfig) -> str:
-        """Register one engine configuration; returns its digest."""
+        """Register one engine configuration; returns its digest.
+
+        The configuration's pipeline is built here, with the indexes its
+        plans probe, so no query pays for that build.
+        """
         digest = wire.config_digest(config)
         self._configs.setdefault(digest, config)
+        self.pipeline(digest)
         return digest
 
     def pipeline(self, digest: str) -> QueryPipeline:
@@ -188,8 +193,9 @@ class ShardHost:
                 database = UncertainDatabase.build(
                     objects, index_kind=index_kind, catalog_levels=levels
                 )
-        shard = _LoadedShard(kind, database)
-        digest = shard.register(config)
+            # Registering builds the pipeline and the indexes it probes.
+            shard = _LoadedShard(kind, database)
+            digest = shard.register(config)
         self._shards[(kind, sid)] = shard
         return wire.header(
             "loaded", epoch=database.epoch, count=len(objects), config_digest=digest

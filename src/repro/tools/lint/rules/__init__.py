@@ -17,6 +17,7 @@
 | RPL013 | answers         | ``QueryAnswer`` is built only in ``repro/core/queries.py`` |
 | RPL014 | keying          | keyed draws take a content token, never a position    |
 | RPL015 | columns         | the vectorised range path reads columns, not ``.objects`` |
+| RPL016 | indexing        | only ``repro/core/database.py`` builds indexes (``build_index``/``bulk_load``) |
 
 ``RPL000`` is the engine itself (unused suppressions, parse failures).
 """
@@ -28,6 +29,7 @@ from repro.tools.lint.rules import (  # noqa: F401  (import = register)
     exceptions,
     heap,
     identity,
+    indexing,
     keying,
     observability,
     raises,

@@ -135,25 +135,37 @@ class TestSessionMutationSurface:
 
 
 class TestMutationAtomicity:
-    """An index-side failure must leave the object list untouched."""
+    """An index-side failure must leave the object list untouched.
+
+    Each test runs once with the index built and once with it unbuilt: the
+    database refuses what the built index would, before the list changes.
+    (Looped rather than parametrised, so the test ids stay as they were.)
+    """
 
     def test_failed_pti_insert_leaves_database_unchanged(self):
-        objects = _uncertain_objects()
-        database = UncertainDatabase(
-            objects=list(objects), index=None, kind="pti", catalog_levels=None
-        )
         from repro.index.pti import ProbabilityThresholdIndex
 
-        database.index = ProbabilityThresholdIndex.bulk_load(
-            [obj.with_catalog() for obj in objects]
-        )
-        database.objects[:] = list(database.index.items())
-        catalog_less = UncertainObject.uniform(999, Rect(0.0, 0.0, 10.0, 10.0))
-        size_before = len(database)
-        with pytest.raises(ValueError, match="U-catalog"):
-            database.insert(catalog_less)
-        assert len(database) == size_before
-        assert 999 not in database
+        for built in (True, False):
+            objects = _uncertain_objects()
+            database = UncertainDatabase(
+                objects=list(objects), index=None, kind="pti", catalog_levels=None
+            )
+            if built:
+                database.index = ProbabilityThresholdIndex.bulk_load(
+                    [obj.with_catalog() for obj in objects]
+                )
+                database.objects[:] = list(database.index.items())
+            else:
+                database.objects[:] = [obj.with_catalog() for obj in objects]
+            catalog_less = UncertainObject.uniform(999, Rect(0.0, 0.0, 10.0, 10.0))
+            size_before = len(database)
+            with pytest.raises(ValueError, match="U-catalog"):
+                database.insert(catalog_less)
+            assert len(database) == size_before
+            assert 999 not in database
+            assert database.index_built is built
+            # A later build indexes exactly the stored objects.
+            assert len(database.index) == size_before
 
     def test_rebuild_fallback_last_delete_leaves_database_consistent(self):
         from repro.index.linear import LinearScanIndex
@@ -167,14 +179,18 @@ class TestMutationAtomicity:
             replace=True,
         )
         try:
-            database = PointDatabase.build(
-                [PointObject.at(1, 5.0, 5.0)], index_kind="norebuild-test"
-            )
-            with pytest.raises(ValueError, match="last object"):
-                database.delete(1)
-            # The failed delete changed nothing: object and index both intact.
-            assert 1 in database
-            assert len(database.index.range_search(Rect(0.0, 0.0, 10.0, 10.0))) == 1
+            for built in (True, False):
+                database = PointDatabase.build(
+                    [PointObject.at(1, 5.0, 5.0)], index_kind="norebuild-test"
+                )
+                if built:
+                    assert len(database.index) == 1
+                with pytest.raises(ValueError, match="last object"):
+                    database.delete(1)
+                assert database.index_built is built
+                # The failed delete changed nothing: object and index both intact.
+                assert 1 in database
+                assert len(database.index.range_search(Rect(0.0, 0.0, 10.0, 10.0))) == 1
         finally:
             unregister_index("norebuild-test")
 

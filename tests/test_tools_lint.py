@@ -213,6 +213,36 @@ def test_columns_rule_flags_an_object_gather_in_the_range_path():
     assert lint_source(columnar, "repro/core/columnar.py", [get_rule("RPL015")]) == []
 
 
+def test_indexing_rule_flags_a_tree_built_beside_the_database():
+    """A ``bulk_load`` or ``build_index`` in ``core/pipeline.py`` is caught."""
+    from repro.tools.lint.rules.indexing import ALLOWED
+
+    source = (REPO_ROOT / "src" / "repro" / "core" / "pipeline.py").read_text(encoding="utf-8")
+    lines = source.splitlines()
+    lines.append("def legacy_index(database):")
+    lines.append("    return RTree.bulk_load(database.objects)")
+    lines.append("def legacy_rebuild(database):")
+    lines.append("    return build_index(list(database.objects), database.kind)")
+    diagnostics = lint_source(
+        "\n".join(lines) + "\n", "repro/core/pipeline.py", [get_rule("RPL016")]
+    )
+    assert [(d.rule, d.line) for d in diagnostics] == [
+        ("RPL016", len(lines) - 2),
+        ("RPL016", len(lines)),
+    ]
+    assert "database.index" in diagnostics[0].message
+    # The shipped pipeline is clean; the database, the backends and the
+    # allow-listed sampler (which states its reason) build indexes.
+    for relpath in ("core/pipeline.py", "core/database.py", "core/nearest.py", "index/pti.py"):
+        shipped = (REPO_ROOT / "src" / "repro" / relpath).read_text(encoding="utf-8")
+        assert lint_source(shipped, f"repro/{relpath}", [get_rule("RPL016")]) == []
+    assert "bulk_load" in (REPO_ROOT / "src" / "repro" / "core" / "nearest.py").read_text(
+        encoding="utf-8"
+    )
+    assert ALLOWED["repro/core/nearest.py"]
+    assert lint_source("RTree.bulk_load(items)\n", "tests/test_x.py", [get_rule("RPL016")]) == []
+
+
 def test_retired_rule_id_is_not_registered():
     assert "RPL003" not in RULE_IDS
 
