@@ -205,7 +205,14 @@ class ColumnarUncertain:
     """Immutable columnar snapshot of an uncertain-object collection."""
 
     __slots__ = (
-        "objects", "oids", "bounds", "kinds", "catalog_levels", "catalog_bounds", "_row_of_oid"
+        "objects",
+        "oids",
+        "bounds",
+        "kinds",
+        "catalog_levels",
+        "catalog_bounds",
+        "_sorted_oids",
+        "_rows_by_oid",
     )
 
     def __init__(self, objects: Sequence[UncertainObject]) -> None:
@@ -221,9 +228,7 @@ class ColumnarUncertain:
         self.oids.setflags(write=False)
         self.bounds = bounds
         self.kinds = _kind_column(self.objects)
-        self._row_of_oid: dict[int, int] = {
-            obj.oid: row for row, obj in enumerate(self.objects)
-        }
+        self._index_oids()
         self.catalog_levels, self.catalog_bounds = self._snapshot_catalogs()
 
     @classmethod
@@ -262,10 +267,19 @@ class ColumnarUncertain:
         snapshot.kinds = _kind_column(snapshot.objects)
         snapshot.catalog_levels = catalog_levels
         snapshot.catalog_bounds = catalog_bounds
-        snapshot._row_of_oid = {
-            obj.oid: row for row, obj in enumerate(snapshot.objects)
-        }
+        snapshot._index_oids()
         return snapshot
+
+    def _index_oids(self) -> None:
+        """Sort the oid column once: the row map :meth:`rows_of` searches."""
+        rows_by_oid = np.argsort(self.oids, kind="stable")
+        self._set_oid_index(self.oids[rows_by_oid], rows_by_oid)
+
+    def _set_oid_index(self, sorted_oids: np.ndarray, rows_by_oid: np.ndarray) -> None:
+        sorted_oids.setflags(write=False)
+        rows_by_oid.setflags(write=False)
+        self._sorted_oids = sorted_oids
+        self._rows_by_oid = rows_by_oid
 
     def _snapshot_catalogs(self) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Catalog bound rectangles as ``(N, L, 4)``, when homogeneous.
@@ -315,7 +329,7 @@ class ColumnarUncertain:
         bounds: np.ndarray,
         kinds: np.ndarray,
         catalog_bounds: np.ndarray,
-        row_of_oid: dict[int, int],
+        oid_index: tuple[np.ndarray, np.ndarray],
     ) -> "ColumnarUncertain":
         snapshot = object.__new__(ColumnarUncertain)
         snapshot.objects = objects
@@ -326,7 +340,7 @@ class ColumnarUncertain:
         snapshot.kinds = kinds
         snapshot.catalog_levels = self.catalog_levels
         snapshot.catalog_bounds = catalog_bounds
-        snapshot._row_of_oid = row_of_oid
+        snapshot._set_oid_index(*oid_index)
         return snapshot
 
     def appended(self, obj: UncertainObject) -> "ColumnarUncertain | None":
@@ -335,15 +349,18 @@ class ColumnarUncertain:
             return None
         n = len(self.objects)
         catalog_bounds = np.concatenate([self.catalog_bounds, [_catalog_row(obj.catalog)]])
-        row_of_oid = dict(self._row_of_oid)
-        row_of_oid[obj.oid] = n
+        slot = int(np.searchsorted(self._sorted_oids, obj.oid))
+        oid_index = (
+            np.insert(self._sorted_oids, slot, obj.oid),
+            np.insert(self._rows_by_oid, slot, n),
+        )
         return self._derived(
             self.objects + (obj,),
             np.append(self.oids, np.int64(obj.oid)),
             np.concatenate([self.bounds, [obj.region.as_tuple()]]),
             np.append(self.kinds, np.int8(pdf_kind(obj.pdf))),
             catalog_bounds,
-            row_of_oid,
+            oid_index,
         )
 
     def removed(self, row: int) -> "ColumnarUncertain | None":
@@ -355,16 +372,23 @@ class ColumnarUncertain:
         bounds = self.bounds[:last].copy()
         kinds = self.kinds[:last].copy()
         catalog_bounds = self.catalog_bounds[:last].copy()
-        row_of_oid = dict(self._row_of_oid)
-        del row_of_oid[int(self.oids[row])]
+        slot = self._slot_of_row(row)
+        sorted_oids = np.delete(self._sorted_oids, slot)
+        rows_by_oid = np.delete(self._rows_by_oid, slot)
         if row != last:
             oids[row] = self.oids[last]
             bounds[row] = self.bounds[last]
             kinds[row] = self.kinds[last]
             catalog_bounds[row] = self.catalog_bounds[last]
-            row_of_oid[int(self.oids[last])] = row
+            moved = self._slot_of_row(last)
+            rows_by_oid[moved - (moved > slot)] = row
         return self._derived(
-            _swap_removed(self.objects, row), oids, bounds, kinds, catalog_bounds, row_of_oid
+            _swap_removed(self.objects, row),
+            oids,
+            bounds,
+            kinds,
+            catalog_bounds,
+            (sorted_oids, rows_by_oid),
         )
 
     def replaced(self, row: int, obj: UncertainObject) -> "ColumnarUncertain | None":
@@ -383,7 +407,7 @@ class ColumnarUncertain:
             bounds,
             kinds,
             catalog_bounds,
-            self._row_of_oid,
+            (self._sorted_oids, self._rows_by_oid),
         )
 
     def objects_at(self, rows: np.ndarray) -> list[UncertainObject]:
@@ -395,25 +419,41 @@ class ColumnarUncertain:
         objects = self.objects
         return [objects[row] for row in rows.tolist()]
 
+    def _slot_of_row(self, row: int) -> int:
+        """Position of ``row`` in the oid-sorted row map (oids are unique)."""
+        return int(np.searchsorted(self._sorted_oids, self.oids[row]))
+
+    def rows_of(self, oids: np.ndarray) -> np.ndarray:
+        """Snapshot rows of the objects with ``oids``, in the order given.
+
+        A binary search of the oid-sorted row map.  Raises a descriptive
+        :class:`DatasetError` for an oid that is not part of the snapshot —
+        oids must come from the database the snapshot was built on.
+        """
+        oids = np.asarray(oids, dtype=np.int64)
+        sorted_oids = self._sorted_oids
+        slots = np.searchsorted(sorted_oids, oids)
+        found = slots < len(sorted_oids)
+        found[found] = sorted_oids[slots[found]] == oids[found]
+        if not found.all():
+            missing = int(oids[np.argmin(found)])
+            raise DatasetError(
+                f"object with oid {missing} is not part of this columnar "
+                "snapshot; candidates must come from the database the "
+                "snapshot was built on"
+            )
+        return self._rows_by_oid[slots]
+
     def rows_for(self, candidates: Sequence[UncertainObject]) -> np.ndarray:
         """Snapshot rows of ``candidates`` (by object id), in candidate order.
 
-        Raises a descriptive ``ValueError`` for objects that are not part of
-        the snapshot — candidates must come from the same database the
-        snapshot was built on.
+        :meth:`rows_of` over the candidates' oids.  The engine never calls
+        it; it stays because the frozen benchmark replay
+        (``benchmarks/suite/layers.py``) maps its index probe's objects
+        with it.
         """
-        try:
-            return np.fromiter(
-                map(self._row_of_oid.__getitem__, map(_OID, candidates)),
-                dtype=np.intp,
-                count=len(candidates),
-            )
-        except KeyError as missing:
-            raise DatasetError(
-                f"object with oid {missing.args[0]} is not part of this columnar "
-                "snapshot; candidates must come from the database the "
-                "snapshot was built on"
-            ) from None
+        oids = np.fromiter(map(_OID, candidates), dtype=np.int64, count=len(candidates))
+        return self.rows_of(oids)
 
     def window_rows(self, window: Rect) -> np.ndarray:
         """Rows of the objects whose region overlaps ``window`` (ascending)."""

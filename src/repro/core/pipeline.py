@@ -89,7 +89,6 @@ from repro.core.queries import (
 from repro.core.statistics import EvaluationStatistics
 from repro.core.updates import UpdateBatch
 from repro.index.registry import get_index_backend
-from repro.index.rtree import RTree
 from repro.uncertainty.pdf import UniformPdf
 from repro.uncertainty.region import UncertainObject
 
@@ -391,7 +390,9 @@ class QueryPipeline:
                 for cached_key, cached in self._nn_engines.items()
                 if cached_key[1] == database.epoch
             }
-            index = database.index if isinstance(database.index, RTree) else None
+            # Only an R-tree database's own index serves the sampler; the
+            # index of any other kind is neither read nor built for it.
+            index = database.index if database.kind == "rtree" else None
             engine = ImpreciseNearestNeighborEngine(
                 database.objects,
                 index=index,
@@ -617,21 +618,22 @@ class QueryPipeline:
         I/O, so ``stats.io`` stays zero) unless the plan probes the index
         (a C-IUQ on a PTI); that probe, and the one without a snapshot
         (single-query ``evaluate``), is a plain index probe of the window
-        mapped to rows with :meth:`ColumnarUncertain.rows_for`.  Neither
-        runs the PTI's threshold traversal: Strategy 1 runs per row in
+        that yields oids off the leaves' oid columns, sorted and mapped to
+        rows with :meth:`ColumnarUncertain.rows_of`.  Neither runs the
+        PTI's threshold traversal: Strategy 1 runs per row in
         :meth:`_prune_rows`.
         """
         if columnar is not None and plan.prefer_columnar:
             rows = columnar.window_rows(plan.window)
+            rows = rows[np.argsort(columnar.oids[rows], kind="stable")]
         else:
             database = self._require_uncertain_db()
             if columnar is None:
                 columnar = database.columnar()
             index = database.index
             before = index.stats.snapshot()
-            rows = columnar.rows_for(index.range_search(plan.window))
+            rows = columnar.rows_of(np.sort(index.range_search_oids(plan.window)))
             stats.io = index.stats.difference_since(before)
-        rows = rows[np.argsort(columnar.oids[rows], kind="stable")]
         stats.candidates_examined = len(rows)
         rows = self._prune_rows(plan, columnar, rows, stats)
         probabilities = self._uncertain_probabilities_vectorized(plan, columnar, rows, stats)
@@ -667,11 +669,14 @@ class QueryPipeline:
         strategies = self._residual_strategies(plan.query.threshold)
         if plan.query.threshold <= 0.0 or not len(rows) or not strategies:
             return rows
-        catalog_bounds = (
-            snapshot.catalog_bounds[rows] if snapshot.catalog_bounds is not None else None
-        )
+        levels = catalog_bounds = None
+        if snapshot.catalog_bounds is not None:
+            # Gather only the catalog levels the strategies read.
+            start = pruner.catalog_start(snapshot.catalog_levels)
+            levels = snapshot.catalog_levels[start:]
+            catalog_bounds = snapshot.catalog_bounds[rows, start:]
         batched = pruner.decide_many(
-            snapshot.bounds[rows], snapshot.catalog_levels, catalog_bounds, strategies=strategies
+            snapshot.bounds[rows], levels, catalog_bounds, strategies=strategies
         )
         if batched is None:
             keep = np.ones(len(rows), dtype=bool)

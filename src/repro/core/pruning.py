@@ -193,6 +193,13 @@ class CIUQPruner:
                         bound.top + spec.half_height,
                     )
                     self._issuer_expanded_by_level.append((level, rect))
+        # The same levels and rectangles as arrays, for decide_many.
+        self._issuer_levels = np.array(
+            [level for level, _ in self._issuer_expanded_by_level], dtype=float
+        )
+        self._issuer_rects = np.array(
+            [rect.as_tuple() for _, rect in self._issuer_expanded_by_level], dtype=float
+        ).reshape(-1, 4)
 
     # ------------------------------------------------------------------ #
     # Regions used by the index filter step
@@ -338,6 +345,17 @@ class CIUQPruner:
             & (b[..., 1] <= a[..., 3])
         )
 
+    def catalog_start(self, catalog_levels: np.ndarray) -> int:
+        """Position of the first catalog level :meth:`decide_many` reads.
+
+        Strategy 1 reads the largest level ``<= Qp`` and Strategy 3 the
+        levels ``>= Qp``, so no level below the largest one ``<= Qp`` (or
+        below position 0, when every level exceeds Qp) is ever read: a
+        caller may pass ``catalog_levels[start:]`` with the matching
+        ``catalog_bounds[:, start:]`` and get the same decisions.
+        """
+        return max(int(np.searchsorted(catalog_levels, self._threshold, side="right")) - 1, 0)
+
     def decide_many(
         self,
         bounds: np.ndarray,
@@ -435,10 +453,8 @@ class CIUQPruner:
             return np.zeros(k, dtype=bool)
         # q: smallest issuer level (>= Qp) whose expanded query misses the
         # object's whole region; no such level -> no bound -> no pruning.
-        issuer_levels = np.array([level for level, _ in self._issuer_expanded_by_level])
-        issuer_rects = np.array(
-            [rect.as_tuple() for _, rect in self._issuer_expanded_by_level]
-        )
+        issuer_levels = self._issuer_levels
+        issuer_rects = self._issuer_rects
         region_overlaps = self._overlaps_rects(bounds, issuer_rects[None, :, :])
         q_index = region_overlaps.sum(axis=1)
         q_valid = q_index < issuer_levels.size

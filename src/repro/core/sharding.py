@@ -114,6 +114,9 @@ class ShardedDatabase(MutationObservable):
     #: Re-split a shard in place when an insert pushes it past this many
     #: members (``None`` disables hot-shard re-splitting).
     hot_threshold: int | None = None
+    #: The index kwargs the shard databases were built with; every shard
+    #: rebuild (a re-split's halves, a repopulated empty shard) reuses them.
+    index_options: dict = field(default_factory=dict)
     #: Structure version: bumped whenever a shard's *database instance* is
     #: replaced wholesale (re-splits, emptied shards, repopulated empty
     #: shards).  Per-shard epoch counters restart at zero on such a
@@ -230,6 +233,7 @@ class ShardedDatabase(MutationObservable):
             partitioner=partitioner,
             objects=materialised,
             hot_threshold=hot_threshold,
+            index_options=index_kwargs,
         )
 
     @classmethod
@@ -280,6 +284,7 @@ class ShardedDatabase(MutationObservable):
             objects=rebuilt if rebuilt else materialised,
             catalog_levels=tuple(catalog_levels) if catalog_levels is not None else None,
             hot_threshold=hot_threshold,
+            index_options=index_kwargs,
         )
 
     # ------------------------------------------------------------------ #
@@ -690,10 +695,12 @@ class ShardedDatabase(MutationObservable):
     def _rebuild_shard(self, shard: Shard, members: list) -> None:
         self.version += 1
         if self.kind == "points":
-            shard.database = PointDatabase.build(members, index_kind=self.index_kind)
+            shard.database = PointDatabase.build(
+                members, index_kind=self.index_kind, **self.index_options
+            )
         else:
             database = UncertainDatabase.build(
-                members, index_kind=self.index_kind, catalog_levels=None
+                members, index_kind=self.index_kind, catalog_levels=None, **self.index_options
             )
             # The members already carry catalogs; record their levels so the
             # fresh shard database keeps attaching matching ones on insert.

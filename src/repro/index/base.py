@@ -1,9 +1,11 @@
 """Common interface implemented by every spatial index in the package."""
 
 from __future__ import annotations
-from repro.errors import InvalidArgumentError
+from repro.errors import InvalidArgumentError, SpatialIndexError
 
-from typing import Any, Iterable, Protocol, runtime_checkable
+from typing import Any, Iterable, Protocol, Sequence, runtime_checkable
+
+import numpy as np
 
 from repro.geometry.rect import Rect
 from repro.index.iostats import IOStatistics
@@ -59,6 +61,10 @@ class SpatialIndex(Protocol):
         """Return all items whose MBR intersects ``query``."""
         ...
 
+    def range_search_oids(self, query: Rect) -> np.ndarray:
+        """The ``oid`` of every item :meth:`range_search` returns, as ``int64``."""
+        ...
+
 
 def items_match(stored: Any, item: Any) -> bool:
     """Whether a stored payload is *the* item a delete refers to.
@@ -68,6 +74,29 @@ def items_match(stored: Any, item: Any) -> bool:
     dataclasses) can be removed by an equal copy.
     """
     return stored is item or stored == item
+
+
+def item_oids(items: Sequence[Any]) -> np.ndarray:
+    """The ``oid`` of every item, as an ``int64`` column in item order.
+
+    Raises :class:`SpatialIndexError` when an item has no integer ``oid``.
+    """
+    if not len(items):
+        return np.empty(0, dtype=np.int64)
+    try:
+        oids = np.array([item.oid for item in items])
+    except AttributeError:
+        oids = None
+    if oids is None or oids.dtype.kind not in "iu":
+        raise SpatialIndexError(
+            f"an oid search needs every stored item to carry an integer oid, got {items[0]!r}"
+        )
+    return oids.astype(np.int64)
+
+
+def search_oids(index: SpatialIndex, query: Rect) -> np.ndarray:
+    """``range_search_oids`` of an index that keeps no oid columns: its items' oids."""
+    return item_oids(index.range_search(query))
 
 
 def extract_mbr(item: Any) -> Rect:

@@ -15,8 +15,10 @@ from repro.errors import MissingItemError, SpatialIndexError
 import math
 from typing import Any, Iterable
 
+import numpy as np
+
 from repro.geometry.rect import Rect
-from repro.index.base import extract_mbr, items_match
+from repro.index.base import extract_mbr, items_match, search_oids
 from repro.index.iostats import IOStatistics
 
 
@@ -176,3 +178,7 @@ class GridFile:
                         results.append(item)
         self._stats.record_results(len(results))
         return results
+
+    def range_search_oids(self, query: Rect) -> np.ndarray:
+        """The ``oid`` of every item :meth:`range_search` returns, as ``int64``."""
+        return search_oids(self, query)

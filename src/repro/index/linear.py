@@ -12,8 +12,10 @@ from repro.errors import MissingItemError, SpatialIndexError
 import math
 from typing import Any, Iterable
 
+import numpy as np
+
 from repro.geometry.rect import Rect
-from repro.index.base import extract_mbr, items_match
+from repro.index.base import extract_mbr, items_match, search_oids
 from repro.index.iostats import IOStatistics
 from repro.index.rtree import DEFAULT_ENTRY_BYTES, DEFAULT_PAGE_BYTES
 
@@ -85,3 +87,7 @@ class LinearScanIndex:
                 results.append(item)
         self._stats.record_results(len(results))
         return results
+
+    def range_search_oids(self, query: Rect) -> np.ndarray:
+        """The ``oid`` of every item :meth:`range_search` returns, as ``int64``."""
+        return search_oids(self, query)

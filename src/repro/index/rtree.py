@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.index.base import bulk_pairs, items_match
+from repro.index.base import bulk_pairs, item_oids, items_match
 from repro.index.iostats import IOStatistics
 
 #: Modelled byte cost of one node entry: a 4-double MBR (32 bytes) plus a
@@ -70,7 +70,7 @@ class _Entry:
 class _Node:
     """A fixed-capacity R-tree node (leaf or internal)."""
 
-    __slots__ = ("is_leaf", "entries", "aug", "columns")
+    __slots__ = ("is_leaf", "entries", "aug", "columns", "oids")
 
     def __init__(self, is_leaf: bool) -> None:
         self.is_leaf = is_leaf
@@ -81,6 +81,9 @@ class _Node:
         # The entries as columns for the window test (see entry_columns);
         # ``None`` until a search needs them and after every change.
         self.columns: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list] | None = None
+        # A leaf's item oids as one column (see entry_oids); dropped with
+        # ``columns``.
+        self.oids: np.ndarray | None = None
 
     def mbr(self) -> Rect:
         """Minimum bounding rectangle of all entries in this node."""
@@ -104,6 +107,17 @@ class _Node:
             payloads = [e.item for e in entries] if self.is_leaf else [e.child for e in entries]
             self.columns = (xmin, ymin, xmax, ymax, payloads)
         return self.columns
+
+    def entry_oids(self) -> np.ndarray:
+        """The ``oid`` of every stored item of a leaf, as ``int64``, in entry order.
+
+        Built on first use and kept until the tree reports a change to this
+        node, like :meth:`entry_columns`.  Raises :class:`SpatialIndexError`
+        when an item has no integer ``oid``.
+        """
+        if self.oids is None:
+            self.oids = item_oids([entry.item for entry in self.entries])
+        return self.oids
 
 
 class RTree:
@@ -202,6 +216,7 @@ class RTree:
     def _node_changed(self, node: _Node) -> None:
         """Every change to a node's entries, or to their MBRs, is reported here."""
         node.columns = None
+        node.oids = None
         self._on_node_updated(node)
 
     def _on_node_updated(self, node: _Node) -> None:
@@ -632,6 +647,8 @@ class RTree:
             return results
         # One vectorised overlap test per node instead of one
         # ``Rect.overlaps`` call per entry: this loop is the probe's cost.
+        # range_search_oids walks the tree the same way; a walk shared
+        # through a generator measured slower here, so the two stay apart.
         qxmin, qymin, qxmax, qymax = query.xmin, query.ymin, query.xmax, query.ymax
         stats = self._stats
         stack = [self._root]
@@ -647,6 +664,35 @@ class RTree:
             found.extend(map(payloads.__getitem__, hits.tolist()))
         stats.record_results(len(results))
         return results
+
+    def range_search_oids(self, query: Rect) -> np.ndarray:
+        """The ``oid`` of every stored item whose MBR intersects ``query``, as ``int64``.
+
+        The hits of :meth:`range_search`, in the same order and counted the
+        same way, read off the leaves' oid columns without touching an item.
+        """
+        if query.is_empty or self._size == 0:
+            return np.empty(0, dtype=np.int64)
+        # The walk of range_search, with leaves projected to oids.
+        qxmin, qymin, qxmax, qymax = query.xmin, query.ymin, query.xmax, query.ymax
+        stats = self._stats
+        stack = [self._root]
+        parts: list[np.ndarray] = []
+        while stack:
+            node = stack.pop()
+            xmin, ymin, xmax, ymax, payloads = node.entry_columns()
+            stats.record_node(is_leaf=node.is_leaf)
+            stats.record_entries(len(payloads))
+            hits = np.flatnonzero(
+                (xmin <= qxmax) & (xmax >= qxmin) & (ymin <= qymax) & (ymax >= qymin)
+            )
+            if node.is_leaf:
+                parts.append(node.entry_oids()[hits])
+            else:
+                stack.extend(map(payloads.__getitem__, hits.tolist()))
+        oids = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        stats.record_results(len(oids))
+        return oids
 
     def range_search_filtered(
         self,
@@ -725,7 +771,7 @@ class RTree:
 
         Checks performed: every child MBR is contained in its parent entry's
         MBR, all leaves are at the same depth, a node's cached search columns
-        match its entries, and every non-root node holds
+        and oid column match its entries, and every non-root node holds
         at least ``min_entries`` entries (bulk-loaded trees are exempted from
         the minimum-fill check because STR packs greedily).
         """
@@ -746,6 +792,12 @@ class RTree:
                 ), "stale search columns: payloads"
                 for old, new in zip(cached[:4], fresh[:4]):
                     assert np.array_equal(old, new, equal_nan=True), "stale search columns"
+            if node.oids is not None:
+                cached_oids = node.oids
+                node.oids = None
+                fresh_oids = node.entry_oids()
+                node.oids = cached_oids
+                assert np.array_equal(cached_oids, fresh_oids), "stale oid column"
             if node.is_leaf:
                 leaf_depths.add(depth)
                 return len(node.entries)

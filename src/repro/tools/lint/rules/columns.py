@@ -13,6 +13,14 @@ a target's pdf, gather objects for their own rows through the one accessor
 In ``repro/core/pipeline.py`` the rule flags every subscript of an
 ``….objects`` attribute and every loop or comprehension over one (directly
 or through ``enumerate``/``zip``/``list``/…).
+
+The same holds for the index probe of a C-IUQ over a PTI: it yields oids
+off the leaves' oid columns (``range_search_oids``), and
+:meth:`ColumnarUncertain.rows_of` maps them to rows.  Mapping the probe's
+*objects* with ``rows_for`` read one ``.oid`` and made one dict lookup per
+candidate, the largest cost left on that path; ``rows_for`` now serves only
+the frozen benchmark replay, so anywhere under ``repro/core/`` the rule
+flags every ``….rows_for(…)`` call.
 """
 
 from __future__ import annotations
@@ -24,6 +32,9 @@ from repro.tools.lint.engine import Module, Rule, register
 
 #: The module whose range path must stay columnar.
 PIPELINE_MODULE = "repro/core/pipeline.py"
+
+#: The package in which no code maps objects to rows.
+ENGINE_PACKAGE = "repro/core/"
 
 #: Builtins that iterate their arguments.
 ITERATING_CALLS = frozenset(
@@ -53,15 +64,29 @@ class RangePathReadsColumns(Rule):
     severity = "error"
     description = (
         "repro/core/pipeline.py neither subscripts nor iterates a snapshot's "
-        ".objects: read its columns, or gather with objects_at(rows)"
+        ".objects: read its columns, or gather with objects_at(rows); nothing "
+        "under repro/core/ maps objects to rows with rows_for"
     )
 
     def applies_to(self, module: Module) -> bool:
-        return module.relpath == PIPELINE_MODULE
+        return module.relpath.startswith(ENGINE_PACKAGE)
 
     def check(self, module: Module) -> Iterator[tuple[int, str]]:
+        in_pipeline = module.relpath == PIPELINE_MODULE
         for node in ast.walk(module.tree):
-            if isinstance(node, ast.Subscript) and _is_objects(node.value):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "rows_for"
+            ):
+                yield (
+                    node.lineno,
+                    f"{ast.unparse(node)!r} maps objects to rows: probe for oids "
+                    "(range_search_oids) and map them with rows_of",
+                )
+            elif not in_pipeline:
+                continue
+            elif isinstance(node, ast.Subscript) and _is_objects(node.value):
                 yield (
                     node.lineno,
                     f"{ast.unparse(node)!r} turns a row back into an object: read the "

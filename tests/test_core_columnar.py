@@ -23,6 +23,7 @@ from repro.core.duality import (
     iuq_probability_exact_uniform,
 )
 from repro.core.engine import PointDatabase, UncertainDatabase
+from repro.core.errors import DatasetError
 from repro.core.queries import RangeQuerySpec
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
@@ -129,6 +130,22 @@ class TestColumnarUncertain:
         with pytest.raises(ValueError, match="4321"):
             snapshot.rows_for([foreign])
 
+    def test_rows_of_names_the_foreign_oid(self):
+        snapshot = ColumnarUncertain(_uncertain())
+        with pytest.raises(DatasetError, match="4321"):
+            snapshot.rows_of(np.array([3, 4_321, 5]))
+        # Past either end of the sorted oids, too.
+        for foreign in (-7, 0, 10_000):
+            with pytest.raises(DatasetError, match=str(foreign)):
+                snapshot.rows_of(np.array([foreign]))
+        assert snapshot.rows_of(np.array([], dtype=np.int64)).size == 0
+
+    def test_rows_of_follows_the_given_order(self):
+        objects = _uncertain()
+        snapshot = ColumnarUncertain(objects[::-1])
+        oids = np.array([objects[4].oid, objects[0].oid, objects[9].oid])
+        assert snapshot.rows_of(oids).tolist() == [len(objects) - 5, len(objects) - 1, 20]
+
     def test_catalog_snapshot_homogeneous(self):
         objects = _uncertain(with_catalog=True)
         snapshot = ColumnarUncertain(objects)
@@ -216,10 +233,11 @@ def assert_same_snapshot(derived, rebuilt):
         assert np.array_equal(got, expected), name
         assert not got.flags.writeable, name
     if isinstance(rebuilt, ColumnarUncertain):
-        assert derived._row_of_oid == rebuilt._row_of_oid
-        assert np.array_equal(
-            derived.rows_for(list(derived.objects)), np.arange(len(derived.objects))
-        )
+        # Every oid maps to the row the rebuilt snapshot gives it.
+        rows = np.arange(len(rebuilt.objects))
+        assert np.array_equal(derived.rows_of(rebuilt.oids), rows)
+        assert np.array_equal(derived.rows_of(rebuilt.oids[::-1]), rows[::-1])
+        assert np.array_equal(derived.rows_for(list(derived.objects)), rows)
 
 
 class TestBuiltSnapshotAdoption:
@@ -266,6 +284,43 @@ def _uncertain_mutations(database):
         lambda: database.move(oids[10], UniformPdf(region)),
         lambda: database.move(oids[11], UniformCirclePdf(Circle(Point(900.0, 900.0), 70.0))),
     ]
+
+
+class TestRowMap:
+    """Every derived snapshot maps each oid to the row a rebuild gives it."""
+
+    @staticmethod
+    def _assert_maps_like_a_rebuild(derived):
+        rebuilt = ColumnarUncertain(derived.objects)
+        rows = np.arange(len(rebuilt.objects))
+        assert np.array_equal(derived.rows_of(rebuilt.oids), rows)
+        shuffled = np.random.default_rng(len(rows)).permutation(rows)
+        assert np.array_equal(derived.rows_of(rebuilt.oids[shuffled]), shuffled)
+
+    def test_chained_derivations_map_oids_like_a_rebuild(self):
+        rng = np.random.default_rng(61)
+        snapshot = ColumnarUncertain(_uncertain(12))
+        next_oid = iter(range(-40, 0))  # signs mix: new oids sort before the rest
+        for step in range(90):
+            n = len(snapshot)
+            action = ("append", "remove", "replace")[step % 3] if n > 2 else "append"
+            if action == "append":
+                x, y = rng.uniform(500.0, 3_500.0, size=2)
+                region = Rect.from_center(Point(float(x), float(y)), 40.0, 30.0)
+                oid = next(next_oid) if step % 2 else 5_000 + step
+                derived = snapshot.appended(UncertainObject.uniform(oid, region).with_catalog())
+            elif action == "remove":
+                # The last row, the first row and rows in between.
+                derived = snapshot.removed(int(rng.choice([0, n - 1, int(rng.integers(n))])))
+            else:
+                row = int(rng.integers(n))
+                moved = UncertainObject.uniform(
+                    int(snapshot.oids[row]), snapshot.objects[row].region.expand(5.0)
+                ).with_catalog()
+                derived = snapshot.replaced(row, moved)
+            assert derived is not None
+            self._assert_maps_like_a_rebuild(derived)
+            snapshot = derived
 
 
 class TestSnapshotDerivation:

@@ -22,6 +22,7 @@ from repro.core.session import Session
 from repro.core.updates import UpdateBatch
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.index.rtree import RTree
 from repro.rpc.shardd import _LoadedShard
 from repro.uncertainty.pdf import TruncatedGaussianPdf, UniformPdf
 from repro.uncertainty.region import PointObject, UncertainObject
@@ -257,6 +258,30 @@ class TestLateBuildAnswersLikeAMaintainedIndex:
         assert answers(late) == answers(eager)
         check(late)
         check(eager)
+
+
+class TestNearestNeighbourBuildsOnlyItsSampler:
+    def test_grid_session_builds_no_grid_for_a_nearest_neighbour_query(
+        self, builds, monkeypatch, small_points
+    ):
+        """The sampler needs an R-tree: a grid database's own index is never built."""
+        query = NearestNeighborQuery(issuer=_issuer(5_000.0, 5_000.0), samples=32)
+        reference = Session.from_objects(points=small_points, point_index="rtree")
+        expected = reference.evaluate_many([query])[0].result
+        real = RTree.bulk_load.__func__
+
+        def sampler_spy(cls, items, **kwargs):
+            builds.append("sampler rtree")
+            return real(cls, items, **kwargs)
+
+        monkeypatch.setattr(RTree, "bulk_load", classmethod(sampler_spy))
+        builds.clear()
+        session = Session.from_objects(points=small_points, point_index="grid")
+        result = session.evaluate_many([query])[0].result
+        assert builds == ["sampler rtree"]
+        assert session.describe()["databases"]["points"]["index_built"] is False
+        assert result.oid_array.tobytes() == expected.oid_array.tobytes()
+        assert result.probability_array.tobytes() == expected.probability_array.tobytes()
 
 
 class TestDescribeReportsIndexBuilt:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -13,8 +15,9 @@ from repro.core.pruning import (
     PruneDecision,
     PruningStrategy,
 )
+from repro.core.columnar import ColumnarUncertain
 from repro.core.queries import RangeQuerySpec
-from repro.uncertainty.pdf import UniformPdf
+from repro.uncertainty.pdf import TruncatedGaussianPdf, UniformPdf
 from repro.uncertainty.region import PointObject, UncertainObject
 
 ISSUER_REGION = Rect(1_000.0, 1_000.0, 1_500.0, 1_500.0)
@@ -186,3 +189,64 @@ class TestCIUQStrategies:
         low_count = sum(low.decide(o).pruned for o in objects)
         high_count = sum(high.decide(o).pruned for o in objects)
         assert high_count >= low_count
+
+
+#: Where Qp sits against the stored levels.
+QP_PLACES = ("on_a_level", "between_levels", "below_the_smallest", "above_the_largest")
+
+
+@st.composite
+def sliced_prune_cases(draw):
+    """Random catalogs over random level sets, and a Qp placed against them."""
+    levels = draw(
+        st.lists(st.integers(1, 19), min_size=2, max_size=6, unique=True).map(
+            lambda steps: tuple(sorted(0.05 * step for step in steps))
+        )
+    )
+    place = draw(st.sampled_from(QP_PLACES))
+    if place == "on_a_level":
+        threshold = draw(st.sampled_from(levels))
+    elif place == "between_levels":
+        lower = draw(st.integers(0, len(levels) - 2))
+        threshold = (levels[lower] + levels[lower + 1]) / 2.0
+    elif place == "below_the_smallest":
+        threshold = levels[0] / 2.0
+    else:
+        threshold = (levels[-1] + 1.0) / 2.0
+    objects = []
+    for oid in range(draw(st.integers(1, 25))):
+        x = draw(st.floats(-200.0, 2_700.0))
+        y = draw(st.floats(-200.0, 2_700.0))
+        half_w = draw(st.floats(5.0, 300.0))
+        half_h = draw(st.floats(5.0, 300.0))
+        region = Rect(x - half_w, y - half_h, x + half_w, y + half_h)
+        pdf = TruncatedGaussianPdf(region) if draw(st.booleans()) else UniformPdf(region)
+        objects.append(UncertainObject(oid=oid, pdf=pdf).with_catalog(levels))
+    issuer = UncertainObject(oid=-1, pdf=UniformPdf(ISSUER_REGION)).with_catalog(levels)
+    strategies = draw(
+        st.sampled_from([ALL_STRATEGIES, (PruningStrategy.P_BOUND, PruningStrategy.PRODUCT_BOUND)])
+    )
+    return place, threshold, issuer, objects, strategies
+
+
+class TestLevelSlicedPruning:
+    """``decide_many`` over the levels from ``catalog_start`` on decides as over all."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(sliced_prune_cases())
+    def test_sliced_levels_decide_like_all_levels(self, case):
+        place, threshold, issuer, objects, strategies = case
+        snapshot = ColumnarUncertain(objects)
+        levels, table = snapshot.catalog_levels, snapshot.catalog_bounds
+        pruner = CIUQPruner(issuer, SPEC, threshold=threshold, strategies=strategies)
+        start = pruner.catalog_start(levels)
+        if place == "below_the_smallest":
+            assert start == 0
+        else:  # the largest level <= Qp
+            assert levels[start] <= threshold
+            assert start + 1 == len(levels) or levels[start + 1] > threshold
+        full_keep, full_counts = pruner.decide_many(snapshot.bounds, levels, table)
+        keep, counts = pruner.decide_many(snapshot.bounds, levels[start:], table[:, start:])
+        assert np.array_equal(keep, full_keep)
+        assert counts == full_counts
+

@@ -301,6 +301,20 @@ class TestLiveMutation:
         for shard in database.non_empty_shards():
             assert shard is database.owner_of(shard.database.objects[0].oid)
 
+    def test_resplit_keeps_the_index_kwargs(self):
+        """A re-split rebuilds both halves with the kwargs the shards were built with."""
+        database = self._points_db(n=2_000, k=2, max_entries=4, hot_threshold=1_100)
+        assert database.index_options == {"max_entries": 4}
+        k_before = database.k
+        centre = database.shards[0].cover.center
+        for offset in range(300):
+            database.insert(
+                PointObject.at(9_000 + offset, centre.x + offset * 0.5, centre.y - offset * 0.25)
+            )
+        assert database.k > k_before
+        for shard in database.non_empty_shards():
+            assert shard.database.index.max_entries == 4, shard.sid
+
     def test_hot_threshold_validation(self):
         with pytest.raises(ValueError, match="hot_threshold"):
             self._points_db(hot_threshold=1)

@@ -1,12 +1,18 @@
 """Unit tests for the R-tree."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.errors import SpatialIndexError
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.index.gridfile import GridFile
+from repro.index.linear import LinearScanIndex
+from repro.index.pti import ProbabilityThresholdIndex
 from repro.index.rtree import RTree, _Entry
-from repro.uncertainty.region import PointObject
+from repro.uncertainty.region import PointObject, UncertainObject
 
 
 def _random_rects(n: int, seed: int = 0, space: float = 1000.0) -> list[tuple[Rect, int]]:
@@ -279,49 +285,135 @@ class TestDeletion:
         assert found is new
 
 
+def _churn_tree(kind: str, rng: np.random.Generator, check) -> None:
+    """A tree through 120 mixed deletes, in-place moves and relocating moves.
+
+    ``kind`` is ``incremental`` (inserted integer items), ``objects``
+    (inserted point objects), ``bulk`` (bulk-loaded point objects) or ``pti``
+    (catalogued uncertain objects, moved as fresh wrappers).
+    ``check(tree, live)``, with ``live`` the stored ``{key: (mbr, item)}``,
+    runs before, every tenth step and after, beside the tree's own
+    invariant check.
+    """
+    pairs = _random_rects(400, seed=31)
+    if kind == "bulk":
+        tree = RTree.bulk_load(
+            [PointObject.at(i, mbr.xmin, mbr.ymin) for mbr, i in pairs], max_entries=6
+        )
+        live = {obj.oid: (obj.mbr, obj) for obj in tree.items()}
+    elif kind == "pti":
+        objects = [UncertainObject.uniform(i, mbr, with_catalog=True) for mbr, i in pairs]
+        tree = ProbabilityThresholdIndex.bulk_load(objects, max_entries=6)
+        live = {obj.oid: (obj.mbr, obj) for obj in objects}
+    else:
+        tree = RTree(max_entries=6)
+        live = {}
+        for mbr, i in pairs:
+            item = i if kind == "incremental" else PointObject.at(i, mbr.xmin, mbr.ymin)
+            tree.insert(mbr, item)
+            live[i] = (mbr, item)
+
+    def move(mbr, item, shift):
+        moved = Rect(mbr.xmin + shift, mbr.ymin, mbr.xmax + shift, mbr.ymax)
+        if kind != "pti":
+            tree.update(mbr, moved, item)
+            return moved, item
+        replacement = UncertainObject.uniform(item.oid, moved, with_catalog=True)
+        tree.update(mbr, moved, item, replacement=replacement)
+        return moved, replacement
+
+    check(tree, live)
+    for step in range(120):
+        key = int(rng.choice(list(live)))
+        mbr, item = live[key]
+        if step % 3 == 0:
+            tree.delete(mbr, item)
+            del live[key]
+        else:
+            # Small moves stay in their leaf (in place); large ones do not.
+            live[key] = move(mbr, item, 2.0 if step % 3 == 1 else 400.0)
+        if step % 10 == 0:
+            check(tree, live)
+            tree.check_invariants()
+    check(tree, live)
+    tree.check_invariants()
+
+
+def _io_counts(index) -> tuple[int, int, int]:
+    stats = index.stats
+    return stats.node_accesses, stats.entries_examined, stats.objects_returned
+
+
 class TestSearchColumns:
     """A search reads each node's entries as cached columns; every change
     to a node must drop them."""
 
     @pytest.mark.parametrize("bulk", [False, True])
     def test_searches_follow_inserts_deletes_and_moves(self, bulk):
-        pairs = _random_rects(400, seed=31)
-        if bulk:
-            tree = RTree.bulk_load(
-                [PointObject.at(i, mbr.xmin, mbr.ymin) for mbr, i in pairs], max_entries=6
-            )
-            live = {obj.oid: (obj.mbr, obj) for obj in tree.items()}
-        else:
-            tree = RTree(max_entries=6)
-            for mbr, i in pairs:
-                tree.insert(mbr, i)
-            live = {i: (mbr, i) for mbr, i in pairs}
         rng = np.random.default_rng(32)
 
-        def search_everywhere():
+        def search_everywhere(tree, live):
             for x, y in rng.uniform(-50.0, 1_000.0, (6, 2)):
                 query = Rect(x, y, x + 120.0, y + 120.0)
                 expected = {id(item) for mbr, item in live.values() if mbr.overlaps(query)}
                 assert {id(item) for item in tree.range_search(query)} == expected
 
-        search_everywhere()
-        for step in range(120):
-            key = int(rng.choice(list(live)))
-            mbr, item = live[key]
-            if step % 3 == 0:
-                tree.delete(mbr, item)
-                del live[key]
-            else:
-                # Small moves stay in their leaf (in place); large ones do not.
-                shift = 2.0 if step % 3 == 1 else 400.0
-                moved = Rect(mbr.xmin + shift, mbr.ymin, mbr.xmax + shift, mbr.ymax)
-                tree.update(mbr, moved, item)
-                live[key] = (moved, item)
-            if step % 10 == 0:
-                search_everywhere()
-                tree.check_invariants()
-        search_everywhere()
-        tree.check_invariants()
+        _churn_tree("bulk" if bulk else "incremental", rng, search_everywhere)
+
+    @pytest.mark.parametrize("kind", ["objects", "bulk", "pti"])
+    def test_oid_search_is_the_item_search(self, kind):
+        """The leaves' oid columns answer what the items answer, counted alike."""
+        rng = np.random.default_rng(34)
+
+        def compare(tree, live):
+            for x, y in rng.uniform(-50.0, 1_000.0, (6, 2)):
+                query = Rect(x, y, x + 120.0, y + 120.0)
+                start = _io_counts(tree)
+                items = tree.range_search(query)
+                middle = _io_counts(tree)
+                oids = tree.range_search_oids(query)
+                end = _io_counts(tree)
+                assert oids.dtype == np.int64
+                assert Counter(oids.tolist()) == Counter(item.oid for item in items)
+                assert np.subtract(middle, start).tolist() == np.subtract(end, middle).tolist()
+
+        _churn_tree(kind, rng, compare)
+
+    def test_oid_search_of_an_empty_window(self):
+        tree = RTree.bulk_load([PointObject.at(i, 10.0 * i, 0.0) for i in range(50)], max_entries=4)
+        for query in (Rect(500.0, 500.0, 600.0, 600.0), Rect.empty()):
+            oids = tree.range_search_oids(query)
+            assert oids.dtype == np.int64 and oids.size == 0
+        assert RTree().range_search_oids(Rect(0.0, 0.0, 1.0, 1.0)).size == 0
+
+    def test_items_without_an_integer_oid_are_refused(self):
+        tree = RTree(max_entries=4)
+        for mbr, item in _random_rects(20, seed=35):
+            tree.insert(mbr, item)
+        everywhere = Rect(0.0, 0.0, 1_000.0, 1_000.0)
+        with pytest.raises(SpatialIndexError, match="integer oid"):
+            tree.range_search_oids(everywhere)
+        grid = GridFile(Rect(0.0, 0.0, 1_000.0, 1_000.0), cells_per_axis=4)
+        grid.insert(Rect(1.0, 1.0, 2.0, 2.0), "a string")
+        with pytest.raises(SpatialIndexError, match="integer oid"):
+            grid.range_search_oids(everywhere)
+
+    @pytest.mark.parametrize("build", ["grid", "linear"])
+    def test_grid_file_and_scan_agree_with_their_item_search(self, build):
+        objects = [PointObject.at(i, mbr.xmin, mbr.ymin) for mbr, i in _random_rects(300, 36)]
+        if build == "grid":
+            index = GridFile.bulk_load(objects, bounds=Rect(0.0, 0.0, 500.0, 500.0))
+        else:
+            index = LinearScanIndex.bulk_load(objects)
+        for x, y in np.random.default_rng(37).uniform(-50.0, 1_000.0, (12, 2)):
+            query = Rect(x, y, x + 150.0, y + 150.0)
+            start = _io_counts(index)
+            items = index.range_search(query)
+            middle = _io_counts(index)
+            oids = index.range_search_oids(query)
+            end = _io_counts(index)
+            assert oids.tolist() == [item.oid for item in items]
+            assert np.subtract(middle, start).tolist() == np.subtract(end, middle).tolist()
 
     def test_stale_columns_fail_the_invariant_check(self):
         tree = RTree(max_entries=4)
@@ -335,6 +427,22 @@ class TestSearchColumns:
         # Shrunk behind the tree's back: still covered, but no longer cached.
         leaf.entries[0].mbr = Rect(corner.xmin, corner.ymin, corner.xmin, corner.ymin)
         with pytest.raises(AssertionError, match="stale search columns"):
+            tree.check_invariants()
+
+    def test_stale_oid_column_fails_the_invariant_check(self):
+        tree = RTree.bulk_load(
+            [PointObject.at(i, mbr.xmin, mbr.ymin) for mbr, i in _random_rects(20, seed=38)],
+            max_entries=4,
+        )
+        tree.range_search_oids(Rect(0.0, 0.0, 1_000.0, 1_000.0))
+        tree.check_invariants()
+        leaf = next(node for node in tree._iter_nodes() if node.is_leaf)
+        old = leaf.entries[0].item
+        # Re-keyed behind the tree's back: the search columns are dropped, the
+        # oid column is left behind.
+        leaf.entries[0].item = PointObject.at(old.oid + 1_000, old.location.x, old.location.y)
+        leaf.columns = None
+        with pytest.raises(AssertionError, match="stale oid column"):
             tree.check_invariants()
 
 

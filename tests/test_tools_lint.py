@@ -213,6 +213,24 @@ def test_columns_rule_flags_an_object_gather_in_the_range_path():
     assert lint_source(columnar, "repro/core/columnar.py", [get_rule("RPL015")]) == []
 
 
+def test_columns_rule_flags_rows_for_anywhere_in_the_engine():
+    """A ``.rows_for(`` call under ``repro/core/`` is caught; outside it is not."""
+    diagnostics = lint_fixture("RPL015", "rows_for_violation")
+    assert [(d.rule, d.line) for d in diagnostics] == [("RPL015", 7)]
+    assert "range_search_oids" in diagnostics[0].message
+    assert "rows_of" in diagnostics[0].message
+    assert lint_fixture("RPL015", "rows_for_clean") == []
+    call = "rows = snapshot.rows_for(candidates)\n"
+    assert [d.rule for d in lint_source(call, "repro/core/pipeline.py", [get_rule("RPL015")])] == [
+        "RPL015"
+    ]
+    assert lint_source(call, "benchmarks/suite/layers.py", [get_rule("RPL015")]) == []
+    # The engine package as shipped is clean.
+    for path in sorted((REPO_ROOT / "src" / "repro" / "core").glob("*.py")):
+        shipped = path.read_text(encoding="utf-8")
+        assert lint_source(shipped, f"repro/core/{path.name}", [get_rule("RPL015")]) == []
+
+
 def test_indexing_rule_flags_a_tree_built_beside_the_database():
     """A ``bulk_load`` or ``build_index`` in ``core/pipeline.py`` is caught."""
     from repro.tools.lint.rules.indexing import ALLOWED
